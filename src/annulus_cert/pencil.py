@@ -16,6 +16,14 @@ where a_j = 2 / (1 + d^j) and d = (1-eps)^2 r, so both sides are power series
 with moduli strictly below 1 on the band and O(1) coefficients.  The matrix
 case replaces x, y by the scaled operators (1-eps) alpha T and
 (1-eps) r (alpha T)^{-1}.
+
+A sweep over the M-th roots of unity alpha_k needs only one pass over the
+power ladders of X = (1-eps) T and Y = (1-eps) r T^{-1}: since alpha_k^j
+depends only on j mod M, the pass adds a_j X^j into bucket j mod M and
+a_j Y^j into bucket (-j) mod M, and one inverse FFT over the M buckets gives
+Gamma(alpha_k T) for every k.  Memory is O(M n^2), independent of the number
+of terms.  A single arbitrary alpha is the same pass with M = 1, alpha folded
+into X and conj(alpha) into Y.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ BAND_SLACK = 1e-9
 # Consecutive sub-threshold terms required before a side of the bilateral
 # sum is allowed to stop; guards against transient growth of non-normal powers.
 _DECAY_RUN = 3
+
+# Alphas within this distance of the M-th roots of unity are evaluated at the
+# roots themselves; that moves term j by at most j times this, relatively.
+_ROOT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -132,13 +144,8 @@ def _envelope_terms(rho: float, tail_tol: float, n_max: int, adaptive: bool) -> 
     return n
 
 
-def _scalar_sum(z, pt: PencilPoint, ap: AnnulusParams, plan: TruncationPlan,
-                derivative: bool = False):
-    """Shared batched evaluator.  Returns (values, n_pos, n_neg).
-
-    With ``derivative`` it returns sum_k k c_k (alpha z)^k instead of Gamma;
-    dividing by z then gives the z-derivative of z -> Gamma(alpha z).
-    """
+def _scalar_sum(z, pt: PencilPoint, ap: AnnulusParams, plan: TruncationPlan):
+    """Shared batched evaluator.  Returns (values, n_pos, n_neg)."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     absz = np.abs(zs)
     if np.any(absz == 0.0):
@@ -155,9 +162,6 @@ def _scalar_sum(z, pt: PencilPoint, ap: AnnulusParams, plan: TruncationPlan,
     a_pos = 2.0 / (1.0 + d**ks)
     ms = np.arange(1, n_neg + 1, dtype=float)
     a_neg = 2.0 / (1.0 + d**ms)
-    if derivative:
-        a_pos = a_pos * ks
-        a_neg = a_neg * ms
     acc = np.zeros_like(zs)
     for k in range(n_pos, 0, -1):
         acc = (acc + a_pos[k]) * x
@@ -165,8 +169,7 @@ def _scalar_sum(z, pt: PencilPoint, ap: AnnulusParams, plan: TruncationPlan,
     acc_n = np.zeros_like(zs)
     for m in range(n_neg, 0, -1):
         acc_n = (acc_n + a_neg[m - 1]) * y
-    sign = -1.0 if derivative else 1.0
-    return acc + sign * acc_n, n_pos, n_neg
+    return acc + acc_n, n_pos, n_neg
 
 
 def gamma_scalar(z: complex, pt: PencilPoint, ap: AnnulusParams,
@@ -190,19 +193,47 @@ def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams,
     return vals
 
 
-def gamma_scalar_derivative(z: complex, pt: PencilPoint, ap: AnnulusParams,
-                            plan: TruncationPlan = DEFAULT_PLAN) -> complex:
-    """d/dz of z -> Gamma(alpha z), at a scalar z."""
-    vals, _, _ = _scalar_sum(z, pt, ap, plan, derivative=True)
-    return complex(vals[0] / z)
+class _Ladder:
+    """Powers of one step matrix, kept two deep, with their Frobenius norms."""
+
+    __slots__ = ("step", "prev", "cur", "run", "stop")
+
+    def __init__(self, step: np.ndarray):
+        n = step.shape[0]
+        self.step = step
+        self.prev = self._buffer(np.eye(n, dtype=complex))
+        self.cur = self._buffer(np.empty((n, n), dtype=complex))
+        self.run = 0
+        self.stop: int | None = None
+
+    @staticmethod
+    def _buffer(a: np.ndarray) -> tuple:
+        flat = a.reshape(-1)
+        return a, flat.real, flat.imag
+
+    def advance(self) -> tuple[np.ndarray, float]:
+        """The next power and its Frobenius norm, summed as np.linalg.norm sums it."""
+        prev, cur = self.prev, self.cur
+        np.matmul(prev[0], self.step, out=cur[0])
+        self.prev, self.cur = cur, prev
+        _, re, im = cur
+        return cur[0], math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _roots_of_unity(m: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(m) / m)
 
 
 class MatrixPencil:
-    """Cached pencil evaluation for one matrix T at one eps.
+    """Pencil evaluation for one matrix T at one eps.
 
-    Stores ladders of the scaled powers ((1-eps) T)^k and ((1-eps) r T^-1)^m
-    together with their Frobenius norms, so sweeps over many alphas reuse the
-    expensive part.  Alpha enters only through scalar phases.
+    Each sweep is one streaming pass over the ladders X^j = ((1-eps) T)^j and
+    Y^j = ((1-eps) r T^-1)^j that applies the stop rule to their Frobenius
+    norms and folds every term into M buckets (j mod M, see the module
+    docstring).  Only the current powers and the buckets are kept, so memory
+    is O(M n^2) however deep the ladder runs.  Alphas that are not the M-th
+    roots of unity get one M = 1 pass each, with alpha folded into X and
+    conj(alpha) into Y.  The first pass fixes the truncation indices.
     """
 
     def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams,
@@ -225,109 +256,102 @@ class MatrixPencil:
             )
         self._x = b * self.t
         self._y = b * ap.r * inverse(self.t, tol)
-        n = self.t.shape[0]
-        self._pos = [np.eye(n, dtype=complex)]
-        self._neg = [np.eye(n, dtype=complex)]
-        self._pos_norm = [math.sqrt(n)]
-        self._neg_norm = [math.sqrt(n)]
-        d = b * b * ap.r
-        self._coeff = lambda j: 2.0 / (1.0 + d**float(j))
-        self._n_gamma: tuple[int, int] | None = None
-        self._n_deriv: tuple[int, int] | None = None
+        self._d = b * b * ap.r
+        # stop indices of Gamma and of the derivative pencil, set by the first pass
+        self._stops: list[tuple[int, int] | None] = [None, None]
 
-    def _extend(self, side: list, norms: list, step: np.ndarray, upto: int) -> None:
-        while len(side) <= upto:
-            side.append(side[-1] @ step)
-            norms.append(float(np.linalg.norm(side[-1])))
+    def _fold(self, m: int, weighted: bool,
+              alpha: complex = 1.0) -> tuple[np.ndarray, tuple[int, int]]:
+        """One pass over both ladders into m buckets; returns (buckets, stop indices).
 
-    def _term_norm(self, positive: bool, j: int, weighted: bool) -> float:
-        if positive:
-            self._extend(self._pos, self._pos_norm, self._x, j)
-            base = self._coeff(j) * self._pos_norm[j]
-        else:
-            self._extend(self._neg, self._neg_norm, self._y, j)
-            base = self._coeff(j) * self._neg_norm[j]
-        return base * j if weighted else base
-
-    def _stop_indices(self, weighted: bool) -> tuple[int, int]:
-        """Interleaved bilateral scan with the 3-consecutive-decay stop rule."""
+        Bucket b holds the terms w_j (alpha X)^j with j = b mod m and
+        w_j (conj(alpha) Y)^j with -j = b mod m, where w_j = a_j, or with
+        ``weighted`` +j a_j on the positive and -j a_j on the negative side.
+        The sides are scanned interleaved, positive first; each stops after
+        _DECAY_RUN consecutive term norms below tail_tol * (1 + acc), acc
+        being the running sum of the term norms of both sides.
+        """
         plan = self.plan
-        if not plan.adaptive:
-            return plan.n_max, plan.n_max
-        acc = 0.0 if weighted else self._term_norm(True, 0, False)
-        run_p = run_n = 0
-        stop_p = stop_n = None
+        n = self.t.shape[0]
+        d = self._d
+        buckets = np.zeros((m, n, n), dtype=complex)
+        if not weighted:
+            buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
+        bins = list(buckets)
+        scratch = np.empty((n, n), dtype=complex)
+        pos = _Ladder(alpha * self._x)
+        neg = _Ladder(np.conj(alpha) * self._y)
+        sides = ((pos, 1), (neg, -1))
+        acc = 0.0 if weighted else math.sqrt(n)
         j = 1
-        while stop_p is None or stop_n is None:
+        while pos.stop is None or neg.stop is None:
             if j > plan.n_max:
-                side = "positive" if stop_p is None else "negative"
+                side = "positive" if pos.stop is None else "negative"
                 raise TruncationError(
                     f"{side} side of the bilateral sum not decayed after {plan.n_max} "
                     f"terms at eps = {self.eps} (tail_tol = {plan.tail_tol:g})"
                 )
-            for positive in (True, False):
-                if (stop_p if positive else stop_n) is not None:
+            a = 2.0 / (1.0 + d ** float(j))
+            for ladder, sign in sides:
+                if ladder.stop is not None:
                     continue
-                t = self._term_norm(positive, j, weighted)
-                small = t < plan.tail_tol * (1.0 + acc)
-                acc += t
-                if positive:
-                    run_p = run_p + 1 if small else 0
-                    if run_p >= _DECAY_RUN:
-                        stop_p = j
-                else:
-                    run_n = run_n + 1 if small else 0
-                    if run_n >= _DECAY_RUN:
-                        stop_n = j
+                power, norm = ladder.advance()
+                np.multiply(power, sign * j * a if weighted else a, out=scratch)
+                bins[(sign * j) % m] += scratch
+                if not plan.adaptive:
+                    continue
+                term = a * norm * j if weighted else a * norm
+                small = term < plan.tail_tol * (1.0 + acc)
+                acc += term
+                ladder.run = ladder.run + 1 if small else 0
+                if ladder.run >= _DECAY_RUN:
+                    ladder.stop = j
+            if not plan.adaptive and j == plan.n_max:
+                pos.stop = neg.stop = j
             j += 1
-        return stop_p, stop_n
+        return buckets, (pos.stop, neg.stop)
+
+    def _sweep(self, alphas, weighted: bool) -> np.ndarray:
+        """Values at every alpha; the first pass fixes the stop indices."""
+        alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+        m = alphas.size
+        if m and np.allclose(alphas, _roots_of_unity(m), rtol=0.0, atol=_ROOT_TOL):
+            buckets, stop = self._fold(m, weighted)
+            values = m * np.fft.ifft(buckets, axis=0)
+        else:
+            n = self.t.shape[0]
+            folds = [self._fold(1, weighted, alpha) for alpha in alphas]
+            values = np.array([buckets[0] for buckets, _ in folds]).reshape(m, n, n)
+            stop = folds[0][1] if folds else None
+        if self._stops[weighted] is None:
+            self._stops[weighted] = stop
+        return values
+
+    def _indices(self, weighted: bool) -> tuple[int, int]:
+        if self._stops[weighted] is None:
+            self._stops[weighted] = self._fold(1, weighted)[1]
+        return self._stops[weighted]
 
     def gamma_indices(self) -> tuple[int, int]:
-        if self._n_gamma is None:
-            self._n_gamma = self._stop_indices(weighted=False)
-        return self._n_gamma
+        """Per-side truncation (n_pos, n_neg) of Gamma."""
+        return self._indices(False)
 
     def deriv_indices(self) -> tuple[int, int]:
-        if self._n_deriv is None:
-            self._n_deriv = self._stop_indices(weighted=True)
-        return self._n_deriv
-
-    def _phased_sum(self, alphas: np.ndarray, n_pos: int, n_neg: int,
-                    weighted: bool) -> np.ndarray:
-        """sum_j w_j alpha^j X^j (+/-) sum_m w_m conj(alpha)^m Y^m, batched over alpha."""
-        self._extend(self._pos, self._pos_norm, self._x, n_pos)
-        self._extend(self._neg, self._neg_norm, self._y, n_neg)
-        n = self.t.shape[0]
-        out = np.zeros((alphas.size, n, n), dtype=complex)
-        for positive, count in ((True, n_pos), (False, n_neg)):
-            js = np.arange(0 if positive else 1, count + 1, dtype=float)
-            if js.size == 0:
-                continue
-            coeffs = np.array([self._coeff(j) for j in js])
-            if weighted:
-                # index weights j; the negative side enters with sign -m
-                coeffs = coeffs * js if positive else -coeffs * js
-            base = alphas if positive else np.conj(alphas)
-            phases = base[:, None] ** js[None, :] * coeffs[None, :]
-            stack = self._pos if positive else self._neg
-            lo = 0 if positive else 1
-            # chunk the contraction to bound memory at large dimension
-            for start in range(0, js.size, 512):
-                end = min(start + 512, js.size)
-                terms = np.stack(stack[lo + start : lo + end])
-                out += np.einsum("ak,kij->aij", phases[:, start:end], terms)
-        return out
+        """Per-side truncation of the derivative pencil (weighted stop rule)."""
+        return self._indices(True)
 
     def gamma_for_alphas(self, alphas: np.ndarray) -> np.ndarray:
-        n_pos, n_neg = self.gamma_indices()
-        return self._phased_sum(np.asarray(alphas, dtype=complex), n_pos, n_neg, weighted=False)
+        """Gamma(alpha T) for every alpha; one pass when they are the M-th roots of unity."""
+        values = self._sweep(alphas, weighted=False)
+        self.gamma_indices()  # a lookup now; the index methods report the truncation
+        return values
 
     def derivative_for_alphas(self, alphas: np.ndarray) -> np.ndarray:
         """z-derivative of z -> Gamma(alpha z) at T, batched over alpha."""
-        n_pos, n_neg = self.deriv_indices()
-        core = self._phased_sum(np.asarray(alphas, dtype=complex), n_pos, n_neg, weighted=True)
+        core = self._sweep(alphas, weighted=True)
+        self.deriv_indices()
         tinv = self._y / ((1.0 - self.eps) * self.ap.r)
-        return np.einsum("ij,ajk->aik", tinv, core)
+        return tinv @ core
 
 
 def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams,
@@ -341,8 +365,9 @@ def gamma_matrix_info(t, pt: PencilPoint, ap: AnnulusParams,
                       plan: TruncationPlan = DEFAULT_PLAN,
                       tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, int, int]:
     mp = MatrixPencil(t, pt.eps, ap, plan, tol)
+    gam = mp.gamma_for_alphas(np.array([pt.alpha]))[0]
     n_pos, n_neg = mp.gamma_indices()
-    return mp.gamma_for_alphas(np.array([pt.alpha]))[0], n_pos, n_neg
+    return gam, n_pos, n_neg
 
 
 def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams,

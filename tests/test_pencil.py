@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from annulus_cert.blocks import BlockSpec, assemble
@@ -8,6 +9,7 @@ from annulus_cert.generators import random_normal_annulus
 from annulus_cert.numerics import operator_norm
 from annulus_cert.pencil import (
     AnnulusParams,
+    MatrixPencil,
     PencilPoint,
     TruncationPlan,
     gamma_coeff,
@@ -188,3 +190,136 @@ class TestRePart:
     def test_direct_arithmetic(self):
         a = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert operator_norm(re_part(a) - np.array([[0.0, 1.0], [1.0, 0.0]])) < 1e-14
+
+
+def reference_pencil(t, eps, r, alphas, plan=TruncationPlan(), weighted=False):
+    """Per-alpha direct sums with the interleaved stop rule, as plain loops.
+
+    Returns the values sum_j w_j alpha^j X^j + sum_m w_m conj(alpha)^m Y^m
+    (w = a_j, or +j a_j and -m a_m when ``weighted``) and (n_pos, n_neg).
+    """
+    t = np.asarray(t, dtype=complex)
+    n = t.shape[0]
+    b = 1.0 - eps
+    d = b * b * r
+    steps = (b * t, b * r * np.linalg.inv(t))
+    powers = ([np.eye(n, dtype=complex)], [np.eye(n, dtype=complex)])
+
+    def coeff(j):
+        return 2.0 / (1.0 + d ** float(j))
+
+    if plan.adaptive:
+        acc = 0.0 if weighted else np.sqrt(n)
+        runs, stops = [0, 0], [None, None]
+        j = 1
+        while None in stops:
+            if j > plan.n_max:
+                raise TruncationError("reference did not decay")
+            for side in (0, 1):
+                if stops[side] is not None:
+                    continue
+                powers[side].append(powers[side][-1] @ steps[side])
+                term = coeff(j) * np.linalg.norm(powers[side][j])
+                term = term * j if weighted else term
+                small = term < plan.tail_tol * (1.0 + acc)
+                acc += term
+                runs[side] = runs[side] + 1 if small else 0
+                if runs[side] >= 3:
+                    stops[side] = j
+            j += 1
+        n_pos, n_neg = stops
+    else:
+        n_pos = n_neg = plan.n_max
+    for side, count in ((0, n_pos), (1, n_neg)):
+        while len(powers[side]) <= count:
+            powers[side].append(powers[side][-1] @ steps[side])
+    values = []
+    for alpha in alphas:
+        total = np.zeros((n, n), dtype=complex)
+        for j in range(1 if weighted else 0, n_pos + 1):
+            w = coeff(j) * j if weighted else coeff(j)
+            total += w * alpha**j * powers[0][j]
+        for m in range(1, n_neg + 1):
+            w = -coeff(m) * m if weighted else coeff(m)
+            total += w * np.conj(alpha) ** m * powers[1][m]
+        values.append(total)
+    return np.array(values), (n_pos, n_neg)
+
+
+def roots_of_unity(m):
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def shift_chain(n, h):
+    return 0.75 * np.eye(n) + h * np.eye(n, k=1)
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def assert_fold_matches(t, eps, m, plan=TruncationPlan(), r=0.5):
+    """Gamma and the derivative pencil from the fold against the direct sums."""
+    ap = AnnulusParams(r)
+    alphas = roots_of_unity(m)
+    mp_ = MatrixPencil(t, eps, ap, plan)
+    gam = mp_.gamma_for_alphas(alphas)
+    ref, idx = reference_pencil(t, eps, r, alphas, plan)
+    assert mp_.gamma_indices() == idx
+    assert rel_diff(gam, ref) <= 1e-12
+    der = mp_.derivative_for_alphas(alphas)
+    ref_core, idx_d = reference_pencil(t, eps, r, alphas, plan, weighted=True)
+    assert mp_.deriv_indices() == idx_d
+    assert rel_diff(der, np.linalg.inv(t) @ ref_core) <= 1e-12
+    return idx
+
+
+class TestAlphaFold:
+    def test_normal_matrix(self):
+        assert_fold_matches(random_normal_annulus(4, AP5, seed=3), 0.1, 64)
+
+    def test_nonnormal_chain(self):
+        assert_fold_matches(shift_chain(6, 0.2), 0.05, 64)
+
+    def test_fixed_depth_plan(self):
+        plan = TruncationPlan(adaptive=False, n_max=64)
+        assert assert_fold_matches(random_normal_annulus(3, AP5, seed=4), 0.25, 32, plan) == (64, 64)
+
+    @pytest.mark.parametrize("m", [9, 13])
+    def test_grid_size_not_a_power_of_two(self, m):
+        assert_fold_matches(shift_chain(3, 0.1), 0.1, m)
+
+    def test_more_alphas_than_terms(self):
+        n_pos, n_neg = assert_fold_matches(random_normal_annulus(2, AP5, seed=8), 0.5, 200)
+        assert max(n_pos, n_neg) < 200
+
+    def test_single_alpha_off_the_grid(self):
+        t = shift_chain(3, 0.15)
+        alpha = np.exp(0.3j)
+        g = gamma_matrix(t, PencilPoint(0.1, alpha), AP5)
+        ref, _ = reference_pencil(t, 0.1, 0.5, [alpha])
+        assert rel_diff(g, ref[0]) <= 1e-12
+        d = gamma_derivative_matrix(t, PencilPoint(0.1, alpha), AP5)
+        ref_core, _ = reference_pencil(t, 0.1, 0.5, [alpha], weighted=True)
+        assert rel_diff(d, np.linalg.inv(t) @ ref_core[0]) <= 1e-12
+
+    def test_band_edge_sweep_needs_more_terms(self):
+        mp_ = MatrixPencil(np.diag([1.0, 0.7]), 0.01, AP5, TruncationPlan(n_max=64))
+        with pytest.raises(TruncationError):
+            mp_.gamma_for_alphas(roots_of_unity(64))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(8, 100),
+        eps=st.floats(0.1, 0.6),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+        h=st.floats(0.0, 0.3),
+    )
+    def test_fold_equals_direct_sum(self, m, eps, n, seed, h):
+        # upper triangular: the spectrum is the diagonal, inside the annulus
+        rng = np.random.default_rng(seed)
+        mods = 0.5 + 0.5 * rng.random(n)
+        t = np.diag(mods * np.exp(2j * np.pi * rng.random(n)))
+        t = t + h * np.triu(rng.standard_normal((n, n)), 1)
+        assert_fold_matches(t, eps, m)
