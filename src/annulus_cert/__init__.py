@@ -66,7 +66,6 @@ from .certifier import (
     vn_sample,
 )
 from .misra import (
-    KernelParams,
     MISRA_GRID,
     jordan_block,
     kernel_diag,

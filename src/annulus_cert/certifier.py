@@ -313,11 +313,12 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0, m: int = 10
     worst = 0.0
     witness: RationalFunction | None = None
 
-    def ratio_of(f: RationalFunction) -> float:
+    def ratio_of(f: RationalFunction) -> tuple[float, float]:
+        """(||f(T)|| / sup |f|, sup |f|); the ratio is 0 when sup |f| < 1e-14."""
         sup = sup_on_annulus(f, ap, m)
         if sup < 1e-14:
-            return 0.0
-        return operator_norm(eval_matrix(f, tm, tol)) / sup
+            return 0.0, sup
+        return operator_norm(eval_matrix(f, tm, tol)) / sup, sup
 
     for _ in range(count):
         lam = complex(eigs[int(rng.integers(0, eigs.size))])
@@ -326,13 +327,12 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0, m: int = 10
             f = _blaschke_pair(lam, ap, 2.0 * np.pi * rng.random())
         if f is None:
             f = _plain_rational(rng, ap)
-        ratio = ratio_of(f)
+        ratio, sup = ratio_of(f)
         if ratio <= 1.0:
-            sup = sup_on_annulus(f, ap, m)
             if sup > 1e-14:
                 cand = _recenter(f, sup, complex(f(lam)), ap)
                 if cand is not None:
-                    r2 = ratio_of(cand)
+                    r2, _ = ratio_of(cand)
                     if r2 > ratio:
                         ratio, f = r2, cand
         if ratio > worst:

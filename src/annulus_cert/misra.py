@@ -12,20 +12,27 @@ normalization is forced: it is the unique one whose reciprocal matches the
 extremal derivative bound sup { |f'(w)| : ||f|| <= 1 } realized by the pencil
 certificates in the small-eps limit.
 
-``threshold_via_pencil`` recomputes the same number by bisecting the
-certificate flip point, giving the library a two-sided oracle on itself.
+``threshold_via_pencil`` recomputes the same number from the pencil
+certificates, giving the library a two-sided oracle on itself.  Since
+Gamma(alpha [[w, h], [0, w]]) = [[g, h g'], [0, g]] with g = Gamma(alpha w)
+and g' its z-derivative, the Hermitian part has smallest eigenvalue
+Re g - h |g'| / 2, so the flip point is the minimum of 2 Re g / |g'| over the
+(eps, alpha) grid (the certificate flips a hair above it, as it lets margins
+dip to -psd_tol * scale).  One pencil pass per eps reads that number off; two
+certificates then confirm the bracket around it, and bisection of the
+certificate flip point is left as the fallback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .certifier import PencilGrid, certify_ar
 from .errors import DiagnosticError, DomainError, TruncationError
 from .numerics import Tolerances, DEFAULT_TOL
-from .pencil import AnnulusParams, TruncationPlan, DEFAULT_PLAN
+from .pencil import AnnulusParams, MatrixPencil, TruncationPlan, DEFAULT_PLAN
 
 # Threshold hunting needs a much deeper eps ladder than plain certification:
 # the flip point converges to its limit linearly in the smallest eps.
@@ -35,25 +42,6 @@ MISRA_GRID = PencilGrid(
 )
 
 _KERNEL_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Evaluation point of the kernel diagonal."""
-
-    r: float
-    w: complex
-    n_trunc: int = 64
-
-    def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
-            raise DomainError(f"r must lie in (0, 1), got {self.r}")
-        if not (self.r < abs(self.w) < 1.0):
-            raise DomainError(
-                f"|w| = {abs(self.w):.6g} must lie strictly inside ({self.r}, 1)"
-            )
-        if self.n_trunc < 8:
-            raise DomainError(f"n_trunc must be at least 8, got {self.n_trunc}")
 
 
 def _check_point(w: complex, r: float) -> float:
@@ -124,15 +112,45 @@ def jordan_block(w: complex, h: complex) -> np.ndarray:
     return np.array([[w, h], [0.0, w]], dtype=complex)
 
 
+def _pencil_bracket(w: complex, ap: AnnulusParams, grid: PencilGrid, plan: TruncationPlan,
+                    search_tol: float, tol: Tolerances) -> tuple[float, float]:
+    """Bracket of width search_tol around min 2 Re Gamma(alpha w) / |Gamma'(alpha w)|.
+
+    Entry [0, 0] of Gamma(alpha J) for J = [[w, 1], [0, w]] is Gamma(alpha w)
+    and entry [0, 1] its z-derivative.  Falls back to [0, 2] when the scan
+    fails, a Re Gamma is negative, or the minimum leaves (0, 2).
+    """
+    j1 = jordan_block(w, 1.0)
+    alphas = grid.alphas()
+    try:
+        gam = np.concatenate([MatrixPencil(j1, eps, ap, plan, tol).gamma_for_alphas(alphas)
+                              for eps in grid.eps_values])
+    except (TruncationError, DomainError):
+        return 0.0, 2.0
+    re_g = gam[:, 0, 0].real
+    if np.any(re_g < 0.0):
+        return 0.0, 2.0
+    h_star = float(np.min(2.0 * re_g / np.abs(gam[:, 0, 1])))
+    if not 0.0 < h_star < 2.0:
+        return 0.0, 2.0
+    lo = max(h_star - 0.5 * search_tol, 0.0)
+    hi = lo + search_tol
+    while hi - lo > search_tol:  # the sum may round up
+        hi = math.nextafter(hi, lo)
+    return lo, hi
+
+
 def threshold_via_pencil(w: complex, r: float, grid: PencilGrid = MISRA_GRID,
                          plan: TruncationPlan = DEFAULT_PLAN, search_tol: float = 2e-5,
                          tol: Tolerances = DEFAULT_TOL) -> float:
-    """Certificate flip point of [[w, h], [0, w]] located by bisection on h >= 0.
+    """Certificate flip point of [[w, h], [0, w]] over real h >= 0, to within search_tol.
 
     The phase of h is irrelevant (a diagonal unitary similarity moves it onto
-    the positive axis), so the search runs over real h in [0, 2]; the kernel
-    diagonal never drops below 1/(1+r) > 1/2, keeping every flip point well
-    inside the bracket.
+    the positive axis).  The search starts from the pencil bracket of width
+    search_tol (see the module docstring); its lower end must be certified
+    and its upper end refuted.  An end that fails its check moves out to 0 or
+    2, and bisection narrows the bracket again.  The kernel diagonal never
+    drops below 1/(1+r) > 1/2, keeping every flip point well inside [0, 2].
     """
     _check_point(w, r)
     ap = AnnulusParams(r)
@@ -147,10 +165,14 @@ def threshold_via_pencil(w: complex, r: float, grid: PencilGrid = MISRA_GRID,
             )
         return cert.certified
 
-    lo, hi = 0.0, 2.0
-    if not certified(lo):
+    lo, hi = _pencil_bracket(w, ap, grid, plan, search_tol, tol)
+    if lo > 0.0 and not certified(lo):
+        lo = 0.0
+    if lo == 0.0 and not certified(lo):
         raise DiagnosticError("h = 0 not certified; w may sit too close to the boundary")
-    if certified(hi):
+    if hi < 2.0 and certified(hi):
+        hi = 2.0
+    if hi == 2.0 and certified(hi):
         raise DiagnosticError("h = 2 certified; no flip inside the bracket")
     while hi - lo > search_tol:
         mid = 0.5 * (lo + hi)

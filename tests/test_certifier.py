@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from annulus_cert import certifier
 from annulus_cert.certifier import (
     DEFAULT_GRID,
     PencilGrid,
@@ -129,6 +130,58 @@ class TestVnSample:
         a = vn_sample(t, AP5, count=20, seed=7)
         b = vn_sample(t, AP5, count=20, seed=7)
         assert a.worst_ratio == b.worst_ratio
+
+    @staticmethod
+    def _jordan_case():
+        w = 0.55
+        return jordan_block(w, 1.5 * misra_threshold(w, 0.5)), 30, 1
+
+    @staticmethod
+    def _normal_case():
+        return random_normal_annulus(3, AP5, seed=9), 20, 7
+
+    @pytest.mark.parametrize("case, worst, p, q", [
+        ("_jordan_case", 1.1059037297787455,
+         [-1.107373047165193 - 0.46674961687980204j, 0.19958453284708083 + 0.23550561173022522j],
+         [-0.07632846288883155 + 0.06912340292700261j, 0.6496578313175201 - 0.3087528398625115j,
+          -1.6378668535833747 + 0.36766136242220354j, 1 + 0j]),
+        ("_normal_case", 0.951405843453877,
+         [-0.23613673443952393 + 0.32383590302280674j, -0.09507827836081667 + 0.12687118133485692j,
+          0.8015740750257806 + 0j],
+         [0.36771900675012825 - 0.15941449593138662j, 0.6811514715576442 - 0.03929279894156054j,
+          -0.6909210614663833 - 0.40638538922505807j]),
+    ])
+    def test_frozen_reports(self, case, worst, p, q):
+        # frozen from the version that computed sup |f| twice per recentered trial
+        t, count, seed = getattr(self, case)()
+        report = vn_sample(t, AP5, count=count, seed=seed)
+        assert report.worst_ratio == worst
+        assert report.witness.p.tolist() == p
+        assert report.witness.q.tolist() == q
+
+    @pytest.mark.parametrize("case", ["_jordan_case", "_normal_case"])
+    def test_one_sup_per_evaluated_function(self, monkeypatch, case):
+        t, count, seed = getattr(self, case)()
+        sup_args, candidates = [], []
+
+        def counting_sup(f, *args, **kwargs):
+            sup_args.append(f)
+            return sup_on_annulus(f, *args, **kwargs)
+
+        def counting_recenter(*args, **kwargs):
+            cand = recenter(*args, **kwargs)
+            if cand is not None:
+                candidates.append(cand)
+            return cand
+
+        recenter = certifier._recenter
+        monkeypatch.setattr(certifier, "sup_on_annulus", counting_sup)
+        monkeypatch.setattr(certifier, "_recenter", counting_recenter)
+        vn_sample(t, AP5, count=count, seed=seed)
+        assert candidates
+        assert len(sup_args) == count + len(candidates)
+        # sup_args keeps every function alive, so equal ids mean the same object
+        assert len({id(f) for f in sup_args}) == len(sup_args)
 
 
 class TestThmBlock1:

@@ -1,16 +1,22 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from annulus_cert import misra
+from annulus_cert.certifier import certify_ar
 from annulus_cert.errors import DiagnosticError, DomainError
 from annulus_cert.misra import (
-    KernelParams,
+    MISRA_GRID,
+    jordan_block,
     kernel_diag,
     kernel_diag_info,
     misra_threshold,
     sweep_rows,
     threshold_via_pencil,
 )
+from annulus_cert.pencil import AnnulusParams, TruncationPlan
 
 
 def kernel_mp(absw, r, nmax=4000):
@@ -22,6 +28,36 @@ def kernel_mp(absw, r, nmax=4000):
     for n in range(-nmax, nmax + 1):
         s += absw ** (2 * n) / (1 + r ** (2 * n + 1))
     return float(s)
+
+
+@lru_cache(maxsize=None)
+def bisect_threshold(w, r, search_tol=2e-5):
+    """Certificate flip point by plain bisection over [0, 2], the oracle for
+    threshold_via_pencil."""
+    ap = AnnulusParams(r)
+
+    def certified(h):
+        cert = certify_ar(jordan_block(w, h), ap, MISRA_GRID)
+        assert cert.verdict != "inconclusive"
+        return cert.certified
+
+    lo, hi = 0.0, 2.0
+    assert certified(lo) and not certified(hi)
+    while hi - lo > search_tol:
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class _FixedVerdict:
+    """Stand-in certificate with a fixed verdict."""
+
+    def __init__(self, certified):
+        self.certified = certified
+        self.verdict = "certified" if certified else "refuted"
 
 
 # Frozen from kernel_mp(0.5, 0.25) above; the symmetric point |w| = sqrt(r).
@@ -59,11 +95,6 @@ class TestKernelDiag:
             kernel_diag(0.5, 0.5)
         with pytest.raises(DomainError):
             kernel_diag(1.0, 0.5)
-
-    def test_params_validation(self):
-        with pytest.raises(DomainError):
-            KernelParams(r=0.5, w=0.4)
-        KernelParams(r=0.5, w=0.7 + 0.1j)
 
 
 class TestMisraThreshold:
@@ -105,6 +136,44 @@ class TestThresholdViaPencil:
     def test_bad_search_tol(self):
         with pytest.raises(DomainError):
             threshold_via_pencil(0.7, 0.5, search_tol=0.0)
+
+    @pytest.mark.parametrize("w, r", [(0.7, 0.5), (0.9, 0.3), (0.4 + 0.2j, 0.3)])
+    def test_matches_bisection_oracle(self, w, r):
+        assert abs(threshold_via_pencil(w, r) - bisect_threshold(w, r)) <= 2e-5
+
+    def test_two_certificates_per_threshold(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0][0, 1])
+            return certify_ar(*args, **kwargs)
+
+        monkeypatch.setattr(misra, "certify_ar", counting)
+        threshold_via_pencil(0.7, 0.5)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("shift", [-0.1, 0.1])
+    def test_wrong_bracket_falls_back_to_bisection(self, monkeypatch, shift):
+        # a bracket wholly below (shift < 0) or above (shift > 0) the flip point
+        oracle = bisect_threshold(0.7, 0.5)
+        monkeypatch.setattr(misra, "_pencil_bracket",
+                            lambda *args: (oracle + shift, oracle + shift + 2e-5))
+        assert abs(threshold_via_pencil(0.7, 0.5) - oracle) <= 2e-5
+
+    def test_truncation_in_scan_keeps_error_contract(self):
+        # the scan cannot truncate so close to the outer circle; the fallback
+        # bracket's h = 0 certificate is inconclusive for the same reason
+        with pytest.raises(DiagnosticError, match="inconclusive at h = 0"):
+            threshold_via_pencil(0.995, 0.5, plan=TruncationPlan(n_max=256))
+
+    @pytest.mark.parametrize("certified, message", [
+        (False, "h = 0 not certified"),
+        (True, "h = 2 certified"),
+    ])
+    def test_bracket_ends_keep_error_contract(self, monkeypatch, certified, message):
+        monkeypatch.setattr(misra, "certify_ar", lambda *args, **kwargs: _FixedVerdict(certified))
+        with pytest.raises(DiagnosticError, match=message):
+            threshold_via_pencil(0.7, 0.5)
 
 
 class TestSweep:
