@@ -130,44 +130,73 @@ def derivative(f: RationalFunction) -> RationalFunction:
     return RationalFunction(num - sub, polymul(f.q, f.q))
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximization of a smooth scalar function on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+def _golden_max(fun, lo: list[float], hi: list[float], iters: int = 60) -> list[float]:
+    """Golden-section maximization on the brackets [lo[i], hi[i]], all advanced together.
+
+    ``fun`` maps a list of angles, one per bracket, to the list of values
+    there.  Each bracket takes exactly the steps of a scalar golden-section
+    search run on it alone: keep the side of the larger interior value
+    (``fc < fd`` moves up), shrink by 1/phi, probe one new point.  One
+    iteration probes every bracket with a single ``fun`` call, so a search
+    costs 2 + iters calls whatever the number of brackets.  The bookkeeping
+    stays in Python floats: for a handful of brackets that is cheaper than
+    array updates and gives the same IEEE results.  Returns max(fc, fd) per
+    bracket.
+    """
+    inv_phi = float((np.sqrt(5.0) - 1.0) / 2.0)
+    a, b = list(lo), list(hi)
+    c = [bi - inv_phi * (bi - ai) for ai, bi in zip(a, b)]
+    d = [ai + inv_phi * (bi - ai) for ai, bi in zip(a, b)]
     fc, fd = fun(c), fun(d)
     for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-    return max(fc, fd)
+        up = [x < y for x, y in zip(fc, fd)]
+        probe = []
+        for i, u in enumerate(up):
+            if u:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + inv_phi * (b[i] - a[i])
+                probe.append(d[i])
+            else:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - inv_phi * (b[i] - a[i])
+                probe.append(c[i])
+        for i, (u, v) in enumerate(zip(up, fun(probe))):
+            if u:
+                fd[i] = v
+            else:
+                fc[i] = v
+    return [max(x, y) for x, y in zip(fc, fd)]
 
 
 def sup_on_annulus(f: RationalFunction, ap: AnnulusParams, m: int = 1024) -> float:
     """Sup of |f| over the two boundary circles.
 
-    Samples m equispaced angles per circle, then refines around the best three
-    samples of each circle by golden section; the maximum principle makes the
-    boundary search exhaustive for pole-free f.
+    Samples m equispaced angles per circle (one ``f`` call per circle), then
+    refines a bracket of one sample step on each side of the best three
+    samples of each circle by golden section.  The six brackets are refined
+    together, one ``f`` call on a six-entry array per iteration, so a sup
+    costs 2 + 2 + 60 evaluations of ``f``; each bracket's result is exactly
+    that of its own scalar search.  The maximum principle makes the boundary
+    search exhaustive for pole-free f, but the value is a sampled estimate,
+    not a certified upper bound.
     """
     if m < 8:
         raise DomainError("need at least 8 samples per circle")
     if not poles_off_annulus(f, ap):
         raise DomainError("f has poles on or inside the closed annulus")
-    best = 0.0
+    rhos = (ap.r, 1.0)
     step = 2.0 * np.pi / m
     theta = step * np.arange(m)
-    for rho in (ap.r, 1.0):
+    peaks, starts = [], []
+    for rho in rhos:
         vals = np.abs(f(rho * np.exp(1j * theta)))
-        best = max(best, float(np.max(vals)))
-        mod = lambda t: float(np.abs(f(rho * np.exp(1j * t))))
-        for idx in np.argsort(vals)[-3:]:
-            t0 = theta[idx]
-            best = max(best, _golden_max(mod, t0 - step, t0 + step))
+        peaks.append(float(np.max(vals)))
+        starts.append(theta[np.argsort(vals)[-3:]])
+    t0 = np.concatenate(starts)
+    radii = np.repeat(rhos, 3)
+    mod = lambda t: np.abs(f(radii * np.exp(1j * np.array(t)))).tolist()
+    refined = _golden_max(mod, (t0 - step).tolist(), (t0 + step).tolist())
+    best = 0.0
+    for k, peak in enumerate(peaks):
+        best = max(best, peak, *refined[3 * k:3 * k + 3])
     return best

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from annulus_cert.certifier import _blaschke_pair, _plain_rational
 from annulus_cert.errors import DomainError, SingularityError
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.numerics import operator_norm
@@ -10,6 +12,7 @@ from annulus_cert.rational import (
     derivative,
     eval_matrix,
     poles_off_annulus,
+    polymul,
     sup_on_annulus,
 )
 
@@ -132,6 +135,124 @@ class TestSupOnAnnulus:
         f = RationalFunction([1.0], [-0.7, 1.0])
         with pytest.raises(DomainError):
             sup_on_annulus(f, AP5)
+
+
+def scalar_golden_max(fun, lo, hi, iters=60):
+    """One bracket's golden-section search, one scalar ``fun`` call per probe."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
+    return max(fc, fd)
+
+
+def reference_sup(f, ap, m):
+    """Boundary sup with the three best samples of each circle refined one at a time."""
+    best = 0.0
+    step = 2.0 * np.pi / m
+    theta = step * np.arange(m)
+    for rho in (ap.r, 1.0):
+        vals = np.abs(f(rho * np.exp(1j * theta)))
+        best = max(best, float(np.max(vals)))
+        mod = lambda t: float(np.abs(f(rho * np.exp(1j * t))))
+        for idx in np.argsort(vals)[-3:]:
+            t0 = theta[idx]
+            best = max(best, scalar_golden_max(mod, t0 - step, t0 + step))
+    return best
+
+
+def vn_functions(ap, count, seed):
+    """count test functions from vn_sample's generators, plain and Blaschke in turn."""
+    rng = np.random.default_rng(seed)
+    fs = []
+    while len(fs) < count:
+        if len(fs) % 2 == 0:
+            fs.append(_plain_rational(rng, ap))
+            continue
+        lam = (ap.r + (1.0 - ap.r) * rng.random()) * np.exp(2j * np.pi * rng.random())
+        f = _blaschke_pair(lam, ap, 2.0 * np.pi * rng.random())
+        if f is not None:
+            fs.append(f)
+    return fs
+
+
+def evaluations(sup, f, ap, m, monkeypatch):
+    """sup(f, ap, m) and the points of every call of f on the way, one array per call."""
+    calls = []
+    call = RationalFunction.__call__
+
+    def recording(self, z):
+        calls.append(np.atleast_1d(np.asarray(z, dtype=complex)))
+        return call(self, z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RationalFunction, "__call__", recording)
+        value = sup(f, ap, m)
+    return value, calls
+
+
+class TestSupJointRefinement:
+    """The six brackets refined together give exactly the one-at-a-time sup."""
+
+    @pytest.mark.parametrize("m", [8, 64, 1024])
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+    def test_equals_one_bracket_at_a_time(self, r, m):
+        ap = AnnulusParams(r)
+        for f in vn_functions(ap, 24, seed=int(100 * r) + m):
+            assert sup_on_annulus(f, ap, m) == reference_sup(f, ap, m)
+
+    @pytest.mark.parametrize("m", [8, 64, 1024])
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+    def test_ties_follow_argsort(self, r, m, monkeypatch):
+        # |f| ties at (nearly) every sample, so argsort's order picks the
+        # brackets and the sup alone cannot tell; compare the probed points.
+        ap = AnnulusParams(r)
+        for f in (RationalFunction([0.0, 1.0], [1.0]), RationalFunction([0.3 - 0.4j], [1.0])):
+            new, new_calls = evaluations(sup_on_annulus, f, ap, m, monkeypatch)
+            ref, ref_calls = evaluations(reference_sup, f, ap, m, monkeypatch)
+            assert new == ref
+            assert np.array_equal(np.sort(np.concatenate(new_calls)),
+                                  np.sort(np.concatenate(ref_calls)))
+
+    def test_f_evaluations_per_sup(self, monkeypatch):
+        # 2 circle samples + 2 initial probes + 60 iterations, each one call
+        f = vn_functions(AP5, 1, seed=3)[0]
+        _, calls = evaluations(sup_on_annulus, f, AP5, 1024, monkeypatch)
+        assert len(calls) <= 2 + 2 + 60
+
+
+class TestSupProperties:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        r=st.floats(0.2, 0.8),
+        seed=st.integers(0, 2**31 - 1),
+        blaschke=st.booleans(),
+        m_small=st.integers(0, 7),
+    )
+    def test_sup_against_dense_sample(self, r, seed, blaschke, m_small):
+        ap = AnnulusParams(r)
+        f = vn_functions(ap, 2, seed)[int(blaschke)]
+        rng = np.random.default_rng(seed + 1)
+        dense = 0.0
+        for rho in (r, 1.0):
+            z = rho * np.exp(2j * np.pi * rng.random(8192))
+            dense = max(dense, float(np.max(np.abs(f(z)))))
+        assert sup_on_annulus(f, ap) >= (1.0 - 1e-12) * dense
+        with pytest.raises(DomainError):
+            sup_on_annulus(f, ap, m_small)
+        root = 0.5 * (1.0 + r) * np.exp(2j * np.pi * rng.random())
+        with pytest.raises(DomainError):
+            sup_on_annulus(RationalFunction(f.p, polymul(f.q, [-root, 1.0])), ap)
 
 
 class TestSerialization:
