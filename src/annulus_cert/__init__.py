@@ -18,10 +18,8 @@ from .numerics import (
     as_matrix,
     eigenvalues,
     hermitian_min_eig,
-    int_power,
     inverse,
     operator_norm,
-    pinv_apply,
     sqrt_psd,
 )
 from .pencil import (
@@ -43,7 +41,7 @@ from .rational import (
     poles_off_annulus,
     sup_on_annulus,
 )
-from .blocks import BlockSpec, assemble, fcalc_hat, fcalc_tx, solve_commutant_factor
+from .blocks import BlockSpec, assemble, fcalc_hat, fcalc_tx
 from .factorization import (
     DefectPair,
     DiskBlockResult,

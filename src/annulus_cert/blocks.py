@@ -25,7 +25,6 @@ from .numerics import (
     as_matrix,
     eigenvalues,
     operator_norm,
-    pinv_apply,
 )
 from .pencil import AnnulusParams
 from .rational import RationalFunction, derivative, eval_matrix, poles_off_annulus
@@ -154,22 +153,3 @@ def fcalc_hat(t1, t2, x, f: RationalFunction, ap: AnnulusParams,
     out[n:, n:] = f2
     return out
 
-
-def solve_commutant_factor(t1, t2, y, tol: Tolerances = DEFAULT_TOL):
-    """Least-squares X with X (T1 - T2) = Y, plus the residual of that equation.
-
-    When T1 - T2 is invertible the solution is exact and the general block with
-    off-diagonal Y coincides with the hat block built from X.  For singular
-    T1 - T2 the returned X only matches Y on the attainable range; the residual
-    quantifies what is left over, and no certification claim is attached.
-    """
-    t1m = as_matrix(t1)
-    t2m = as_matrix(t2)
-    ym = as_matrix(y)
-    diff = t1m - t2m
-    # X diff = Y  <=>  diff* X* = Y*; pinv through the Gram form keeps rank_tol semantics
-    gram = diff @ diff.conj().T
-    xh = pinv_apply(gram, diff @ ym.conj().T, tol)
-    x = xh.conj().T
-    residual = operator_norm(x @ diff - ym) / (1.0 + operator_norm(ym))
-    return x, residual

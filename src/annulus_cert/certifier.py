@@ -305,6 +305,8 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0, m: int = 10
     after recentering the function at an eigenvalue.  A worst ratio above
     1 + psd_tol disproves contractivity; ratios near one prove nothing.
     """
+    if count < 1:
+        raise DomainError(f"count must be at least 1, got {count}")
     tm = as_matrix(t)
     if not spectrum_in_annulus(tm, ap, tol.psd_tol):
         raise DomainError("vn_sample requires the spectrum inside the closed annulus")
@@ -349,15 +351,6 @@ class ThmPointRecord:
     factor: FactorResult
     recon_residual: float | None
 
-    def to_dict(self, tol: Tolerances = DEFAULT_TOL) -> dict:
-        d = self.factor.to_dict(tol)
-        d.update({
-            "eps": self.eps,
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "recon_residual": self.recon_residual,
-        })
-        return d
-
 
 @dataclass(frozen=True, eq=False)
 class ThmReport:
@@ -369,13 +362,30 @@ class ThmReport:
     max_recon_residual: float | None
 
     def to_dict(self, tol: Tolerances = DEFAULT_TOL) -> dict:
+        # certificate records and factor points share the eps-major, alpha-minor order
+        margins = [rec.lambda_min for rec in self.certificate.records]
+        if len(margins) != len(self.points):
+            margins = [None] * len(self.points)
         return {
             "factor_verdict": self.factor_verdict,
-            "certificate": self.certificate.to_dict(),
+            "certificate_verdict": self.certificate.verdict,
             "agree": self.agree,
             "max_k_norm": self.max_k_norm,
             "max_recon_residual": self.max_recon_residual,
-            "points": [p.to_dict(tol) for p in self.points],
+            "min_margin": self.certificate.min_margin,
+            "points": [
+                {
+                    "eps": p.eps,
+                    "alpha": [p.alpha.real, p.alpha.imag],
+                    "k_norm": p.factor.k_norm,
+                    "lambda_min": margin,
+                    "residual": p.factor.residual,
+                    "range_defect": p.factor.range_defect,
+                    "passes": p.factor.passes(tol),
+                    "recon_residual": p.recon_residual,
+                }
+                for p, margin in zip(self.points, margins)
+            ],
         }
 
 

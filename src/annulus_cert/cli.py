@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .blocks import BlockSpec, assemble
 from .certifier import (
@@ -46,7 +44,7 @@ from .errors import (
 from .factorization import douglas_factor
 from .io import load_matrix, save_matrix
 from .misra import misra_threshold, sweep_rows
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, inverse
 from .pencil import AnnulusParams, TruncationPlan, DEFAULT_PLAN
 
 EXIT_OK = 0
@@ -91,14 +89,14 @@ def _annulus(r: float) -> AnnulusParams:
 
 def _grid_from_args(args, base: PencilGrid) -> PencilGrid:
     eps = _parse_eps_list(args.eps) if args.eps else base.eps_values
-    alphas = args.alphas if args.alphas else base.alpha_count
+    alphas = args.alphas if args.alphas is not None else base.alpha_count
     return PencilGrid(eps_values=tuple(eps), alpha_count=alphas)
 
 
 def _plan_from_args(args) -> TruncationPlan:
     return TruncationPlan(
-        n_max=args.n_max if args.n_max else DEFAULT_PLAN.n_max,
-        tail_tol=args.tail_tol if args.tail_tol else DEFAULT_PLAN.tail_tol,
+        n_max=args.n_max if args.n_max is not None else DEFAULT_PLAN.n_max,
+        tail_tol=args.tail_tol if args.tail_tol is not None else DEFAULT_PLAN.tail_tol,
     )
 
 
@@ -152,9 +150,9 @@ def _cmd_block(args) -> int:
     x = _load(args.x)
     spec = BlockSpec(args.kind, t1, x, t2)
     if args.kind == "general":
-        diff = spec.t1 - spec.t2
-        sv = np.linalg.svd(diff, compute_uv=False)
-        if sv.size and (sv[-1] <= DEFAULT_TOL.rank_tol * max(sv[0], 1e-300)):
+        try:
+            inverse(spec.t1 - spec.t2)
+        except SingularityError:
             print(
                 "warning: T1 - T2 is numerically singular; the general block may "
                 "not reduce to a commutant factorization",
@@ -212,33 +210,7 @@ def _cmd_thm(args) -> int:
         if not args.t2:
             raise DomainError("--t2 is required for block2")
         report = check_thm_block2(t1, _load(args.t2), x, ap, grid, plan)
-    # certificate records and factor points share the eps-major, alpha-minor order
-    margins = [rec.lambda_min for rec in report.certificate.records]
-    if len(margins) != len(report.points):
-        margins = [None] * len(report.points)
-    doc = {
-        "which": args.which,
-        "factor_verdict": report.factor_verdict,
-        "certificate_verdict": report.certificate.verdict,
-        "agree": report.agree,
-        "max_k_norm": report.max_k_norm,
-        "max_recon_residual": report.max_recon_residual,
-        "min_margin": report.certificate.min_margin,
-        "points": [
-            {
-                "eps": p.eps,
-                "alpha": [p.alpha.real, p.alpha.imag],
-                "k_norm": p.factor.k_norm,
-                "lambda_min": margin,
-                "residual": p.factor.residual,
-                "range_defect": p.factor.range_defect,
-                "passes": p.factor.passes(DEFAULT_TOL),
-                "recon_residual": p.recon_residual,
-            }
-            for p, margin in zip(report.points, margins)
-        ],
-    }
-    _emit(doc, args.out)
+    _emit({"which": args.which, **report.to_dict()}, args.out)
     return EXIT_OK if report.agree else EXIT_REFUTED
 
 

@@ -21,8 +21,7 @@ from .numerics import (
     hermitian_min_eig,
     identity_like,
     operator_norm,
-    pinv_apply,
-    range_projector,
+    psd_pinv,
     sqrt_psd,
 )
 
@@ -35,10 +34,6 @@ class FactorResult:
     k_norm: float
     residual: float
     range_defect: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.passes(DEFAULT_TOL)
 
     def passes(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return (
@@ -68,15 +63,20 @@ class DefectPair:
 
 
 def factor_through(s1, s2, r, tol: Tolerances = DEFAULT_TOL) -> FactorResult:
-    """K = S1^+ R S2^+ restricted to the ranges, for PSD square-root factors S1, S2."""
+    """K = S1^+ R S2^+ restricted to the ranges, for PSD square roots S1, S2.
+
+    S1 and S2 must be exactly Hermitian, as ``sqrt_psd`` returns them; one
+    eigendecomposition of each gives its pseudo-inverse and range projector.
+    """
     s1m = as_matrix(s1)
     s2m = as_matrix(s2)
     rm = as_matrix(r)
-    k = pinv_apply(s1m, pinv_apply(s2m, rm.conj().T, tol).conj().T, tol)
+    pinv1, p1 = psd_pinv(s1m, tol)
+    pinv2, p2 = psd_pinv(s2m, tol)
+    # S1^+ (S2^+ R*)*, in this association order
+    k = pinv1(pinv2(rm.conj().T).conj().T)
     scale = 1.0 + operator_norm(rm)
     residual = operator_norm(s1m @ k @ s2m - rm) / scale
-    p1 = range_projector(s1m, tol)
-    p2 = range_projector(s2m, tol)
     eye = identity_like(rm)
     range_defect = (
         operator_norm((eye - p1) @ rm) + operator_norm(rm @ (eye - p2))
@@ -162,10 +162,7 @@ class DiskBlockResult:
     t1_norm: float
     t2_norm: float
     direct_norm: float
-
-    @property
-    def direct_verdict(self) -> bool:
-        return self.direct_norm <= 1.0 + DEFAULT_TOL.psd_tol
+    direct_verdict: bool
 
 
 def disk_block_check(t1, t2, x, tol: Tolerances = DEFAULT_TOL) -> DiskBlockResult:
@@ -183,16 +180,16 @@ def disk_block_check(t1, t2, x, tol: Tolerances = DEFAULT_TOL) -> DiskBlockResul
     block[:n, n:] = xm
     block[n:, n:] = t2m
     direct = operator_norm(block)
+    direct_verdict = direct <= 1.0 + tol.psd_tol
     n1 = operator_norm(t1m)
     n2 = operator_norm(t2m)
     if n1 > 1.0 + tol.psd_tol or n2 > 1.0 + tol.psd_tol:
         zero = np.zeros_like(xm)
         return DiskBlockResult(False, zero, float("inf"), float("inf"), float("inf"),
-                               n1, n2, direct)
+                               n1, n2, direct, direct_verdict)
     eye = identity_like(t1m)
     d1s = sqrt_psd(eye - t1m @ t1m.conj().T, tol)   # defect of T1*
     d2 = sqrt_psd(eye - t2m.conj().T @ t2m, tol)    # defect of T2
     fr = factor_through(d1s, d2, xm, tol)
-    verdict = fr.passes(tol)
-    return DiskBlockResult(verdict, fr.k, fr.k_norm, fr.residual, fr.range_defect,
-                           n1, n2, direct)
+    return DiskBlockResult(fr.passes(tol), fr.k, fr.k_norm, fr.residual, fr.range_defect,
+                           n1, n2, direct, direct_verdict)

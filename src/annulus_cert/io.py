@@ -29,7 +29,7 @@ def matrix_from_dict(doc: dict, cap: int = 2 * MAX_DIM) -> np.ndarray:
         raise ContractViolationError("matrix document must have 'n' and 'data' fields")
     n = doc["n"]
     data = doc["data"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true parses to bool, an int subclass
         raise ContractViolationError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(data, list) or len(data) != n * n:
         raise ContractViolationError(
@@ -40,7 +40,7 @@ def matrix_from_dict(doc: dict, cap: int = 2 * MAX_DIM) -> np.ndarray:
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ContractViolationError(f"entry {i} is not an [re, im] pair")
         re, im = pair
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (re, im)):
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in (re, im)):
             raise ContractViolationError(f"entry {i} has non-finite or non-numeric parts")
         out[i] = complex(re, im)
     return as_matrix(out.reshape(n, n), cap=cap)

@@ -81,16 +81,6 @@ def _tail_bound(aw: float, r: float, n: int) -> float:
     return rho_p ** (n + 1) / (1.0 - rho_p) + rho_m ** (n + 1) / (r * (1.0 - rho_m))
 
 
-def kernel_diag_info(w: complex, r: float, n_trunc: int = 64) -> tuple[float, float]:
-    """Kernel diagonal plus a geometric tail bound beyond the truncation.
-
-    The two tail ratios are |w|^2 (positive indices) and r^2/|w|^2 (negative
-    indices); both are strictly below one inside the open annulus.
-    """
-    aw = _check_point(w, r)
-    return kernel_diag(w, r, n_trunc), _tail_bound(aw, r, n_trunc)
-
-
 def misra_threshold(w: complex, r: float, tail_tol: float = 1e-12) -> float:
     """Reciprocal kernel diagonal with the truncation grown until the relative
     tail estimate is below tail_tol."""

@@ -116,31 +116,15 @@ def inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.solve(m, identity_like(m))
 
 
-def int_power(a, k: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """A**k for any integer k; negative powers go through ``inverse``."""
-    m = as_matrix(a)
-    if k >= 0:
-        return np.linalg.matrix_power(m, k)
-    return np.linalg.matrix_power(inverse(m, tol), -k)
+def psd_pinv(s, tol: Tolerances = DEFAULT_TOL):
+    """(B -> S^+ B, range projector) for an exactly Hermitian PSD S, from one eigh.
 
-
-def pinv_apply(s, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """S^+ B for Hermitian PSD S, zeroing singular directions below rank_tol."""
-    m = hermitian_check(s, tol)
-    bm = np.asarray(b, dtype=complex)
-    lam, v = np.linalg.eigh(m)
-    lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
-    keep = lam > tol.rank_tol * max(lmax, 1e-300)
+    The rank rule is written here only: eigenvalues at or below rank_tol times
+    the largest modulus count as zero.
+    """
+    lam, v = np.linalg.eigh(s)
+    keep = lam > tol.rank_tol * max(float(np.max(np.abs(lam))), 1e-300)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
-    return (v * inv) @ (v.conj().T @ bm)
-
-
-def range_projector(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the numerical range of Hermitian PSD S."""
-    m = hermitian_check(s, tol)
-    lam, v = np.linalg.eigh(m)
-    lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
-    keep = lam > tol.rank_tol * max(lmax, 1e-300)
     vr = v[:, keep]
-    return vr @ vr.conj().T
+    return (lambda b: (v * inv) @ (v.conj().T @ b)), vr @ vr.conj().T

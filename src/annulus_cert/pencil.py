@@ -144,8 +144,9 @@ def _envelope_terms(rho: float, tail_tol: float, n_max: int, adaptive: bool) -> 
     return n
 
 
-def _scalar_sum(z, pt: PencilPoint, ap: AnnulusParams, plan: TruncationPlan):
-    """Shared batched evaluator.  Returns (values, n_pos, n_neg)."""
+def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams,
+                       plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
+    """Vectorized Gamma over an array of scalars (shared truncation index)."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     absz = np.abs(zs)
     if np.any(absz == 0.0):
@@ -169,28 +170,13 @@ def _scalar_sum(z, pt: PencilPoint, ap: AnnulusParams, plan: TruncationPlan):
     acc_n = np.zeros_like(zs)
     for m in range(n_neg, 0, -1):
         acc_n = (acc_n + a_neg[m - 1]) * y
-    return acc + acc_n, n_pos, n_neg
+    return acc + acc_n
 
 
 def gamma_scalar(z: complex, pt: PencilPoint, ap: AnnulusParams,
                  plan: TruncationPlan = DEFAULT_PLAN) -> complex:
-    """Gamma at a single scalar z; see ``gamma_scalar_info`` for the N used."""
-    vals, _, _ = _scalar_sum(z, pt, ap, plan)
-    return complex(vals[0])
-
-
-def gamma_scalar_info(z: complex, pt: PencilPoint, ap: AnnulusParams,
-                      plan: TruncationPlan = DEFAULT_PLAN) -> tuple[complex, int, int]:
-    """Gamma at z together with the per-side truncation indices used."""
-    vals, n_pos, n_neg = _scalar_sum(z, pt, ap, plan)
-    return complex(vals[0]), n_pos, n_neg
-
-
-def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams,
-                       plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
-    """Vectorized Gamma over an array of scalars (shared truncation index)."""
-    vals, _, _ = _scalar_sum(z, pt, ap, plan)
-    return vals
+    """Gamma at a single scalar z."""
+    return complex(gamma_scalar_batch(z, pt, ap, plan)[0])
 
 
 class _Ladder:
@@ -359,15 +345,6 @@ def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams,
     """Gamma(alpha T) for a square matrix T with spectrum in the band."""
     mp = MatrixPencil(t, pt.eps, ap, plan, tol)
     return mp.gamma_for_alphas(np.array([pt.alpha]))[0]
-
-
-def gamma_matrix_info(t, pt: PencilPoint, ap: AnnulusParams,
-                      plan: TruncationPlan = DEFAULT_PLAN,
-                      tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, int, int]:
-    mp = MatrixPencil(t, pt.eps, ap, plan, tol)
-    gam = mp.gamma_for_alphas(np.array([pt.alpha]))[0]
-    n_pos, n_neg = mp.gamma_indices()
-    return gam, n_pos, n_neg
 
 
 def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams,

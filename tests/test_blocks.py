@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from annulus_cert.blocks import BlockSpec, assemble, fcalc_hat, fcalc_tx, solve_commutant_factor
+from annulus_cert.blocks import BlockSpec, assemble, fcalc_hat, fcalc_tx
 from annulus_cert.errors import ContractViolationError, DomainError
 from annulus_cert.generators import random_normal_annulus
-from annulus_cert.numerics import eigenvalues, operator_norm
+from annulus_cert.numerics import eigenvalues, inverse, operator_norm
 from annulus_cert.pencil import AnnulusParams
 from annulus_cert.rational import RationalFunction, eval_matrix
 
@@ -123,16 +123,12 @@ class TestFcalcHat:
             assert operator_norm(reduced - direct) <= 1e-8 * scale
 
 
-class TestSolveCommutantFactor:
-    def test_invertible_difference_exact(self):
+class TestGeneralReduction:
+    def test_invertible_difference_matches_hat(self):
+        # for invertible T1 - T2 the general block with corner Y is the hat
+        # block with X = Y (T1 - T2)^{-1}
         t1, t2, x = interior_commuting_triple(3, AP5, seed=13)
         y = x @ (t1 - t2)
-        x_solved, residual = solve_commutant_factor(t1, t2, y)
-        assert residual < 1e-10
-        assert operator_norm(x_solved - x) < 1e-8 * (1 + operator_norm(x))
-
-    def test_singular_difference_reports_residual(self):
-        t = random_normal_annulus(3, AP5, seed=14)
-        y = np.eye(3)
-        _, residual = solve_commutant_factor(t, t, y)  # T1 - T2 = 0
-        assert residual == pytest.approx(operator_norm(y) / (1 + operator_norm(y)))
+        general = assemble(BlockSpec("general", t1, y, t2))
+        hat = assemble(BlockSpec("hat", t1, y @ inverse(t1 - t2), t2))
+        assert operator_norm(general - hat) <= 1e-10 * operator_norm(general)

@@ -125,6 +125,11 @@ class TestVnSample:
         with pytest.raises(DomainError):
             vn_sample(np.diag([0.1]), AP5)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_must_be_positive(self, count):
+        with pytest.raises(DomainError):
+            vn_sample(np.eye(2), AP5, count=count)
+
     def test_deterministic(self):
         t = random_normal_annulus(3, AP5, seed=9)
         a = vn_sample(t, AP5, count=20, seed=7)
@@ -182,6 +187,20 @@ class TestVnSample:
         assert len(sup_args) == count + len(candidates)
         # sup_args keeps every function alive, so equal ids mean the same object
         assert len({id(f) for f in sup_args}) == len(sup_args)
+
+
+class TestHalmosReconstruction:
+    def test_recon_residual_is_the_factor_residual(self):
+        # the Halmos unitary's top-left block is K itself, so compressing it
+        # between the roots recomputes the factorization residual bit for bit
+        t1, t2, x = interior_commuting_triple(3, AP5, seed=31)
+        grid = PencilGrid((0.5, 0.1), 16)
+        for rep in (check_thm_block1(t1, 0.05 * x, AP5, grid),
+                    check_thm_block2(t1, t2, 0.05 * x, AP5, grid)):
+            passing = [p for p in rep.points if p.factor.passes()]
+            assert passing
+            for p in passing:
+                assert p.recon_residual == p.factor.residual
 
 
 class TestThmBlock1:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from annulus_cert.certifier import PencilGrid, check_thm_block1, check_thm_block2
 from annulus_cert.cli import main
 from annulus_cert.io import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
 from annulus_cert.errors import ContractViolationError
@@ -11,6 +16,8 @@ from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.pencil import AnnulusParams
 
 AP5 = AnnulusParams(0.5)
+DATA = Path(__file__).parent / "data"
+THM_GRID = ["--r", "0.5", "--eps", "0.5,0.1", "--alphas", "8"]
 
 
 @pytest.fixture
@@ -28,6 +35,7 @@ def files(tmp_path):
     w = 0.7
     th = misra_threshold(w, 0.5)
     put("t", np.array([[w]]))
+    put("t2", np.array([[0.6]]))
     put("x_small", np.array([[0.5 * th]]))
     # near the inner circle the sampler finds violating functions reliably
     put("bad", jordan_block(0.55, 1.5 * misra_threshold(0.55, 0.5)))
@@ -241,3 +249,59 @@ class TestOtherCommands:
 
     def test_usage_no_command(self):
         assert main([]) == 64
+
+
+class TestThmGolden:
+    """The thm document, frozen from the hand-built serializer it replaced."""
+
+    @pytest.mark.parametrize("which", ["block1", "block2"])
+    def test_output_bytes_frozen(self, files, tmp_path, which):
+        out = tmp_path / "thm.json"
+        t2 = ["--t2", files["t2"]] if which == "block2" else []
+        code = main(["thm", "--which", which, "--t1", files["t"], "--x", files["x_small"],
+                     *t2, *THM_GRID, "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == (DATA / f"thm_{which}.json").read_text()
+
+    @pytest.mark.parametrize("which", ["block1", "block2"])
+    def test_report_dict_is_the_document(self, files, which):
+        t, x = load_matrix(files["t"]), load_matrix(files["x_small"])
+        grid = PencilGrid((0.5, 0.1), 8)
+        if which == "block1":
+            rep = check_thm_block1(t, x, AP5, grid)
+        else:
+            rep = check_thm_block2(t, load_matrix(files["t2"]), x, AP5, grid)
+        doc = json.loads((DATA / f"thm_{which}.json").read_text())
+        assert rep.to_dict() == {k: v for k, v in doc.items() if k != "which"}
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("doc", [
+        '{"n": true, "data": [[0.7, 0.0]]}',
+        '{"n": 1, "data": [[true, 0.0]]}',
+    ], ids=["bool_n", "bool_entry"])
+    def test_bool_in_matrix_usage_error(self, tmp_path, doc):
+        bad = tmp_path / "bool.json"
+        bad.write_text(doc)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "annulus_cert.cli", "certify", "--matrix", str(bad), "--r", "0.5"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--alphas", "0"],
+        ["certify", "--n-max", "0"],
+        ["certify", "--tail-tol", "0"],
+        ["thm", "--which", "block1", "--alphas", "0"],
+        ["vn", "--count", "-3"],
+        ["vn", "--count", "0"],
+    ], ids="_".join)
+    def test_zero_or_negative_flag_usage_error(self, files, argv):
+        inputs = {"certify": ["--matrix", files["eye"]], "vn": ["--matrix", files["eye"]],
+                  "thm": ["--t1", files["t"], "--x", files["x_small"]]}[argv[0]]
+        assert main([*argv, *inputs, "--r", "0.5"]) == 64

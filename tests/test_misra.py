@@ -11,7 +11,6 @@ from annulus_cert.misra import (
     MISRA_GRID,
     jordan_block,
     kernel_diag,
-    kernel_diag_info,
     misra_threshold,
     sweep_rows,
     threshold_via_pencil,
@@ -79,7 +78,8 @@ class TestKernelDiag:
         assert kernel_diag(w, 0.25, 64) == pytest.approx(kernel_diag(0.5, 0.25, 64), rel=1e-14)
 
     def test_tail_estimate_bounds_truth(self):
-        coarse, tail = kernel_diag_info(0.6, 0.3, n_trunc=12)
+        # the bound misra_threshold stops on
+        coarse, tail = kernel_diag(0.6, 0.3, n_trunc=12), misra._tail_bound(0.6, 0.3, 12)
         fine = kernel_diag(0.6, 0.3, n_trunc=400)
         assert 0.0 < fine - coarse <= tail + 1e-14
 

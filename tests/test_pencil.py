@@ -15,10 +15,8 @@ from annulus_cert.pencil import (
     gamma_coeff,
     gamma_derivative_matrix,
     gamma_matrix,
-    gamma_matrix_info,
     gamma_scalar,
     gamma_scalar_batch,
-    gamma_scalar_info,
     re_part,
 )
 
@@ -97,7 +95,7 @@ class TestGammaScalar:
             assert abs(gamma_scalar(zi, pt, AP5) - vi) < 1e-10
 
     def test_reports_truncation_indices(self):
-        _, n_pos, n_neg = gamma_scalar_info(0.7, PencilPoint(0.25), AP5)
+        n_pos, n_neg = MatrixPencil(np.array([[0.7]]), 0.25, AP5).gamma_indices()
         assert n_pos >= 8 and n_neg >= 8
 
     def test_outside_band_rejected(self):
@@ -133,7 +131,7 @@ class TestGammaMatrix:
         assert eig_match_max(np.linalg.eigvals(g), mapped) < 1e-8
 
     def test_reports_indices(self):
-        _, n_pos, n_neg = gamma_matrix_info(0.7 * np.eye(2), PencilPoint(0.25), AP5)
+        n_pos, n_neg = MatrixPencil(0.7 * np.eye(2), 0.25, AP5).gamma_indices()
         assert n_pos >= 8 and n_neg >= 8
 
     def test_singular_rejected(self):
