@@ -12,9 +12,10 @@ from .errors import (
     TruncationError,
 )
 from .numerics import (
+    EQ_TOL,
     MAX_DIM,
-    Tolerances,
-    DEFAULT_TOL,
+    PSD_TOL,
+    RANK_TOL,
     as_matrix,
     eigenvalues,
     hermitian_min_eig,

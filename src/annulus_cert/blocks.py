@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .numerics import (
-    MAX_DIM,
-    Tolerances,
-    DEFAULT_TOL,
-    as_matrix,
-    eigenvalues,
-    operator_norm,
-)
+from .numerics import EQ_TOL, MAX_DIM, PSD_TOL, as_matrix, eigenvalues, operator_norm
 from .pencil import AnnulusParams
 from .rational import RationalFunction, derivative, eval_matrix, poles_off_annulus
 
@@ -36,10 +29,10 @@ def commutation_defect(a: np.ndarray, b: np.ndarray) -> float:
     return operator_norm(a @ b - b @ a)
 
 
-def check_commutes(a, b, tol: Tolerances = DEFAULT_TOL, what: str = "X") -> None:
+def check_commutes(a, b, what: str = "X") -> None:
     am = as_matrix(a)
     bm = as_matrix(b)
-    bound = tol.eq_tol * (1.0 + operator_norm(am) * operator_norm(bm))
+    bound = EQ_TOL * (1.0 + operator_norm(am) * operator_norm(bm))
     defect = commutation_defect(am, bm)
     if defect > bound:
         raise ContractViolationError(
@@ -84,15 +77,15 @@ class BlockSpec:
         return BlockSpec(d["kind"], matrix_from_dict(d["t1"]), matrix_from_dict(d["x"]), t2)
 
 
-def assemble(spec: BlockSpec, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def assemble(spec: BlockSpec) -> np.ndarray:
     """Build the 2n x 2n operator, enforcing the commutation contract of the kind."""
     n = spec.t1.shape[0]
     if spec.kind == "tx":
-        check_commutes(spec.t1, spec.x, tol)
+        check_commutes(spec.t1, spec.x)
         top_right = spec.x
     elif spec.kind == "hat":
-        check_commutes(spec.t1, spec.x, tol, what="X (against T1)")
-        check_commutes(spec.t2, spec.x, tol, what="X (against T2)")
+        check_commutes(spec.t1, spec.x, what="X (against T1)")
+        check_commutes(spec.t2, spec.x, what="X (against T2)")
         top_right = spec.x @ (spec.t1 - spec.t2)
     else:
         top_right = spec.x
@@ -103,27 +96,25 @@ def assemble(spec: BlockSpec, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
-def _check_annulus_spectrum(t: np.ndarray, ap: AnnulusParams, tol: Tolerances) -> None:
+def _check_annulus_spectrum(t: np.ndarray, ap: AnnulusParams) -> None:
     mods = np.abs(eigenvalues(t))
-    slack = tol.psd_tol
-    if mods.min() < ap.r - slack or mods.max() > 1.0 + slack:
+    if mods.min() < ap.r - PSD_TOL or mods.max() > 1.0 + PSD_TOL:
         raise DomainError(
             f"spectrum moduli [{mods.min():.6g}, {mods.max():.6g}] leave the closed annulus "
             f"[{ap.r}, 1]"
         )
 
 
-def fcalc_tx(t, x, f: RationalFunction, ap: AnnulusParams,
-             tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def fcalc_tx(t, x, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
     """f of the tx block through the reduction [[f(T), X f'(T)], [0, f(T)]]."""
     tm = as_matrix(t)
     xm = as_matrix(x)
-    check_commutes(tm, xm, tol)
+    check_commutes(tm, xm)
     if not poles_off_annulus(f, ap):
         raise DomainError("f has poles on the closed annulus")
-    _check_annulus_spectrum(tm, ap, tol)
-    ft = eval_matrix(f, tm, tol)
-    fpt = eval_matrix(derivative(f), tm, tol)
+    _check_annulus_spectrum(tm, ap)
+    ft = eval_matrix(f, tm)
+    fpt = eval_matrix(derivative(f), tm)
     n = tm.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=complex)
     out[:n, :n] = ft
@@ -132,20 +123,19 @@ def fcalc_tx(t, x, f: RationalFunction, ap: AnnulusParams,
     return out
 
 
-def fcalc_hat(t1, t2, x, f: RationalFunction, ap: AnnulusParams,
-              tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def fcalc_hat(t1, t2, x, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
     """f of the hat block through [[f(T1), X (f(T1) - f(T2))], [0, f(T2)]]."""
     t1m = as_matrix(t1)
     t2m = as_matrix(t2)
     xm = as_matrix(x)
-    check_commutes(t1m, xm, tol, what="X (against T1)")
-    check_commutes(t2m, xm, tol, what="X (against T2)")
+    check_commutes(t1m, xm, what="X (against T1)")
+    check_commutes(t2m, xm, what="X (against T2)")
     if not poles_off_annulus(f, ap):
         raise DomainError("f has poles on the closed annulus")
-    _check_annulus_spectrum(t1m, ap, tol)
-    _check_annulus_spectrum(t2m, ap, tol)
-    f1 = eval_matrix(f, t1m, tol)
-    f2 = eval_matrix(f, t2m, tol)
+    _check_annulus_spectrum(t1m, ap)
+    _check_annulus_spectrum(t2m, ap)
+    f1 = eval_matrix(f, t1m)
+    f2 = eval_matrix(f, t2m)
     n = t1m.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=complex)
     out[:n, :n] = f1

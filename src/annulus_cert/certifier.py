@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockSpec, assemble, check_commutes
+from .blocks import BlockSpec, assemble
 from .errors import DomainError, TruncationError
 from .factorization import (
     FactorResult,
@@ -23,8 +23,7 @@ from .factorization import (
     halmos_unitary,
 )
 from .numerics import (
-    Tolerances,
-    DEFAULT_TOL,
+    PSD_TOL,
     as_matrix,
     eigenvalues,
     operator_norm,
@@ -127,15 +126,15 @@ class Certificate:
         }
 
 
-def spectrum_in_annulus(t, ap: AnnulusParams, tol: float = DEFAULT_TOL.psd_tol) -> bool:
-    """True iff every eigenvalue modulus lies in [r - tol, 1 + tol]."""
+def spectrum_in_annulus(t, ap: AnnulusParams) -> bool:
+    """True iff every eigenvalue modulus lies in [r - PSD_TOL, 1 + PSD_TOL]."""
     mods = np.abs(eigenvalues(as_matrix(t)))
-    return bool(np.all((mods >= ap.r - tol) & (mods <= 1.0 + tol)))
+    return bool(np.all((mods >= ap.r - PSD_TOL) & (mods <= 1.0 + PSD_TOL)))
 
 
-def _eps_records(t, eps, alphas, ap, plan, tol):
+def _eps_records(t, eps, alphas, ap, plan):
     """Margins of Re Gamma(alpha T) for all alphas at one eps."""
-    mp = MatrixPencil(t, eps, ap, plan, tol)
+    mp = MatrixPencil(t, eps, ap, plan)
     gam = mp.gamma_for_alphas(alphas)
     n_pos, n_neg = mp.gamma_indices()
     herm = 0.5 * (gam + np.conj(np.swapaxes(gam, 1, 2)))
@@ -150,17 +149,16 @@ def _eps_records(t, eps, alphas, ap, plan, tol):
 
 
 def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
-               plan: TruncationPlan = DEFAULT_PLAN, tol: Tolerances = DEFAULT_TOL,
-               threads: int | None = None) -> Certificate:
+               plan: TruncationPlan = DEFAULT_PLAN, threads: int | None = None) -> Certificate:
     """Decide annulus contractivity on the sampled grid.
 
     Spectrum containment is checked first; the pencil sweep then records the
     smallest eigenvalue of Re Gamma(alpha T) at every grid point.  Any point
-    below -psd_tol * (1 + ||Gamma||) refutes.  Truncation failures downgrade
+    below -PSD_TOL * (1 + ||Gamma||) refutes.  Truncation failures downgrade
     the verdict to inconclusive unless a refutation was found anyway.
     """
     tm = as_matrix(t)
-    if not spectrum_in_annulus(tm, ap, tol.psd_tol):
+    if not spectrum_in_annulus(tm, ap):
         return Certificate(VERDICT_REFUTED, False, None, None, (), grid,
                            ("spectrum outside the closed annulus",))
     alphas = grid.alphas()
@@ -170,7 +168,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     def run(idx_eps):
         idx, eps = idx_eps
         try:
-            results[idx] = _eps_records(tm, eps, alphas, ap, plan, tol)
+            results[idx] = _eps_records(tm, eps, alphas, ap, plan)
         except TruncationError as exc:
             failures[idx] = f"eps={eps}: {exc}"
 
@@ -190,7 +188,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
 
     if not records:
         return Certificate(VERDICT_INCONCLUSIVE, True, None, None, (), grid, diagnostics)
-    slack = np.array([rec.lambda_min + tol.psd_tol * rec.scale for rec in records])
+    slack = np.array([rec.lambda_min + PSD_TOL * rec.scale for rec in records])
     worst_idx = int(np.argmin(slack))
     worst = records[worst_idx]
     min_margin = float(min(rec.lambda_min for rec in records))
@@ -294,8 +292,8 @@ def _recenter(f: RationalFunction, sup: float, value: complex,
     return None
 
 
-def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0, m: int = 1024,
-              tol: Tolerances = DEFAULT_TOL) -> VnReport:
+def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
+              m: int = 1024) -> VnReport:
     """Worst ratio ||f(T)|| / sup |f| over sampled rational test functions.
 
     Functions have numerator and denominator degree at most four with poles
@@ -303,12 +301,12 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0, m: int = 10
     draws either a plain random rational or a Blaschke-type product aimed at a
     random eigenvalue of T; a trial whose ratio stays below one retries once
     after recentering the function at an eigenvalue.  A worst ratio above
-    1 + psd_tol disproves contractivity; ratios near one prove nothing.
+    1 + PSD_TOL disproves contractivity; ratios near one prove nothing.
     """
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     tm = as_matrix(t)
-    if not spectrum_in_annulus(tm, ap, tol.psd_tol):
+    if not spectrum_in_annulus(tm, ap):
         raise DomainError("vn_sample requires the spectrum inside the closed annulus")
     eigs = eigenvalues(tm)
     rng = np.random.default_rng(seed)
@@ -320,7 +318,7 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0, m: int = 10
         sup = sup_on_annulus(f, ap, m)
         if sup < 1e-14:
             return 0.0, sup
-        return operator_norm(eval_matrix(f, tm, tol)) / sup, sup
+        return operator_norm(eval_matrix(f, tm)) / sup, sup
 
     for _ in range(count):
         lam = complex(eigs[int(rng.integers(0, eigs.size))])
@@ -339,7 +337,7 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0, m: int = 10
                         ratio, f = r2, cand
         if ratio > worst:
             worst, witness = ratio, f
-    return VnReport(worst, witness, worst > 1.0 + tol.psd_tol, count, seed)
+    return VnReport(worst, witness, worst > 1.0 + PSD_TOL, count, seed)
 
 
 # --- theorem-level block checks --------------------------------------------
@@ -361,7 +359,7 @@ class ThmReport:
     max_k_norm: float
     max_recon_residual: float | None
 
-    def to_dict(self, tol: Tolerances = DEFAULT_TOL) -> dict:
+    def to_dict(self) -> dict:
         # certificate records and factor points share the eps-major, alpha-minor order
         margins = [rec.lambda_min for rec in self.certificate.records]
         if len(margins) != len(self.points):
@@ -381,7 +379,7 @@ class ThmReport:
                     "lambda_min": margin,
                     "residual": p.factor.residual,
                     "range_defect": p.factor.range_defect,
-                    "passes": p.factor.passes(tol),
+                    "passes": p.factor.passes(),
                     "recon_residual": p.recon_residual,
                 }
                 for p, margin in zip(self.points, margins)
@@ -389,19 +387,19 @@ class ThmReport:
         }
 
 
-def _factor_points(pq_r_iter, tol: Tolerances):
+def _factor_points(pq_r_iter):
     """Douglas extraction plus Halmos reconstruction at each grid point."""
     points = []
     max_k = 0.0
     max_recon = None
     all_pass = True
     for eps, alpha, p, q, r in pq_r_iter:
-        sp = sqrt_psd(p, tol)
-        sq = sqrt_psd(q, tol)
-        fr = factor_through(sp, sq, r, tol)
+        sp = sqrt_psd(p)
+        sq = sqrt_psd(q)
+        fr = factor_through(sp, sq, r)
         recon = None
-        if fr.passes(tol):
-            u = halmos_unitary(fr.k, tol)
+        if fr.passes():
+            u = halmos_unitary(fr.k)
             recon = float(
                 operator_norm(compress_through(u, sp, sq) - r) / (1.0 + operator_norm(r))
             )
@@ -414,8 +412,7 @@ def _factor_points(pq_r_iter, tol: Tolerances):
 
 
 def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
-                     plan: TruncationPlan = DEFAULT_PLAN,
-                     tol: Tolerances = DEFAULT_TOL) -> ThmReport:
+                     plan: TruncationPlan = DEFAULT_PLAN) -> ThmReport:
     """Equivalence data for the same-diagonal block [[T, X], [0, T]].
 
     At each grid point the factorization P^{1/2} K P^{1/2} = X Gamma'(alpha T)/2
@@ -424,28 +421,26 @@ def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     """
     tm = as_matrix(t)
     xm = as_matrix(x)
-    check_commutes(tm, xm, tol)
-    block = assemble(BlockSpec("tx", tm, xm), tol)
-    cert = certify_ar(block, ap, grid, plan, tol)
+    block = assemble(BlockSpec("tx", tm, xm))
+    cert = certify_ar(block, ap, grid, plan)
     alphas = grid.alphas()
 
     def iter_points():
         for eps in grid.eps_values:
-            mp = MatrixPencil(tm, eps, ap, plan, tol)
+            mp = MatrixPencil(tm, eps, ap, plan)
             gam = mp.gamma_for_alphas(alphas)
             der = mp.derivative_for_alphas(alphas)
             for i, alpha in enumerate(alphas):
                 p = re_part(gam[i])
                 yield eps, alpha, p, p, xm @ der[i] / 2.0
 
-    points, all_pass, max_k, max_recon = _factor_points(iter_points(), tol)
+    points, all_pass, max_k, max_recon = _factor_points(iter_points())
     agree = all_pass == cert.certified
     return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)
 
 
 def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
-                     plan: TruncationPlan = DEFAULT_PLAN,
-                     tol: Tolerances = DEFAULT_TOL) -> ThmReport:
+                     plan: TruncationPlan = DEFAULT_PLAN) -> ThmReport:
     """Equivalence data for the block [[T1, X(T1 - T2)], [0, T2]].
 
     Point factorization: Re Gamma(alpha T1)^{1/2} K Re Gamma(alpha T2)^{1/2}
@@ -454,22 +449,20 @@ def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GR
     t1m = as_matrix(t1)
     t2m = as_matrix(t2)
     xm = as_matrix(x)
-    check_commutes(t1m, xm, tol, what="X (against T1)")
-    check_commutes(t2m, xm, tol, what="X (against T2)")
-    block = assemble(BlockSpec("hat", t1m, xm, t2m), tol)
-    cert = certify_ar(block, ap, grid, plan, tol)
+    block = assemble(BlockSpec("hat", t1m, xm, t2m))
+    cert = certify_ar(block, ap, grid, plan)
     alphas = grid.alphas()
 
     def iter_points():
         for eps in grid.eps_values:
-            mp1 = MatrixPencil(t1m, eps, ap, plan, tol)
-            mp2 = MatrixPencil(t2m, eps, ap, plan, tol)
+            mp1 = MatrixPencil(t1m, eps, ap, plan)
+            mp2 = MatrixPencil(t2m, eps, ap, plan)
             g1 = mp1.gamma_for_alphas(alphas)
             g2 = mp2.gamma_for_alphas(alphas)
             for i, alpha in enumerate(alphas):
                 yield (eps, alpha, re_part(g1[i]), re_part(g2[i]),
                        xm @ (g1[i] - g2[i]) / 2.0)
 
-    points, all_pass, max_k, max_recon = _factor_points(iter_points(), tol)
+    points, all_pass, max_k, max_recon = _factor_points(iter_points())
     agree = all_pass == cert.certified
     return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)

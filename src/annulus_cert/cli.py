@@ -44,7 +44,7 @@ from .errors import (
 from .factorization import douglas_factor
 from .io import load_matrix, save_matrix
 from .misra import misra_threshold, sweep_rows
-from .numerics import DEFAULT_TOL, inverse
+from .numerics import inverse
 from .pencil import AnnulusParams, TruncationPlan, DEFAULT_PLAN
 
 EXIT_OK = 0
@@ -52,8 +52,6 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_CONTRACT = 65
-
-THREADS_ENV = "ANNULUS_CERT_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +86,7 @@ def _annulus(r: float) -> AnnulusParams:
 
 
 def _grid_from_args(args, base: PencilGrid) -> PencilGrid:
-    eps = _parse_eps_list(args.eps) if args.eps else base.eps_values
+    eps = _parse_eps_list(args.eps) if args.eps is not None else base.eps_values
     alphas = args.alphas if args.alphas is not None else base.alpha_count
     return PencilGrid(eps_values=tuple(eps), alpha_count=alphas)
 
@@ -98,18 +96,6 @@ def _plan_from_args(args) -> TruncationPlan:
         n_max=args.n_max if args.n_max is not None else DEFAULT_PLAN.n_max,
         tail_tol=args.tail_tol if args.tail_tol is not None else DEFAULT_PLAN.tail_tol,
     )
-
-
-def _resolve_threads(flag_value: int | None, grid_points: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            flag_value = int(env)
-        except ValueError:
-            raise DomainError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    if flag_value is None:
-        flag_value = os.cpu_count() or 1
-    return max(1, min(flag_value, grid_points))
 
 
 def _load(path):
@@ -138,7 +124,8 @@ def _cmd_certify(args) -> int:
     t = _load(args.matrix)
     grid = _grid_from_args(args, DEFAULT_GRID)
     plan = _plan_from_args(args)
-    threads = _resolve_threads(args.threads, len(grid.eps_values))
+    # certify_ar caps the pool at the number of eps rungs
+    threads = args.threads if args.threads is not None else os.cpu_count()
     cert = certify_ar(t, _annulus(args.r), grid, plan, threads=threads)
     _emit(cert.to_dict(), args.out)
     return _cert_exit(cert)
@@ -168,7 +155,7 @@ def _cmd_factor(args) -> int:
     r = _load(args.rmat)
     result = douglas_factor(p, q, r)
     _emit(result.to_dict(), args.out)
-    return EXIT_OK if result.passes(DEFAULT_TOL) else EXIT_REFUTED
+    return EXIT_OK if result.passes() else EXIT_REFUTED
 
 
 def _cmd_misra(args) -> int:
@@ -230,7 +217,7 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--r", type=float, required=True)
     add_grid_flags(p)
-    p.add_argument("--threads", type=int, help=f"eps-level parallelism (env {THREADS_ENV} overrides)")
+    p.add_argument("--threads", type=int, help="eps-level parallelism (default: cores, capped at the eps count)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ContractViolationError, DomainError
 from .numerics import (
-    Tolerances,
-    DEFAULT_TOL,
+    EQ_TOL,
+    PSD_TOL,
     as_matrix,
     hermitian_min_eig,
     identity_like,
@@ -35,14 +35,14 @@ class FactorResult:
     residual: float
     range_defect: float
 
-    def passes(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def passes(self) -> bool:
         return (
-            self.k_norm <= 1.0 + tol.psd_tol
-            and self.residual <= tol.eq_tol
-            and self.range_defect <= tol.eq_tol
+            self.k_norm <= 1.0 + PSD_TOL
+            and self.residual <= EQ_TOL
+            and self.range_defect <= EQ_TOL
         )
 
-    def to_dict(self, tol: Tolerances = DEFAULT_TOL) -> dict:
+    def to_dict(self) -> dict:
         from .io import matrix_to_dict
 
         return {
@@ -50,7 +50,7 @@ class FactorResult:
             "k_norm": self.k_norm,
             "residual": self.residual,
             "range_defect": self.range_defect,
-            "verdict": self.passes(tol),
+            "verdict": self.passes(),
         }
 
 
@@ -62,7 +62,7 @@ class DefectPair:
     dstar: np.ndarray
 
 
-def factor_through(s1, s2, r, tol: Tolerances = DEFAULT_TOL) -> FactorResult:
+def factor_through(s1, s2, r) -> FactorResult:
     """K = S1^+ R S2^+ restricted to the ranges, for PSD square roots S1, S2.
 
     S1 and S2 must be exactly Hermitian, as ``sqrt_psd`` returns them; one
@@ -71,8 +71,8 @@ def factor_through(s1, s2, r, tol: Tolerances = DEFAULT_TOL) -> FactorResult:
     s1m = as_matrix(s1)
     s2m = as_matrix(s2)
     rm = as_matrix(r)
-    pinv1, p1 = psd_pinv(s1m, tol)
-    pinv2, p2 = psd_pinv(s2m, tol)
+    pinv1, p1 = psd_pinv(s1m)
+    pinv2, p2 = psd_pinv(s2m)
     # S1^+ (S2^+ R*)*, in this association order
     k = pinv1(pinv2(rm.conj().T).conj().T)
     scale = 1.0 + operator_norm(rm)
@@ -84,18 +84,23 @@ def factor_through(s1, s2, r, tol: Tolerances = DEFAULT_TOL) -> FactorResult:
     return FactorResult(k=k, k_norm=operator_norm(k), residual=residual, range_defect=range_defect)
 
 
-def douglas_factor(p, q, r, tol: Tolerances = DEFAULT_TOL) -> FactorResult:
+def douglas_factor(p, q, r) -> FactorResult:
     """Extract K with R = P^{1/2} K Q^{1/2} for PSD P, Q.
 
     The block [[P, R], [R*, Q]] is positive iff the result passes: contraction
     norm within psd slack and residual and range defect within equality slack.
     """
+    pm, qm, rm = as_matrix(p), as_matrix(q), as_matrix(r)
+    if not pm.shape == qm.shape == rm.shape:
+        raise ContractViolationError(
+            f"P, Q and R must share one dimension, got {pm.shape[0]}, {qm.shape[0]}, {rm.shape[0]}"
+        )
     try:
-        sp = sqrt_psd(p, tol)
-        sq = sqrt_psd(q, tol)
+        sp = sqrt_psd(pm)
+        sq = sqrt_psd(qm)
     except DomainError as exc:
         raise DomainError(f"P and Q must be PSD within slack: {exc}") from exc
-    return factor_through(sp, sq, r, tol)
+    return factor_through(sp, sq, rm)
 
 
 def assemble_block(p, q, r) -> np.ndarray:
@@ -111,30 +116,30 @@ def assemble_block(p, q, r) -> np.ndarray:
     return out
 
 
-def block_psd_check(p, q, r, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+def block_psd_check(p, q, r) -> tuple[bool, float]:
     """Verdict and margin: smallest eigenvalue of [[P, R], [R*, Q]]."""
     block = assemble_block(p, q, r)
-    margin = hermitian_min_eig(block, tol)
+    margin = hermitian_min_eig(block)
     scale = 1.0 + operator_norm(block)
-    return margin >= -tol.psd_tol * scale, margin
+    return margin >= -PSD_TOL * scale, margin
 
 
-def defects(k, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
+def defects(k) -> DefectPair:
     """Defect operators of a contraction."""
     km = as_matrix(k)
     nrm = operator_norm(km)
-    if nrm > 1.0 + tol.psd_tol:
+    if nrm > 1.0 + PSD_TOL:
         raise DomainError(f"not a contraction within slack (norm {nrm:.6g})")
     eye = identity_like(km)
-    d = sqrt_psd(eye - km.conj().T @ km, tol)
-    dstar = sqrt_psd(eye - km @ km.conj().T, tol)
+    d = sqrt_psd(eye - km.conj().T @ km)
+    dstar = sqrt_psd(eye - km @ km.conj().T)
     return DefectPair(d=d, dstar=dstar)
 
 
-def halmos_unitary(k, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def halmos_unitary(k) -> np.ndarray:
     """The unitary [[K, Dstar], [D, -K*]] on the doubled space."""
     km = as_matrix(k)
-    pair = defects(km, tol)
+    pair = defects(km)
     n = km.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=complex)
     out[:n, :n] = km
@@ -165,7 +170,7 @@ class DiskBlockResult:
     direct_verdict: bool
 
 
-def disk_block_check(t1, t2, x, tol: Tolerances = DEFAULT_TOL) -> DiskBlockResult:
+def disk_block_check(t1, t2, x) -> DiskBlockResult:
     """Factor X = D_{T1*} C D_{T2}; contraction verdict for the block with that structure.
 
     Also reports the directly computed norm of [[T1, X], [0, T2]] so callers can
@@ -180,16 +185,16 @@ def disk_block_check(t1, t2, x, tol: Tolerances = DEFAULT_TOL) -> DiskBlockResul
     block[:n, n:] = xm
     block[n:, n:] = t2m
     direct = operator_norm(block)
-    direct_verdict = direct <= 1.0 + tol.psd_tol
+    direct_verdict = direct <= 1.0 + PSD_TOL
     n1 = operator_norm(t1m)
     n2 = operator_norm(t2m)
-    if n1 > 1.0 + tol.psd_tol or n2 > 1.0 + tol.psd_tol:
+    if n1 > 1.0 + PSD_TOL or n2 > 1.0 + PSD_TOL:
         zero = np.zeros_like(xm)
         return DiskBlockResult(False, zero, float("inf"), float("inf"), float("inf"),
                                n1, n2, direct, direct_verdict)
     eye = identity_like(t1m)
-    d1s = sqrt_psd(eye - t1m @ t1m.conj().T, tol)   # defect of T1*
-    d2 = sqrt_psd(eye - t2m.conj().T @ t2m, tol)    # defect of T2
-    fr = factor_through(d1s, d2, xm, tol)
-    return DiskBlockResult(fr.passes(tol), fr.k, fr.k_norm, fr.residual, fr.range_defect,
+    d1s = sqrt_psd(eye - t1m @ t1m.conj().T)   # defect of T1*
+    d2 = sqrt_psd(eye - t2m.conj().T @ t2m)    # defect of T2
+    fr = factor_through(d1s, d2, xm)
+    return DiskBlockResult(fr.passes(), fr.k, fr.k_norm, fr.residual, fr.range_defect,
                            n1, n2, direct, direct_verdict)

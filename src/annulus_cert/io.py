@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ContractViolationError
 from .numerics import MAX_DIM, as_matrix
 
+# Largest dimension a matrix file may hold: saved block operators reach 2 * MAX_DIM.
+MAX_FILE_DIM = 2 * MAX_DIM
+
 
 def matrix_to_dict(a) -> dict:
     m = as_matrix(a)
@@ -24,7 +27,7 @@ def matrix_to_dict(a) -> dict:
     return {"n": n, "data": [[float(z.real), float(z.imag)] for z in flat]}
 
 
-def matrix_from_dict(doc: dict, cap: int = 2 * MAX_DIM) -> np.ndarray:
+def matrix_from_dict(doc: dict) -> np.ndarray:
     if not isinstance(doc, dict) or "n" not in doc or "data" not in doc:
         raise ContractViolationError("matrix document must have 'n' and 'data' fields")
     n = doc["n"]
@@ -43,16 +46,16 @@ def matrix_from_dict(doc: dict, cap: int = 2 * MAX_DIM) -> np.ndarray:
         if not all(type(v) in (int, float) and math.isfinite(v) for v in (re, im)):
             raise ContractViolationError(f"entry {i} has non-finite or non-numeric parts")
         out[i] = complex(re, im)
-    return as_matrix(out.reshape(n, n), cap=cap)
+    return as_matrix(out.reshape(n, n), cap=MAX_FILE_DIM)
 
 
-def load_matrix(path, cap: int = 2 * MAX_DIM) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ContractViolationError(f"{path}: invalid JSON: {exc}") from exc
-    return matrix_from_dict(doc, cap=cap)
+    return matrix_from_dict(doc)
 
 
 def save_matrix(a, path) -> None:

@@ -18,7 +18,7 @@ Gamma(alpha [[w, h], [0, w]]) = [[g, h g'], [0, g]] with g = Gamma(alpha w)
 and g' its z-derivative, the Hermitian part has smallest eigenvalue
 Re g - h |g'| / 2, so the flip point is the minimum of 2 Re g / |g'| over the
 (eps, alpha) grid (the certificate flips a hair above it, as it lets margins
-dip to -psd_tol * scale).  One pencil pass per eps reads that number off; two
+dip to -PSD_TOL * scale).  One pencil pass per eps reads that number off; two
 certificates then confirm the bracket around it, and bisection of the
 certificate flip point is left as the fallback.
 """
@@ -31,7 +31,6 @@ import numpy as np
 
 from .certifier import PencilGrid, certify_ar
 from .errors import DiagnosticError, DomainError, TruncationError
-from .numerics import Tolerances, DEFAULT_TOL
 from .pencil import AnnulusParams, MatrixPencil, TruncationPlan, DEFAULT_PLAN
 
 # Threshold hunting needs a much deeper eps ladder than plain certification:
@@ -42,6 +41,12 @@ MISRA_GRID = PencilGrid(
 )
 
 _KERNEL_CAP = 200_000
+
+# Relative truncation tail of the kernel diagonal in ``misra_threshold``.
+_KERNEL_TAIL_TOL = 1e-12
+
+# Width of the h bracket that ``threshold_via_pencil`` returns the midpoint of.
+SEARCH_TOL = 2e-5
 
 
 def _check_point(w: complex, r: float) -> float:
@@ -81,19 +86,19 @@ def _tail_bound(aw: float, r: float, n: int) -> float:
     return rho_p ** (n + 1) / (1.0 - rho_p) + rho_m ** (n + 1) / (r * (1.0 - rho_m))
 
 
-def misra_threshold(w: complex, r: float, tail_tol: float = 1e-12) -> float:
+def misra_threshold(w: complex, r: float) -> float:
     """Reciprocal kernel diagonal with the truncation grown until the relative
-    tail estimate is below tail_tol."""
+    tail estimate is below _KERNEL_TAIL_TOL."""
     aw = _check_point(w, r)
     s = 1.0 / (1.0 + r)
     n = 1
     while True:
         tp, tm = _kernel_terms(aw, r, n)
         s += tp + tm
-        if n >= 8 and _tail_bound(aw, r, n) < tail_tol * s:
+        if n >= 8 and _tail_bound(aw, r, n) < _KERNEL_TAIL_TOL * s:
             break
         if n >= _KERNEL_CAP:
-            raise TruncationError(f"kernel tail not below {tail_tol:g} after {n} terms")
+            raise TruncationError(f"kernel tail not below {_KERNEL_TAIL_TOL:g} after {n} terms")
         n += 1
     return 1.0 / s
 
@@ -102,19 +107,18 @@ def jordan_block(w: complex, h: complex) -> np.ndarray:
     return np.array([[w, h], [0.0, w]], dtype=complex)
 
 
-def _pencil_bracket(w: complex, ap: AnnulusParams, grid: PencilGrid, plan: TruncationPlan,
-                    search_tol: float, tol: Tolerances) -> tuple[float, float]:
-    """Bracket of width search_tol around min 2 Re Gamma(alpha w) / |Gamma'(alpha w)|.
+def _pencil_bracket(w: complex, ap: AnnulusParams, plan: TruncationPlan) -> tuple[float, float]:
+    """Bracket of width SEARCH_TOL around min 2 Re Gamma(alpha w) / |Gamma'(alpha w)|.
 
     Entry [0, 0] of Gamma(alpha J) for J = [[w, 1], [0, w]] is Gamma(alpha w)
     and entry [0, 1] its z-derivative.  Falls back to [0, 2] when the scan
     fails, a Re Gamma is negative, or the minimum leaves (0, 2).
     """
     j1 = jordan_block(w, 1.0)
-    alphas = grid.alphas()
+    alphas = MISRA_GRID.alphas()
     try:
-        gam = np.concatenate([MatrixPencil(j1, eps, ap, plan, tol).gamma_for_alphas(alphas)
-                              for eps in grid.eps_values])
+        gam = np.concatenate([MatrixPencil(j1, eps, ap, plan).gamma_for_alphas(alphas)
+                              for eps in MISRA_GRID.eps_values])
     except (TruncationError, DomainError):
         return 0.0, 2.0
     re_g = gam[:, 0, 0].real
@@ -123,39 +127,36 @@ def _pencil_bracket(w: complex, ap: AnnulusParams, grid: PencilGrid, plan: Trunc
     h_star = float(np.min(2.0 * re_g / np.abs(gam[:, 0, 1])))
     if not 0.0 < h_star < 2.0:
         return 0.0, 2.0
-    lo = max(h_star - 0.5 * search_tol, 0.0)
-    hi = lo + search_tol
-    while hi - lo > search_tol:  # the sum may round up
+    lo = max(h_star - 0.5 * SEARCH_TOL, 0.0)
+    hi = lo + SEARCH_TOL
+    while hi - lo > SEARCH_TOL:  # the sum may round up
         hi = math.nextafter(hi, lo)
     return lo, hi
 
 
-def threshold_via_pencil(w: complex, r: float, grid: PencilGrid = MISRA_GRID,
-                         plan: TruncationPlan = DEFAULT_PLAN, search_tol: float = 2e-5,
-                         tol: Tolerances = DEFAULT_TOL) -> float:
-    """Certificate flip point of [[w, h], [0, w]] over real h >= 0, to within search_tol.
+def threshold_via_pencil(w: complex, r: float, plan: TruncationPlan = DEFAULT_PLAN) -> float:
+    """Certificate flip point of [[w, h], [0, w]] over real h >= 0, to within SEARCH_TOL.
 
     The phase of h is irrelevant (a diagonal unitary similarity moves it onto
-    the positive axis).  The search starts from the pencil bracket of width
-    search_tol (see the module docstring); its lower end must be certified
-    and its upper end refuted.  An end that fails its check moves out to 0 or
-    2, and bisection narrows the bracket again.  The kernel diagonal never
-    drops below 1/(1+r) > 1/2, keeping every flip point well inside [0, 2].
+    the positive axis).  Certificates use ``MISRA_GRID``.  The search starts
+    from the pencil bracket of width SEARCH_TOL (see the module docstring);
+    its lower end must be certified and its upper end refuted.  An end that
+    fails its check moves out to 0 or 2, and bisection narrows the bracket
+    again.  The kernel diagonal never drops below 1/(1+r) > 1/2, keeping
+    every flip point well inside [0, 2].
     """
     _check_point(w, r)
     ap = AnnulusParams(r)
-    if search_tol <= 0.0:
-        raise DomainError("search_tol must be positive")
 
     def certified(h: float) -> bool:
-        cert = certify_ar(jordan_block(w, h), ap, grid, plan, tol)
+        cert = certify_ar(jordan_block(w, h), ap, MISRA_GRID, plan)
         if cert.verdict == "inconclusive":
             raise DiagnosticError(
                 f"certificate inconclusive at h = {h:.6g}: {cert.diagnostics}"
             )
         return cert.certified
 
-    lo, hi = _pencil_bracket(w, ap, grid, plan, search_tol, tol)
+    lo, hi = _pencil_bracket(w, ap, plan)
     if lo > 0.0 and not certified(lo):
         lo = 0.0
     if lo == 0.0 and not certified(lo):
@@ -164,7 +165,7 @@ def threshold_via_pencil(w: complex, r: float, grid: PencilGrid = MISRA_GRID,
         hi = 2.0
     if hi == 2.0 and certified(hi):
         raise DiagnosticError("h = 2 certified; no flip inside the bracket")
-    while hi - lo > search_tol:
+    while hi - lo > SEARCH_TOL:
         mid = 0.5 * (lo + hi)
         if certified(mid):
             lo = mid
@@ -173,9 +174,7 @@ def threshold_via_pencil(w: complex, r: float, grid: PencilGrid = MISRA_GRID,
     return 0.5 * (lo + hi)
 
 
-def sweep_rows(r: float, samples: int, seed: int = 0, grid: PencilGrid = MISRA_GRID,
-               plan: TruncationPlan = DEFAULT_PLAN, search_tol: float = 2e-5,
-               tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+def sweep_rows(r: float, samples: int, seed: int = 0) -> list[dict]:
     """Threshold comparison rows at random annulus points (PCG64-seeded).
 
     Radii stay inside [r + 0.07 (1-r), r + 0.9 (1-r)], away from the boundary
@@ -191,7 +190,7 @@ def sweep_rows(r: float, samples: int, seed: int = 0, grid: PencilGrid = MISRA_G
         aw = lo + (hi - lo) * rng.random()
         w = aw * np.exp(2j * np.pi * rng.random())
         tk = misra_threshold(w, r)
-        tp = threshold_via_pencil(w, r, grid, plan, search_tol, tol)
+        tp = threshold_via_pencil(w, r)
         rows.append({
             "w_re": float(w.real),
             "w_im": float(w.imag),

@@ -8,8 +8,6 @@ point that normalizes and validates operands.  Eigen/SVD work is delegated to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -24,27 +22,13 @@ from .errors import (
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative slacks used across the library.
-
-    psd_tol bounds how negative an eigenvalue may be before a matrix stops
-    counting as positive; eq_tol bounds residuals of identities; rank_tol is
-    the relative singular-value cutoff for inversion and pseudo-inversion.
-    """
-
-    psd_tol: float = 1e-8
-    eq_tol: float = 1e-8
-    rank_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("psd_tol", "eq_tol", "rank_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {v}")
-
-
-DEFAULT_TOL = Tolerances()
+# Relative slacks used across the library.  An eigenvalue may dip to
+# -PSD_TOL (relative) before a matrix stops counting as positive; EQ_TOL
+# bounds residuals of identities; RANK_TOL is the relative singular-value
+# (or eigenvalue) cutoff for inversion and pseudo-inversion.
+PSD_TOL = 1e-8
+EQ_TOL = 1e-8
+RANK_TOL = 1e-10
 
 
 def as_matrix(a, cap: int | None = None) -> np.ndarray:
@@ -78,28 +62,28 @@ def eigenvalues(a) -> np.ndarray:
         raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def hermitian_check(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def hermitian_check(h) -> np.ndarray:
     m = as_matrix(h)
     defect = operator_norm(m - m.conj().T)
-    if defect > tol.eq_tol * (1.0 + operator_norm(m)):
+    if defect > EQ_TOL * (1.0 + operator_norm(m)):
         raise ContractViolationError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_min_eig(h, tol: Tolerances = DEFAULT_TOL) -> float:
+def hermitian_min_eig(h) -> float:
     """Smallest eigenvalue of the Hermitian part (H + H*)/2."""
-    m = hermitian_check(h, tol)
+    m = hermitian_check(h)
     try:
         return float(np.linalg.eigvalsh(m)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"Hermitian eigensolve failed: {exc}") from exc
 
 
-def sqrt_psd(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def sqrt_psd(h) -> np.ndarray:
     """Positive square root of a PSD matrix; slightly negative eigenvalues are clamped."""
-    m = hermitian_check(h, tol)
+    m = hermitian_check(h)
     lam, v = np.linalg.eigh(m)
-    floor = -tol.psd_tol * (1.0 + float(np.max(np.abs(lam)) if lam.size else 0.0))
+    floor = -PSD_TOL * (1.0 + float(np.max(np.abs(lam)) if lam.size else 0.0))
     if lam[0] < floor:
         raise DomainError(f"matrix is indefinite beyond PSD slack (min eig {lam[0]:.3e})")
     lam = np.clip(lam, 0.0, None)
@@ -107,23 +91,23 @@ def sqrt_psd(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """Inverse with an explicit relative singular-value guard."""
     m = as_matrix(a)
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= tol.rank_tol * sv[0] or sv[0] == 0.0:
+    if sv[-1] <= RANK_TOL * sv[0] or sv[0] == 0.0:
         raise SingularityError(f"matrix numerically singular (sigma_min/sigma_max = {sv[-1]:.3e}/{sv[0]:.3e})")
     return np.linalg.solve(m, identity_like(m))
 
 
-def psd_pinv(s, tol: Tolerances = DEFAULT_TOL):
+def psd_pinv(s):
     """(B -> S^+ B, range projector) for an exactly Hermitian PSD S, from one eigh.
 
-    The rank rule is written here only: eigenvalues at or below rank_tol times
+    The rank rule is written here only: eigenvalues at or below RANK_TOL times
     the largest modulus count as zero.
     """
     lam, v = np.linalg.eigh(s)
-    keep = lam > tol.rank_tol * max(float(np.max(np.abs(lam))), 1e-300)
+    keep = lam > RANK_TOL * max(float(np.max(np.abs(lam))), 1e-300)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
     vr = v[:, keep]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .numerics import Tolerances, DEFAULT_TOL, as_matrix, eigenvalues, inverse
+from .numerics import as_matrix, eigenvalues, inverse
 
 # Relative slack when testing membership in the convergence band.
 BAND_SLACK = 1e-9
@@ -77,15 +77,13 @@ class PencilPoint:
 class TruncationPlan:
     """Bilateral truncation control.
 
-    With ``adaptive`` set, each side of the sum stops once its term norms stay
-    below tail_tol * (1 + accumulated term norms) for three consecutive
-    indices; ``n_max`` is the hard per-side cap.  With ``adaptive`` unset both
-    sides run to exactly ``n_max`` terms.
+    Each side of the sum stops once its term norms stay below
+    tail_tol * (1 + accumulated term norms) for three consecutive indices;
+    ``n_max`` is the hard per-side cap.
     """
 
     n_max: int = 4096
     tail_tol: float = 1e-10
-    adaptive: bool = True
 
     def __post_init__(self):
         if self.n_max < 8:
@@ -129,10 +127,8 @@ def _check_scalar_band(absz: float, eps: float, r: float) -> None:
         )
 
 
-def _envelope_terms(rho: float, tail_tol: float, n_max: int, adaptive: bool) -> int:
+def _envelope_terms(rho: float, tail_tol: float, n_max: int) -> int:
     """Smallest N with geometric tail bound 2 rho^(N+1)/(1-rho) < tail_tol."""
-    if not adaptive:
-        return n_max
     if rho <= 0.0:
         return 8
     if rho >= 1.0:
@@ -157,8 +153,8 @@ def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams,
     d = b * b * ap.r
     x = b * pt.alpha * zs
     y = b * ap.r / (pt.alpha * zs)
-    n_pos = _envelope_terms(float(np.max(np.abs(x))), plan.tail_tol, plan.n_max, plan.adaptive)
-    n_neg = _envelope_terms(float(np.max(np.abs(y))), plan.tail_tol, plan.n_max, plan.adaptive)
+    n_pos = _envelope_terms(float(np.max(np.abs(x))), plan.tail_tol, plan.n_max)
+    n_neg = _envelope_terms(float(np.max(np.abs(y))), plan.tail_tol, plan.n_max)
     ks = np.arange(n_pos + 1, dtype=float)
     a_pos = 2.0 / (1.0 + d**ks)
     ms = np.arange(1, n_neg + 1, dtype=float)
@@ -223,14 +219,13 @@ class MatrixPencil:
     """
 
     def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams,
-                 plan: TruncationPlan = DEFAULT_PLAN, tol: Tolerances = DEFAULT_TOL):
+                 plan: TruncationPlan = DEFAULT_PLAN):
         if not (0.0 < eps < 1.0):
             raise DomainError(f"eps must lie in (0, 1), got {eps}")
         self.t = as_matrix(t)
         self.eps = eps
         self.ap = ap
         self.plan = plan
-        self.tol = tol
         b = 1.0 - eps
         lam = eigenvalues(self.t)
         lo, hi = _band(eps, ap.r)
@@ -241,7 +236,7 @@ class MatrixPencil:
                 f"[{lo:.6g}, {hi:.6g}] at eps = {eps}"
             )
         self._x = b * self.t
-        self._y = b * ap.r * inverse(self.t, tol)
+        self._y = b * ap.r * inverse(self.t)
         self._d = b * b * ap.r
         # stop indices of Gamma and of the derivative pencil, set by the first pass
         self._stops: list[tuple[int, int] | None] = [None, None]
@@ -284,16 +279,12 @@ class MatrixPencil:
                 power, norm = ladder.advance()
                 np.multiply(power, sign * j * a if weighted else a, out=scratch)
                 bins[(sign * j) % m] += scratch
-                if not plan.adaptive:
-                    continue
                 term = a * norm * j if weighted else a * norm
                 small = term < plan.tail_tol * (1.0 + acc)
                 acc += term
                 ladder.run = ladder.run + 1 if small else 0
                 if ladder.run >= _DECAY_RUN:
                     ladder.stop = j
-            if not plan.adaptive and j == plan.n_max:
-                pos.stop = neg.stop = j
             j += 1
         return buckets, (pos.stop, neg.stop)
 
@@ -341,20 +332,19 @@ class MatrixPencil:
 
 
 def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams,
-                 plan: TruncationPlan = DEFAULT_PLAN, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+                 plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
     """Gamma(alpha T) for a square matrix T with spectrum in the band."""
-    mp = MatrixPencil(t, pt.eps, ap, plan, tol)
+    mp = MatrixPencil(t, pt.eps, ap, plan)
     return mp.gamma_for_alphas(np.array([pt.alpha]))[0]
 
 
 def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams,
-                            plan: TruncationPlan = DEFAULT_PLAN,
-                            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+                            plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
     """Derivative pencil: sum_k k c_k alpha^k T^(k-1).
 
     This is the z-derivative of z -> Gamma(alpha z) evaluated at T, the unique
     convention under which Gamma(alpha T_X) has top-right block X times this
     matrix when X commutes with T.
     """
-    mp = MatrixPencil(t, pt.eps, ap, plan, tol)
+    mp = MatrixPencil(t, pt.eps, ap, plan)
     return mp.derivative_for_alphas(np.array([pt.alpha]))[0]

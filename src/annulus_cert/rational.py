@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .numerics import Tolerances, DEFAULT_TOL, as_matrix, eigenvalues, identity_like, inverse
+from .numerics import as_matrix, eigenvalues, identity_like, inverse
 from .pencil import AnnulusParams
 
 # Slack around the boundary circles when classifying pole locations.
@@ -109,12 +109,12 @@ def polyval_matrix(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def eval_matrix(f: RationalFunction, t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def eval_matrix(f: RationalFunction, t) -> np.ndarray:
     """f(T) = p(T) q(T)^{-1}."""
     tm = as_matrix(t)
     qt = polyval_matrix(f.q, tm)
     try:
-        qinv = inverse(qt, tol)
+        qinv = inverse(qt)
     except SingularityError as exc:
         raise SingularityError(f"q(T) is singular: {exc}") from exc
     return polyval_matrix(f.p, tm) @ qinv

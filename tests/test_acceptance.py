@@ -7,7 +7,6 @@ summary lines alongside the pytest verdicts.
 import time
 
 import numpy as np
-import pytest
 
 from annulus_cert.blocks import BlockSpec, assemble, fcalc_hat, fcalc_tx
 from annulus_cert.certifier import certify_ar, check_thm_block1, check_thm_block2, vn_sample

@@ -112,15 +112,6 @@ class TestCertifyCommand:
         bad.write_text("{not json")
         assert main(["certify", "--matrix", str(bad), "--r", "0.5"]) == 64
 
-    def test_threads_env_override(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("ANNULUS_CERT_THREADS", "2")
-        code = main(["certify", "--matrix", files["eye"], "--r", "0.5", "--threads", "1"])
-        assert code == 0
-
-    def test_bad_threads_env(self, files, monkeypatch):
-        monkeypatch.setenv("ANNULUS_CERT_THREADS", "lots")
-        assert main(["certify", "--matrix", files["eye"], "--r", "0.5"]) == 64
-
 
 class TestBlockCommand:
     def test_tx_zero_block_diagonal(self, files, tmp_path):
@@ -275,6 +266,15 @@ class TestThmGolden:
         assert rep.to_dict() == {k: v for k, v in doc.items() if k != "which"}
 
 
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "annulus_cert.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestHostileInputs:
     @pytest.mark.parametrize("doc", [
         '{"n": true, "data": [[0.7, 0.0]]}',
@@ -283,14 +283,20 @@ class TestHostileInputs:
     def test_bool_in_matrix_usage_error(self, tmp_path, doc):
         bad = tmp_path / "bool.json"
         bad.write_text(doc)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "annulus_cert.cli", "certify", "--matrix", str(bad), "--r", "0.5"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_cli("certify", "--matrix", str(bad), "--r", "0.5")
         assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+
+    def test_empty_eps_list_usage_error(self, files):
+        assert main(["certify", "--matrix", files["eye"], "--r", "0.5", "--eps", ""]) == 64
+
+    @pytest.mark.parametrize("cmd", ["thm", "factor"])
+    def test_mismatched_sizes_contract_violation(self, files, cmd):
+        small = files["t"]  # 1 x 1
+        argv = {"thm": ["thm", "--which", "block1", "--t1", small, "--x", files["eye"], *THM_GRID],
+                "factor": ["factor", "--p", files["eye"], "--q", small, "--rmat", files["eye"]]}[cmd]
+        proc = run_cli(*argv)
+        assert proc.returncode == 65
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from annulus_cert.factorization import (
     halmos_unitary,
 )
 from annulus_cert.generators import ginibre, random_contraction, random_psd
-from annulus_cert.numerics import DEFAULT_TOL, Tolerances, operator_norm, sqrt_psd
+from annulus_cert.numerics import operator_norm, sqrt_psd
 
 
 def scaled_middle_instance(n, seed, k_norm_target):
@@ -149,15 +149,13 @@ class TestDiskBlockCheck:
         assert not res.verdict
         assert res.direct_norm > 1.0 + 1e-8
 
-    def test_direct_verdict_uses_caller_tol(self):
-        # direct norm 1 + 1e-4 lies inside a psd slack of 1e-3 but outside the default one
+    def test_direct_verdict_uses_psd_slack(self):
+        # direct norm 1 + 1e-4 lies outside the psd slack of 1e-8
         zero = np.zeros((2, 2))
         x = (1.0 + 1e-4) * np.eye(2)
-        loose = disk_block_check(zero, zero, x, Tolerances(psd_tol=1e-3))
-        assert 1.0 + 1e-8 < loose.direct_norm < 1.0 + 1e-3
-        assert loose.verdict and loose.direct_verdict
-        strict = disk_block_check(zero, zero, x)
-        assert not strict.verdict and not strict.direct_verdict
+        res = disk_block_check(zero, zero, x)
+        assert 1.0 + 1e-8 < res.direct_norm
+        assert not res.verdict and not res.direct_verdict
 
     def test_equivalence_with_direct_norm(self):
         rng = np.random.default_rng(99)

@@ -133,10 +133,6 @@ class TestThresholdViaPencil:
         with pytest.raises(DomainError):
             threshold_via_pencil(0.4, 0.5)
 
-    def test_bad_search_tol(self):
-        with pytest.raises(DomainError):
-            threshold_via_pencil(0.7, 0.5, search_tol=0.0)
-
     @pytest.mark.parametrize("w, r", [(0.7, 0.5), (0.9, 0.3), (0.4 + 0.2j, 0.3)])
     def test_matches_bisection_oracle(self, w, r):
         assert abs(threshold_via_pencil(w, r) - bisect_threshold(w, r)) <= 2e-5

@@ -3,7 +3,7 @@ import pytest
 
 from annulus_cert.errors import ContractViolationError, DomainError, SingularityError
 from annulus_cert.numerics import (
-    Tolerances,
+    EQ_TOL,
     as_matrix,
     eigenvalues,
     hermitian_min_eig,
@@ -92,11 +92,10 @@ class TestSqrtPsd:
         assert operator_norm(s @ s - h) <= 1e-9 * (1.0 + operator_norm(h))
 
     def test_round_trip_many(self):
-        tol = Tolerances()
         for seed in range(200):
             h = random_psd(4, seed=seed)
             s = sqrt_psd(h)
-            assert operator_norm(s @ s - h) <= tol.eq_tol * (1.0 + operator_norm(h))
+            assert operator_norm(s @ s - h) <= EQ_TOL * (1.0 + operator_norm(h))
 
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
@@ -108,12 +107,11 @@ class TestNormInversePowers:
         assert operator_norm(np.diag([1.0, -3.0])) == pytest.approx(3.0)
 
     def test_submultiplicative(self):
-        tol = Tolerances()
         rng = np.random.default_rng(2)
         for _ in range(50):
             a = ginibre(4, rng)
             b = ginibre(4, rng)
-            assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + tol.eq_tol
+            assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + EQ_TOL
 
     def test_inverse_residual(self):
         a = ginibre(6, np.random.default_rng(5)) + 2 * np.eye(6)

@@ -142,12 +142,6 @@ class TestGammaMatrix:
         with pytest.raises(DomainError):
             gamma_matrix(np.diag([3.0]), PencilPoint(0.5), AP5)
 
-    def test_non_adaptive_plan_runs_to_cap(self):
-        plan = TruncationPlan(n_max=16, adaptive=False)
-        g = gamma_matrix(0.7 * np.eye(1), PencilPoint(0.5), AP5, plan)
-        # truncated value still close: tail beyond 16 terms is ~(0.35)^17
-        assert abs(g[0, 0] - gamma_scalar(0.7, PencilPoint(0.5), AP5)) < 1e-6
-
 
 class TestGammaDerivative:
     def test_identity_matches_scalar_derivative_sum(self):
@@ -206,31 +200,25 @@ def reference_pencil(t, eps, r, alphas, plan=TruncationPlan(), weighted=False):
     def coeff(j):
         return 2.0 / (1.0 + d ** float(j))
 
-    if plan.adaptive:
-        acc = 0.0 if weighted else np.sqrt(n)
-        runs, stops = [0, 0], [None, None]
-        j = 1
-        while None in stops:
-            if j > plan.n_max:
-                raise TruncationError("reference did not decay")
-            for side in (0, 1):
-                if stops[side] is not None:
-                    continue
-                powers[side].append(powers[side][-1] @ steps[side])
-                term = coeff(j) * np.linalg.norm(powers[side][j])
-                term = term * j if weighted else term
-                small = term < plan.tail_tol * (1.0 + acc)
-                acc += term
-                runs[side] = runs[side] + 1 if small else 0
-                if runs[side] >= 3:
-                    stops[side] = j
-            j += 1
-        n_pos, n_neg = stops
-    else:
-        n_pos = n_neg = plan.n_max
-    for side, count in ((0, n_pos), (1, n_neg)):
-        while len(powers[side]) <= count:
+    acc = 0.0 if weighted else np.sqrt(n)
+    runs, stops = [0, 0], [None, None]
+    j = 1
+    while None in stops:
+        if j > plan.n_max:
+            raise TruncationError("reference did not decay")
+        for side in (0, 1):
+            if stops[side] is not None:
+                continue
             powers[side].append(powers[side][-1] @ steps[side])
+            term = coeff(j) * np.linalg.norm(powers[side][j])
+            term = term * j if weighted else term
+            small = term < plan.tail_tol * (1.0 + acc)
+            acc += term
+            runs[side] = runs[side] + 1 if small else 0
+            if runs[side] >= 3:
+                stops[side] = j
+        j += 1
+    n_pos, n_neg = stops
     values = []
     for alpha in alphas:
         total = np.zeros((n, n), dtype=complex)
@@ -278,10 +266,6 @@ class TestAlphaFold:
 
     def test_nonnormal_chain(self):
         assert_fold_matches(shift_chain(6, 0.2), 0.05, 64)
-
-    def test_fixed_depth_plan(self):
-        plan = TruncationPlan(adaptive=False, n_max=64)
-        assert assert_fold_matches(random_normal_annulus(3, AP5, seed=4), 0.25, 32, plan) == (64, 64)
 
     @pytest.mark.parametrize("m", [9, 13])
     def test_grid_size_not_a_power_of_two(self, m):
