@@ -31,7 +31,6 @@ from .pencil import (
     gamma_coeff,
     gamma_derivative_matrix,
     gamma_matrix,
-    gamma_scalar,
     gamma_scalar_batch,
     re_part,
 )

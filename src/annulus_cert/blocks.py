@@ -61,21 +61,6 @@ class BlockSpec:
         if self.x.shape[0] != n or self.t2.shape[0] != n:
             raise ContractViolationError("all blocks must share one dimension")
 
-    def to_dict(self) -> dict:
-        from .io import matrix_to_dict
-
-        d = {"kind": self.kind, "t1": matrix_to_dict(self.t1), "x": matrix_to_dict(self.x)}
-        if self.t2 is not self.t1:
-            d["t2"] = matrix_to_dict(self.t2)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BlockSpec":
-        from .io import matrix_from_dict
-
-        t2 = matrix_from_dict(d["t2"]) if "t2" in d and d["t2"] is not None else None
-        return BlockSpec(d["kind"], matrix_from_dict(d["t1"]), matrix_from_dict(d["x"]), t2)
-
 
 def assemble(spec: BlockSpec) -> np.ndarray:
     """Build the 2n x 2n operator, enforcing the commutation contract of the kind."""

@@ -135,7 +135,7 @@ def spectrum_in_annulus(t, ap: AnnulusParams) -> bool:
 def _eps_records(t, eps, alphas, ap, plan):
     """Margins of Re Gamma(alpha T) for all alphas at one eps."""
     mp = MatrixPencil(t, eps, ap, plan)
-    gam = mp.gamma_for_alphas(alphas)
+    gam = mp.gamma_for_alphas(alphas.size)
     n_pos, n_neg = mp.gamma_indices()
     herm = 0.5 * (gam + np.conj(np.swapaxes(gam, 1, 2)))
     lam_min = np.linalg.eigvalsh(herm)[:, 0]
@@ -156,7 +156,10 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     smallest eigenvalue of Re Gamma(alpha T) at every grid point.  Any point
     below -PSD_TOL * (1 + ||Gamma||) refutes.  Truncation failures downgrade
     the verdict to inconclusive unless a refutation was found anyway.
+    ``threads`` (at least 1) caps how many eps rungs run at once.
     """
+    if threads is not None and threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     tm = as_matrix(t)
     if not spectrum_in_annulus(tm, ap):
         return Certificate(VERDICT_REFUTED, False, None, None, (), grid,
@@ -173,7 +176,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
             failures[idx] = f"eps={eps}: {exc}"
 
     jobs = list(enumerate(grid.eps_values))
-    nthreads = 1 if threads is None else max(1, min(int(threads), len(jobs)))
+    nthreads = 1 if threads is None else min(int(threads), len(jobs))
     if nthreads <= 1:
         for job in jobs:
             run(job)
@@ -387,56 +390,56 @@ class ThmReport:
         }
 
 
-def _factor_points(pq_r_iter):
-    """Douglas extraction plus Halmos reconstruction at each grid point."""
+def _check_thm(spec: BlockSpec, point_terms, ap: AnnulusParams, grid: PencilGrid,
+               plan: TruncationPlan) -> ThmReport:
+    """Douglas extraction plus Halmos reconstruction at each grid point.
+
+    ``point_terms(eps, m)`` yields (P, Q, R) at the m-th roots of unity in
+    order; the all-points verdict is compared with the direct certificate of
+    the assembled block.
+    """
+    cert = certify_ar(assemble(spec), ap, grid, plan)
+    alphas = grid.alphas()
     points = []
     max_k = 0.0
     max_recon = None
     all_pass = True
-    for eps, alpha, p, q, r in pq_r_iter:
-        sp = sqrt_psd(p)
-        sq = sqrt_psd(q)
-        fr = factor_through(sp, sq, r)
-        recon = None
-        if fr.passes():
-            u = halmos_unitary(fr.k)
-            recon = float(
-                operator_norm(compress_through(u, sp, sq) - r) / (1.0 + operator_norm(r))
-            )
-            max_recon = recon if max_recon is None else max(max_recon, recon)
-        else:
-            all_pass = False
-        max_k = max(max_k, fr.k_norm)
-        points.append(ThmPointRecord(eps, complex(alpha), fr, recon))
-    return points, all_pass, max_k, max_recon
+    for eps in grid.eps_values:
+        for alpha, (p, q, r) in zip(alphas, point_terms(eps, grid.alpha_count)):
+            sp = sqrt_psd(p)
+            sq = sqrt_psd(q)
+            fr = factor_through(sp, sq, r)
+            recon = None
+            if fr.passes():
+                u = halmos_unitary(fr.k)
+                recon = float(
+                    operator_norm(compress_through(u, sp, sq) - r) / (1.0 + operator_norm(r))
+                )
+                max_recon = recon if max_recon is None else max(max_recon, recon)
+            else:
+                all_pass = False
+            max_k = max(max_k, fr.k_norm)
+            points.append(ThmPointRecord(eps, complex(alpha), fr, recon))
+    agree = all_pass == cert.certified
+    return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)
 
 
 def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
                      plan: TruncationPlan = DEFAULT_PLAN) -> ThmReport:
     """Equivalence data for the same-diagonal block [[T, X], [0, T]].
 
-    At each grid point the factorization P^{1/2} K P^{1/2} = X Gamma'(alpha T)/2
-    with P = Re Gamma(alpha T) is attempted; the all-points verdict is compared
-    with the direct certificate of the assembled block.
+    Point factorization: P^{1/2} K P^{1/2} = X Gamma'(alpha T)/2 with
+    P = Re Gamma(alpha T).
     """
-    tm = as_matrix(t)
-    xm = as_matrix(x)
-    block = assemble(BlockSpec("tx", tm, xm))
-    cert = certify_ar(block, ap, grid, plan)
-    alphas = grid.alphas()
+    spec = BlockSpec("tx", t, x)
 
-    def iter_points():
-        for eps in grid.eps_values:
-            mp = MatrixPencil(tm, eps, ap, plan)
-            gam = mp.gamma_for_alphas(alphas)
-            der = mp.derivative_for_alphas(alphas)
-            for i, alpha in enumerate(alphas):
-                p = re_part(gam[i])
-                yield eps, alpha, p, p, xm @ der[i] / 2.0
+    def point_terms(eps, m):
+        mp = MatrixPencil(spec.t1, eps, ap, plan)
+        for g, d in zip(mp.gamma_for_alphas(m), mp.derivative_for_alphas(m)):
+            p = re_part(g)
+            yield p, p, spec.x @ d / 2.0
 
-    points, all_pass, max_k, max_recon = _factor_points(iter_points())
-    agree = all_pass == cert.certified
-    return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)
+    return _check_thm(spec, point_terms, ap, grid, plan)
 
 
 def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
@@ -446,23 +449,12 @@ def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GR
     Point factorization: Re Gamma(alpha T1)^{1/2} K Re Gamma(alpha T2)^{1/2}
     equals X (Gamma(alpha T1) - Gamma(alpha T2)) / 2.
     """
-    t1m = as_matrix(t1)
-    t2m = as_matrix(t2)
-    xm = as_matrix(x)
-    block = assemble(BlockSpec("hat", t1m, xm, t2m))
-    cert = certify_ar(block, ap, grid, plan)
-    alphas = grid.alphas()
+    spec = BlockSpec("hat", t1, x, t2)
 
-    def iter_points():
-        for eps in grid.eps_values:
-            mp1 = MatrixPencil(t1m, eps, ap, plan)
-            mp2 = MatrixPencil(t2m, eps, ap, plan)
-            g1 = mp1.gamma_for_alphas(alphas)
-            g2 = mp2.gamma_for_alphas(alphas)
-            for i, alpha in enumerate(alphas):
-                yield (eps, alpha, re_part(g1[i]), re_part(g2[i]),
-                       xm @ (g1[i] - g2[i]) / 2.0)
+    def point_terms(eps, m):
+        g1 = MatrixPencil(spec.t1, eps, ap, plan).gamma_for_alphas(m)
+        g2 = MatrixPencil(spec.t2, eps, ap, plan).gamma_for_alphas(m)
+        for a, b in zip(g1, g2):
+            yield re_part(a), re_part(b), spec.x @ (a - b) / 2.0
 
-    points, all_pass, max_k, max_recon = _factor_points(iter_points())
-    agree = all_pass == cert.certified
-    return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)
+    return _check_thm(spec, point_terms, ap, grid, plan)

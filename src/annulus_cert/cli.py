@@ -217,7 +217,7 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--r", type=float, required=True)
     add_grid_flags(p)
-    p.add_argument("--threads", type=int, help="eps-level parallelism (default: cores, capped at the eps count)")
+    p.add_argument("--threads", type=int, help="eps-level parallelism, at least 1 (default: cores, capped at the eps count)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BlockSpec, assemble
 from .errors import ContractViolationError, DomainError
 from .numerics import (
     EQ_TOL,
@@ -176,15 +177,9 @@ def disk_block_check(t1, t2, x) -> DiskBlockResult:
     Also reports the directly computed norm of [[T1, X], [0, T2]] so callers can
     confirm the equivalence between the factorization verdict and the norm test.
     """
-    t1m = as_matrix(t1)
-    t2m = as_matrix(t2)
-    xm = as_matrix(x)
-    n = t1m.shape[0]
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = t1m
-    block[:n, n:] = xm
-    block[n:, n:] = t2m
-    direct = operator_norm(block)
+    spec = BlockSpec("general", t1, x, t2)
+    t1m, t2m, xm = spec.t1, spec.t2, spec.x
+    direct = operator_norm(assemble(spec))
     direct_verdict = direct <= 1.0 + PSD_TOL
     n1 = operator_norm(t1m)
     n2 = operator_norm(t2m)

@@ -1,4 +1,4 @@
-"""Matrix file format shared by the CLI and the block-spec serializers.
+"""Matrix file format of the CLI.
 
 A matrix document is ``{"n": int, "data": [[re, im], ...]}`` with the n*n
 entries row-major.  Complex numbers are [re, im] pairs everywhere; no string

@@ -42,7 +42,7 @@ MISRA_GRID = PencilGrid(
 
 _KERNEL_CAP = 200_000
 
-# Relative truncation tail of the kernel diagonal in ``misra_threshold``.
+# Relative truncation tail of the kernel diagonal.
 _KERNEL_TAIL_TOL = 1e-12
 
 # Width of the h bracket that ``threshold_via_pencil`` returns the midpoint of.
@@ -65,16 +65,6 @@ def _kernel_terms(aw: float, r: float, n: int) -> tuple[float, float]:
     return tp, tm
 
 
-def kernel_diag(w: complex, r: float, n_trunc: int = 64) -> float:
-    """Bilateral kernel diagonal truncated at |n| <= n_trunc."""
-    aw = _check_point(w, r)
-    s = 1.0 / (1.0 + r)
-    for n in range(1, n_trunc + 1):
-        tp, tm = _kernel_terms(aw, r, n)
-        s += tp + tm
-    return s
-
-
 def _tail_bound(aw: float, r: float, n: int) -> float:
     """Upper bound on the remainder beyond |index| = n.
 
@@ -86,9 +76,9 @@ def _tail_bound(aw: float, r: float, n: int) -> float:
     return rho_p ** (n + 1) / (1.0 - rho_p) + rho_m ** (n + 1) / (r * (1.0 - rho_m))
 
 
-def misra_threshold(w: complex, r: float) -> float:
-    """Reciprocal kernel diagonal with the truncation grown until the relative
-    tail estimate is below _KERNEL_TAIL_TOL."""
+def kernel_diag(w: complex, r: float) -> float:
+    """Bilateral kernel diagonal, the truncation grown until the relative
+    tail bound is below _KERNEL_TAIL_TOL."""
     aw = _check_point(w, r)
     s = 1.0 / (1.0 + r)
     n = 1
@@ -100,7 +90,12 @@ def misra_threshold(w: complex, r: float) -> float:
         if n >= _KERNEL_CAP:
             raise TruncationError(f"kernel tail not below {_KERNEL_TAIL_TOL:g} after {n} terms")
         n += 1
-    return 1.0 / s
+    return s
+
+
+def misra_threshold(w: complex, r: float) -> float:
+    """Largest |h| keeping [[w, h], [0, w]] an annulus contraction: 1 / K(w)."""
+    return 1.0 / kernel_diag(w, r)
 
 
 def jordan_block(w: complex, h: complex) -> np.ndarray:
@@ -115,9 +110,9 @@ def _pencil_bracket(w: complex, ap: AnnulusParams, plan: TruncationPlan) -> tupl
     fails, a Re Gamma is negative, or the minimum leaves (0, 2).
     """
     j1 = jordan_block(w, 1.0)
-    alphas = MISRA_GRID.alphas()
+    m = MISRA_GRID.alpha_count
     try:
-        gam = np.concatenate([MatrixPencil(j1, eps, ap, plan).gamma_for_alphas(alphas)
+        gam = np.concatenate([MatrixPencil(j1, eps, ap, plan).gamma_for_alphas(m)
                               for eps in MISRA_GRID.eps_values])
     except (TruncationError, DomainError):
         return 0.0, 2.0

@@ -22,8 +22,8 @@ power ladders of X = (1-eps) T and Y = (1-eps) r T^{-1}: since alpha_k^j
 depends only on j mod M, the pass adds a_j X^j into bucket j mod M and
 a_j Y^j into bucket (-j) mod M, and one inverse FFT over the M buckets gives
 Gamma(alpha_k T) for every k.  Memory is O(M n^2), independent of the number
-of terms.  A single arbitrary alpha is the same pass with M = 1, alpha folded
-into X and conj(alpha) into Y.
+of terms.  A single arbitrary alpha is the M = 1 sweep of the rotated
+matrix alpha T.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ BAND_SLACK = 1e-9
 # Consecutive sub-threshold terms required before a side of the bilateral
 # sum is allowed to stop; guards against transient growth of non-normal powers.
 _DECAY_RUN = 3
-
-# Alphas within this distance of the M-th roots of unity are evaluated at the
-# roots themselves; that moves term j by at most j times this, relatively.
-_ROOT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -169,12 +165,6 @@ def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams,
     return acc + acc_n
 
 
-def gamma_scalar(z: complex, pt: PencilPoint, ap: AnnulusParams,
-                 plan: TruncationPlan = DEFAULT_PLAN) -> complex:
-    """Gamma at a single scalar z."""
-    return complex(gamma_scalar_batch(z, pt, ap, plan)[0])
-
-
 class _Ladder:
     """Powers of one step matrix, kept two deep, with their Frobenius norms."""
 
@@ -202,10 +192,6 @@ class _Ladder:
         return cur[0], math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _roots_of_unity(m: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(m) / m)
-
-
 class MatrixPencil:
     """Pencil evaluation for one matrix T at one eps.
 
@@ -213,9 +199,8 @@ class MatrixPencil:
     Y^j = ((1-eps) r T^-1)^j that applies the stop rule to their Frobenius
     norms and folds every term into M buckets (j mod M, see the module
     docstring).  Only the current powers and the buckets are kept, so memory
-    is O(M n^2) however deep the ladder runs.  Alphas that are not the M-th
-    roots of unity get one M = 1 pass each, with alpha folded into X and
-    conj(alpha) into Y.  The first pass fixes the truncation indices.
+    is O(M n^2) however deep the ladder runs.  The first pass fixes the
+    truncation indices.
     """
 
     def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams,
@@ -241,13 +226,12 @@ class MatrixPencil:
         # stop indices of Gamma and of the derivative pencil, set by the first pass
         self._stops: list[tuple[int, int] | None] = [None, None]
 
-    def _fold(self, m: int, weighted: bool,
-              alpha: complex = 1.0) -> tuple[np.ndarray, tuple[int, int]]:
+    def _fold(self, m: int, weighted: bool) -> tuple[np.ndarray, tuple[int, int]]:
         """One pass over both ladders into m buckets; returns (buckets, stop indices).
 
-        Bucket b holds the terms w_j (alpha X)^j with j = b mod m and
-        w_j (conj(alpha) Y)^j with -j = b mod m, where w_j = a_j, or with
-        ``weighted`` +j a_j on the positive and -j a_j on the negative side.
+        Bucket b holds the terms w_j X^j with j = b mod m and w_j Y^j with
+        -j = b mod m, where w_j = a_j, or with ``weighted`` +j a_j on the
+        positive and -j a_j on the negative side.
         The sides are scanned interleaved, positive first; each stops after
         _DECAY_RUN consecutive term norms below tail_tol * (1 + acc), acc
         being the running sum of the term norms of both sides.
@@ -260,8 +244,8 @@ class MatrixPencil:
             buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
         bins = list(buckets)
         scratch = np.empty((n, n), dtype=complex)
-        pos = _Ladder(alpha * self._x)
-        neg = _Ladder(np.conj(alpha) * self._y)
+        pos = _Ladder(self._x)
+        neg = _Ladder(self._y)
         sides = ((pos, 1), (neg, -1))
         acc = 0.0 if weighted else math.sqrt(n)
         j = 1
@@ -288,21 +272,12 @@ class MatrixPencil:
             j += 1
         return buckets, (pos.stop, neg.stop)
 
-    def _sweep(self, alphas, weighted: bool) -> np.ndarray:
-        """Values at every alpha; the first pass fixes the stop indices."""
-        alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-        m = alphas.size
-        if m and np.allclose(alphas, _roots_of_unity(m), rtol=0.0, atol=_ROOT_TOL):
-            buckets, stop = self._fold(m, weighted)
-            values = m * np.fft.ifft(buckets, axis=0)
-        else:
-            n = self.t.shape[0]
-            folds = [self._fold(1, weighted, alpha) for alpha in alphas]
-            values = np.array([buckets[0] for buckets, _ in folds]).reshape(m, n, n)
-            stop = folds[0][1] if folds else None
+    def _sweep(self, m: int, weighted: bool) -> np.ndarray:
+        """Values at the m-th roots of unity; the first pass fixes the stop indices."""
+        buckets, stop = self._fold(m, weighted)
         if self._stops[weighted] is None:
             self._stops[weighted] = stop
-        return values
+        return m * np.fft.ifft(buckets, axis=0)
 
     def _indices(self, weighted: bool) -> tuple[int, int]:
         if self._stops[weighted] is None:
@@ -317,15 +292,15 @@ class MatrixPencil:
         """Per-side truncation of the derivative pencil (weighted stop rule)."""
         return self._indices(True)
 
-    def gamma_for_alphas(self, alphas: np.ndarray) -> np.ndarray:
-        """Gamma(alpha T) for every alpha; one pass when they are the M-th roots of unity."""
-        values = self._sweep(alphas, weighted=False)
+    def gamma_for_alphas(self, m: int) -> np.ndarray:
+        """Gamma(alpha_k T) at alpha_k = exp(2 pi i k / m), k = 0..m-1, in one pass."""
+        values = self._sweep(m, weighted=False)
         self.gamma_indices()  # a lookup now; the index methods report the truncation
         return values
 
-    def derivative_for_alphas(self, alphas: np.ndarray) -> np.ndarray:
-        """z-derivative of z -> Gamma(alpha z) at T, batched over alpha."""
-        core = self._sweep(alphas, weighted=True)
+    def derivative_for_alphas(self, m: int) -> np.ndarray:
+        """z-derivative of z -> Gamma(alpha_k z) at T, at the same alphas."""
+        core = self._sweep(m, weighted=True)
         self.deriv_indices()
         tinv = self._y / ((1.0 - self.eps) * self.ap.r)
         return tinv @ core
@@ -334,8 +309,8 @@ class MatrixPencil:
 def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams,
                  plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
     """Gamma(alpha T) for a square matrix T with spectrum in the band."""
-    mp = MatrixPencil(t, pt.eps, ap, plan)
-    return mp.gamma_for_alphas(np.array([pt.alpha]))[0]
+    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap, plan)
+    return mp.gamma_for_alphas(1)[0]
 
 
 def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams,
@@ -344,7 +319,7 @@ def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams,
 
     This is the z-derivative of z -> Gamma(alpha z) evaluated at T, the unique
     convention under which Gamma(alpha T_X) has top-right block X times this
-    matrix when X commutes with T.
+    matrix when X commutes with T.  By the chain rule it is alpha Gamma'(alpha T).
     """
-    mp = MatrixPencil(t, pt.eps, ap, plan)
-    return mp.derivative_for_alphas(np.array([pt.alpha]))[0]
+    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap, plan)
+    return pt.alpha * mp.derivative_for_alphas(1)[0]

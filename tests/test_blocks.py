@@ -63,12 +63,6 @@ class TestAssemble:
             union = np.concatenate([eigenvalues(t1), eigenvalues(t2)])
             assert eig_match_max(eigenvalues(block), union) < 1e-8
 
-    def test_json_round_trip(self):
-        t1, t2, x = interior_commuting_triple(2, AP5, seed=7)
-        spec = BlockSpec("hat", t1, x, t2)
-        again = BlockSpec.from_dict(spec.to_dict())
-        assert operator_norm(assemble(spec) - assemble(again)) == 0.0
-
 
 class TestFcalcTx:
     def test_identity_function_reproduces_block(self):

@@ -77,6 +77,11 @@ class TestCertifyAr:
         assert seq.min_margin == par.min_margin
         assert [r.lambda_min for r in seq.records] == [r.lambda_min for r in par.records]
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            certify_ar(np.eye(2) * 0.7, AP5, threads=threads)
+
     def test_monotone_flip_in_h(self):
         # margins decrease with |h|; the verdict flips exactly once
         w, r = 0.65, 0.5

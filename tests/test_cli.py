@@ -303,6 +303,8 @@ class TestHostileInputs:
         ["certify", "--alphas", "0"],
         ["certify", "--n-max", "0"],
         ["certify", "--tail-tol", "0"],
+        ["certify", "--threads", "0"],
+        ["certify", "--threads", "-5"],
         ["thm", "--which", "block1", "--alphas", "0"],
         ["vn", "--count", "-3"],
         ["vn", "--count", "0"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from annulus_cert.errors import DomainError
+from annulus_cert.errors import ContractViolationError, DomainError
 from annulus_cert.factorization import (
     block_psd_check,
     compress_through,
@@ -156,6 +156,10 @@ class TestDiskBlockCheck:
         res = disk_block_check(zero, zero, x)
         assert 1.0 + 1e-8 < res.direct_norm
         assert not res.verdict and not res.direct_verdict
+
+    def test_mismatched_sizes_contract_violation(self):
+        with pytest.raises(ContractViolationError, match="share one dimension"):
+            disk_block_check(0.5 * np.eye(3), 0.5 * np.eye(2), 0.1 * np.eye(3))
 
     def test_equivalence_with_direct_norm(self):
         rng = np.random.default_rng(99)

@@ -1,8 +1,8 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no private name goes unused.
 
-Deleting a feature tends to leave its imports behind; this keeps the
-library modules (the package ``__init__`` re-exports by design) and the
-test modules free of them.
+Deleting a feature tends to leave its imports and its private helpers and
+constants behind; this keeps the library modules (the package ``__init__``
+re-exports by design) and the test modules free of them.
 """
 
 import ast
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "annulus_cert").glob("*.py"))
 MODULES = sorted(
     p for p in [*(ROOT / "src" / "annulus_cert").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
@@ -44,3 +45,39 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     src = "from dataclasses import dataclass\nimport numpy as np\nx = np.zeros(1)\n"
     assert unused_imports(src) == ["line 1: dataclass"]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` names that nothing in ``sources`` reads."""
+    defined = []
+    referenced = set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [f"{name}: {t}" for name, t in defined if t not in referenced]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unreferenced_privates(sources) == []
+
+
+def test_detects_unreferenced_private_name():
+    sources = {
+        "a.py": "_TOL = 1e-15\n_USED = 2\ndef _helper():\n    return _USED\n",
+        "b.py": "from a import _helper\nx = _helper()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py: _TOL"]

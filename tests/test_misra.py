@@ -67,28 +67,35 @@ class TestKernelDiag:
     def test_center_term(self):
         # n = 0 contributes 1/(1+r); the rest is strictly positive
         for r in (0.25, 0.5, 0.8):
-            assert kernel_diag(np.sqrt(r), r, n_trunc=8) > 1.0 / (1.0 + r)
+            assert kernel_diag(np.sqrt(r), r) > 1.0 / (1.0 + r)
 
     def test_frozen_oracle_value(self):
-        assert kernel_diag(0.5, 0.25, n_trunc=200) == pytest.approx(KERNEL_HALF_QUARTER, rel=1e-12)
+        assert kernel_diag(0.5, 0.25) == pytest.approx(KERNEL_HALF_QUARTER, rel=1e-12)
         assert kernel_mp(0.5, 0.25) == pytest.approx(KERNEL_HALF_QUARTER, rel=1e-12)
 
     def test_depends_only_on_modulus(self):
         w = 0.5 * np.exp(1.234j)
-        assert kernel_diag(w, 0.25, 64) == pytest.approx(kernel_diag(0.5, 0.25, 64), rel=1e-14)
+        assert kernel_diag(w, 0.25) == pytest.approx(kernel_diag(0.5, 0.25), rel=1e-14)
 
     def test_tail_estimate_bounds_truth(self):
-        # the bound misra_threshold stops on
-        coarse, tail = kernel_diag(0.6, 0.3, n_trunc=12), misra._tail_bound(0.6, 0.3, 12)
-        fine = kernel_diag(0.6, 0.3, n_trunc=400)
+        # the bound kernel_diag stops on
+        def partial(n):
+            s = 1.0 / 1.3
+            for k in range(1, n + 1):
+                tp, tm = misra._kernel_terms(0.6, 0.3, k)
+                s += tp + tm
+            return s
+
+        coarse, tail = partial(12), misra._tail_bound(0.6, 0.3, 12)
+        fine = partial(400)
         assert 0.0 < fine - coarse <= tail + 1e-14
 
     def test_lower_bound_half(self):
         for r, aw in [(0.3, 0.4), (0.5, 0.7), (0.8, 0.9)]:
-            assert kernel_diag(aw, r, 64) >= 0.5
+            assert kernel_diag(aw, r) >= 0.5
 
     def test_divergence_towards_outer_boundary(self):
-        assert kernel_diag(0.99, 0.5, 4000) > kernel_diag(0.9, 0.5, 4000)
+        assert kernel_diag(0.99, 0.5) > kernel_diag(0.9, 0.5)
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):

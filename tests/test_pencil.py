@@ -15,7 +15,6 @@ from annulus_cert.pencil import (
     gamma_coeff,
     gamma_derivative_matrix,
     gamma_matrix,
-    gamma_scalar,
     gamma_scalar_batch,
     re_part,
 )
@@ -67,12 +66,12 @@ class TestCoefficients:
 
 class TestGammaScalar:
     def test_wide_truncation_oracle_at_one(self):
-        mine = gamma_scalar(1.0, PencilPoint(0.5), AP5)
+        mine = gamma_scalar_batch(1.0, PencilPoint(0.5), AP5)[0]
         assert abs(mine - gamma_mp(1.0, 0.5, 0.5, 500)) < 1e-10
 
     def test_extended_precision_interior_point(self):
         z = -0.3
-        mine = gamma_scalar(z, PencilPoint(0.01), AnnulusParams(0.3))
+        mine = gamma_scalar_batch(z, PencilPoint(0.01), AnnulusParams(0.3))[0]
         assert abs(mine - gamma_mp(z, 0.01, 0.3, 6000)) < 2e-10
 
     def test_scalar_positivity_small_grid(self):
@@ -92,7 +91,7 @@ class TestGammaScalar:
         pt = PencilPoint(0.1, np.exp(0.3j))
         batch = gamma_scalar_batch(z, pt, AP5)
         for zi, vi in zip(z, batch):
-            assert abs(gamma_scalar(zi, pt, AP5) - vi) < 1e-10
+            assert abs(gamma_scalar_batch(zi, pt, AP5)[0] - vi) < 1e-10
 
     def test_reports_truncation_indices(self):
         n_pos, n_neg = MatrixPencil(np.array([[0.7]]), 0.25, AP5).gamma_indices()
@@ -100,12 +99,12 @@ class TestGammaScalar:
 
     def test_outside_band_rejected(self):
         with pytest.raises(DomainError):
-            gamma_scalar(0.2, PencilPoint(0.5), AP5)
+            gamma_scalar_batch(0.2, PencilPoint(0.5), AP5)
 
     def test_band_edge_needs_more_terms(self):
         # just inside the outer band edge the envelope exceeds a tiny cap
         with pytest.raises(TruncationError):
-            gamma_scalar(1.0, PencilPoint(0.01), AP5, TruncationPlan(n_max=64))
+            gamma_scalar_batch(1.0, PencilPoint(0.01), AP5, TruncationPlan(n_max=64))
 
 
 class TestGammaMatrix:
@@ -114,20 +113,20 @@ class TestGammaMatrix:
         zs = np.array([0.6, 0.9 * np.exp(2j)])
         g = gamma_matrix(np.diag(zs), pt, AP5)
         for i, z in enumerate(zs):
-            assert abs(g[i, i] - gamma_scalar(z, pt, AP5)) < 5e-9
+            assert abs(g[i, i] - gamma_scalar_batch(z, pt, AP5)[0]) < 5e-9
         assert abs(g[0, 1]) == 0.0
 
     def test_scalar_multiple_of_identity(self):
         pt = PencilPoint(0.3)
         g = gamma_matrix(0.5 * np.eye(3), pt, AP5)
-        assert operator_norm(g - gamma_scalar(0.5, pt, AP5) * np.eye(3)) < 1e-9
+        assert operator_norm(g - gamma_scalar_batch(0.5, pt, AP5)[0] * np.eye(3)) < 1e-9
 
     def test_normal_spectral_mapping(self):
         t = random_normal_annulus(4, AP5, seed=5)
         pt = PencilPoint(0.1, np.exp(1.1j))
         g = gamma_matrix(t, pt, AP5)
         lam_t = np.linalg.eigvals(t)
-        mapped = np.array([gamma_scalar(z, pt, AP5) for z in lam_t])
+        mapped = np.array([gamma_scalar_batch(z, pt, AP5)[0] for z in lam_t])
         assert eig_match_max(np.linalg.eigvals(g), mapped) < 1e-8
 
     def test_reports_indices(self):
@@ -166,7 +165,8 @@ class TestGammaDerivative:
         z0 = 0.75 + 0.05j
         d = gamma_derivative_matrix(np.array([[z0]]), pt, AP5)[0, 0]
         h = 1e-6
-        fd = (gamma_scalar(z0 + h, pt, AP5) - gamma_scalar(z0 - h, pt, AP5)) / (2 * h)
+        fd = (gamma_scalar_batch(z0 + h, pt, AP5)[0]
+              - gamma_scalar_batch(z0 - h, pt, AP5)[0]) / (2 * h)
         assert abs(d - fd) < 1e-7
 
 
@@ -249,11 +249,11 @@ def assert_fold_matches(t, eps, m, plan=TruncationPlan(), r=0.5):
     ap = AnnulusParams(r)
     alphas = roots_of_unity(m)
     mp_ = MatrixPencil(t, eps, ap, plan)
-    gam = mp_.gamma_for_alphas(alphas)
+    gam = mp_.gamma_for_alphas(m)
     ref, idx = reference_pencil(t, eps, r, alphas, plan)
     assert mp_.gamma_indices() == idx
     assert rel_diff(gam, ref) <= 1e-12
-    der = mp_.derivative_for_alphas(alphas)
+    der = mp_.derivative_for_alphas(m)
     ref_core, idx_d = reference_pencil(t, eps, r, alphas, plan, weighted=True)
     assert mp_.deriv_indices() == idx_d
     assert rel_diff(der, np.linalg.inv(t) @ ref_core) <= 1e-12
@@ -285,10 +285,26 @@ class TestAlphaFold:
         ref_core, _ = reference_pencil(t, 0.1, 0.5, [alpha], weighted=True)
         assert rel_diff(d, np.linalg.inv(t) @ ref_core[0]) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    def test_sweep_matches_single_alpha(self, eps):
+        # a single alpha is the M = 1 sweep of alpha T; the grid sweep must agree
+        t = random_normal_annulus(4, AP5, seed=3)
+        m = 16
+        mp_ = MatrixPencil(t, eps, AP5)
+        gam = mp_.gamma_for_alphas(m)
+        der = mp_.derivative_for_alphas(m)
+        for k, alpha in enumerate(roots_of_unity(m)):
+            pt = PencilPoint(eps, alpha)
+            assert rel_diff(gamma_matrix(t, pt, AP5), gam[k]) <= 1e-12
+            assert rel_diff(gamma_derivative_matrix(t, pt, AP5), der[k]) <= 1e-12
+            rotated = MatrixPencil(alpha * t, eps, AP5)
+            assert rotated.gamma_indices() == mp_.gamma_indices()
+            assert rotated.deriv_indices() == mp_.deriv_indices()
+
     def test_band_edge_sweep_needs_more_terms(self):
         mp_ = MatrixPencil(np.diag([1.0, 0.7]), 0.01, AP5, TruncationPlan(n_max=64))
         with pytest.raises(TruncationError):
-            mp_.gamma_for_alphas(roots_of_unity(64))
+            mp_.gamma_for_alphas(64)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
