@@ -33,6 +33,7 @@ from .pencil import (
     gamma_matrix,
     gamma_scalar_batch,
     re_part,
+    spectrum_in_annulus,
 )
 from .rational import (
     RationalFunction,
@@ -41,7 +42,7 @@ from .rational import (
     poles_off_annulus,
     sup_on_annulus,
 )
-from .blocks import BlockSpec, assemble, fcalc_hat, fcalc_tx
+from .blocks import BlockSpec, assemble, fcalc
 from .factorization import (
     DefectPair,
     DiskBlockResult,
@@ -60,7 +61,6 @@ from .certifier import (
     certify_ar,
     check_thm_block1,
     check_thm_block2,
-    spectrum_in_annulus,
     vn_sample,
 )
 from .misra import (

@@ -6,9 +6,11 @@ Three block kinds are supported:
     hat     [[T1, X(T1-T2)], [0, T2]]   with X commuting with T1 and T2
     general [[T1, Y], [0, T2]]          no commutation assumed
 
-For the commuting kinds, f(block) reduces to n x n arithmetic in f(T), f'(T)
-or f(T1) - f(T2); those reductions are exact identities and the heart of the
-block certification pipeline.
+The contract of a kind (one shared dimension, and the commutation it needs)
+is enforced when its ``BlockSpec`` is built, so every spec in hand is valid.
+For the commuting kinds, ``fcalc(spec, f, ap)`` reduces f(block) to n x n
+arithmetic in f(T), f'(T) or f(T1) - f(T2); those reductions are exact
+identities and the heart of the block certification pipeline.
 """
 
 from __future__ import annotations
@@ -18,22 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .numerics import EQ_TOL, MAX_DIM, PSD_TOL, as_matrix, eigenvalues, operator_norm
-from .pencil import AnnulusParams
+from .numerics import EQ_TOL, MAX_DIM, as_matrix, operator_norm
+from .pencil import AnnulusParams, spectrum_in_annulus
 from .rational import RationalFunction, derivative, eval_matrix, poles_off_annulus
 
 KINDS = ("tx", "hat", "general")
 
 
-def commutation_defect(a: np.ndarray, b: np.ndarray) -> float:
-    return operator_norm(a @ b - b @ a)
-
-
-def check_commutes(a, b, what: str = "X") -> None:
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    bound = EQ_TOL * (1.0 + operator_norm(am) * operator_norm(bm))
-    defect = commutation_defect(am, bm)
+def check_commutes(a: np.ndarray, b: np.ndarray, what: str = "X") -> None:
+    bound = EQ_TOL * (1.0 + operator_norm(a) * operator_norm(b))
+    defect = operator_norm(a @ b - b @ a)
     if defect > bound:
         raise ContractViolationError(
             f"{what} does not commute within tolerance (defect {defect:.3e} > {bound:.3e})"
@@ -42,12 +38,15 @@ def check_commutes(a, b, what: str = "X") -> None:
 
 @dataclass(frozen=True, eq=False)
 class BlockSpec:
-    """Ingredients of one block operator; ``x`` is Y itself for kind 'general'."""
+    """Ingredients of one block operator; ``x`` is Y itself for kind 'general'.
+
+    ``t2`` defaults to ``t1``.  Building a spec enforces the contract of its kind.
+    """
 
     kind: str
     t1: np.ndarray
     x: np.ndarray
-    t2: np.ndarray | None = None
+    t2: np.ndarray
 
     def __init__(self, kind: str, t1, x, t2=None):
         if kind not in KINDS:
@@ -60,71 +59,40 @@ class BlockSpec:
         n = self.t1.shape[0]
         if self.x.shape[0] != n or self.t2.shape[0] != n:
             raise ContractViolationError("all blocks must share one dimension")
+        if kind == "tx":
+            if not np.array_equal(self.t2, self.t1):
+                raise ContractViolationError("kind 'tx' has one diagonal block: T2 must equal T1")
+            check_commutes(self.t1, self.x)
+        elif kind == "hat":
+            check_commutes(self.t1, self.x, what="X (against T1)")
+            check_commutes(self.t2, self.x, what="X (against T2)")
+
+
+def _upper(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """[[a, b], [0, c]] on the doubled space."""
+    return np.block([[a, b], [np.zeros_like(a), c]])
 
 
 def assemble(spec: BlockSpec) -> np.ndarray:
-    """Build the 2n x 2n operator, enforcing the commutation contract of the kind."""
-    n = spec.t1.shape[0]
+    """The 2n x 2n operator of the spec."""
+    top_right = spec.x @ (spec.t1 - spec.t2) if spec.kind == "hat" else spec.x
+    return _upper(spec.t1, top_right, spec.t2)
+
+
+def fcalc(spec: BlockSpec, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
+    """f of the block through its commutant reduction.
+
+    tx gives [[f(T), X f'(T)], [0, f(T)]] and hat gives
+    [[f(T1), X (f(T1) - f(T2))], [0, f(T2)]]; kind 'general' has no reduction.
+    """
+    if spec.kind == "general":
+        raise DomainError("kind 'general' has no functional-calculus reduction")
+    if not poles_off_annulus(f, ap):
+        raise DomainError("f has poles on the closed annulus")
+    if not (spectrum_in_annulus(spec.t1, ap) and spectrum_in_annulus(spec.t2, ap)):
+        raise DomainError(f"spectrum leaves the closed annulus [{ap.r}, 1]")
+    f1 = eval_matrix(f, spec.t1)
     if spec.kind == "tx":
-        check_commutes(spec.t1, spec.x)
-        top_right = spec.x
-    elif spec.kind == "hat":
-        check_commutes(spec.t1, spec.x, what="X (against T1)")
-        check_commutes(spec.t2, spec.x, what="X (against T2)")
-        top_right = spec.x @ (spec.t1 - spec.t2)
-    else:
-        top_right = spec.x
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = spec.t1
-    out[:n, n:] = top_right
-    out[n:, n:] = spec.t2
-    return out
-
-
-def _check_annulus_spectrum(t: np.ndarray, ap: AnnulusParams) -> None:
-    mods = np.abs(eigenvalues(t))
-    if mods.min() < ap.r - PSD_TOL or mods.max() > 1.0 + PSD_TOL:
-        raise DomainError(
-            f"spectrum moduli [{mods.min():.6g}, {mods.max():.6g}] leave the closed annulus "
-            f"[{ap.r}, 1]"
-        )
-
-
-def fcalc_tx(t, x, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
-    """f of the tx block through the reduction [[f(T), X f'(T)], [0, f(T)]]."""
-    tm = as_matrix(t)
-    xm = as_matrix(x)
-    check_commutes(tm, xm)
-    if not poles_off_annulus(f, ap):
-        raise DomainError("f has poles on the closed annulus")
-    _check_annulus_spectrum(tm, ap)
-    ft = eval_matrix(f, tm)
-    fpt = eval_matrix(derivative(f), tm)
-    n = tm.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = ft
-    out[:n, n:] = xm @ fpt
-    out[n:, n:] = ft
-    return out
-
-
-def fcalc_hat(t1, t2, x, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
-    """f of the hat block through [[f(T1), X (f(T1) - f(T2))], [0, f(T2)]]."""
-    t1m = as_matrix(t1)
-    t2m = as_matrix(t2)
-    xm = as_matrix(x)
-    check_commutes(t1m, xm, what="X (against T1)")
-    check_commutes(t2m, xm, what="X (against T2)")
-    if not poles_off_annulus(f, ap):
-        raise DomainError("f has poles on the closed annulus")
-    _check_annulus_spectrum(t1m, ap)
-    _check_annulus_spectrum(t2m, ap)
-    f1 = eval_matrix(f, t1m)
-    f2 = eval_matrix(f, t2m)
-    n = t1m.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = f1
-    out[:n, n:] = xm @ (f1 - f2)
-    out[n:, n:] = f2
-    return out
-
+        return _upper(f1, spec.x @ eval_matrix(derivative(f), spec.t1), f1)
+    f2 = eval_matrix(f, spec.t2)
+    return _upper(f1, spec.x @ (f1 - f2), f2)

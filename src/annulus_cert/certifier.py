@@ -36,6 +36,7 @@ from .pencil import (
     TruncationPlan,
     DEFAULT_PLAN,
     re_part,
+    spectrum_in_annulus,
 )
 from .rational import (
     RationalFunction,
@@ -126,12 +127,6 @@ class Certificate:
         }
 
 
-def spectrum_in_annulus(t, ap: AnnulusParams) -> bool:
-    """True iff every eigenvalue modulus lies in [r - PSD_TOL, 1 + PSD_TOL]."""
-    mods = np.abs(eigenvalues(as_matrix(t)))
-    return bool(np.all((mods >= ap.r - PSD_TOL) & (mods <= 1.0 + PSD_TOL)))
-
-
 def _eps_records(t, eps, alphas, ap, plan):
     """Margins of Re Gamma(alpha T) for all alphas at one eps."""
     mp = MatrixPencil(t, eps, ap, plan)
@@ -165,29 +160,21 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
         return Certificate(VERDICT_REFUTED, False, None, None, (), grid,
                            ("spectrum outside the closed annulus",))
     alphas = grid.alphas()
-    results: dict[int, list[PointRecord]] = {}
-    failures: dict[int, str] = {}
 
-    def run(idx_eps):
-        idx, eps = idx_eps
+    def run(eps):
         try:
-            results[idx] = _eps_records(tm, eps, alphas, ap, plan)
+            return _eps_records(tm, eps, alphas, ap, plan), None
         except TruncationError as exc:
-            failures[idx] = f"eps={eps}: {exc}"
+            return [], f"eps={eps}: {exc}"
 
-    jobs = list(enumerate(grid.eps_values))
-    nthreads = 1 if threads is None else min(int(threads), len(jobs))
+    nthreads = 1 if threads is None else min(int(threads), len(grid.eps_values))
     if nthreads <= 1:
-        for job in jobs:
-            run(job)
+        outcomes = [run(eps) for eps in grid.eps_values]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(run, jobs))
-
-    records: list[PointRecord] = []
-    for idx in sorted(results):
-        records.extend(results[idx])
-    diagnostics = tuple(failures[idx] for idx in sorted(failures))
+            outcomes = list(pool.map(run, grid.eps_values))
+    records = [rec for recs, _ in outcomes for rec in recs]
+    diagnostics = tuple(diag for _, diag in outcomes if diag is not None)
 
     if not records:
         return Certificate(VERDICT_INCONCLUSIVE, True, None, None, (), grid, diagnostics)

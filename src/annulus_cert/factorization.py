@@ -85,17 +85,22 @@ def factor_through(s1, s2, r) -> FactorResult:
     return FactorResult(k=k, k_norm=operator_norm(k), residual=residual, range_defect=range_defect)
 
 
+def _pqr(p, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pm, qm, rm = as_matrix(p), as_matrix(q), as_matrix(r)
+    if not pm.shape == qm.shape == rm.shape:
+        raise ContractViolationError(
+            f"P, Q and R must share one dimension, got {pm.shape[0]}, {qm.shape[0]}, {rm.shape[0]}"
+        )
+    return pm, qm, rm
+
+
 def douglas_factor(p, q, r) -> FactorResult:
     """Extract K with R = P^{1/2} K Q^{1/2} for PSD P, Q.
 
     The block [[P, R], [R*, Q]] is positive iff the result passes: contraction
     norm within psd slack and residual and range defect within equality slack.
     """
-    pm, qm, rm = as_matrix(p), as_matrix(q), as_matrix(r)
-    if not pm.shape == qm.shape == rm.shape:
-        raise ContractViolationError(
-            f"P, Q and R must share one dimension, got {pm.shape[0]}, {qm.shape[0]}, {rm.shape[0]}"
-        )
+    pm, qm, rm = _pqr(p, q, r)
     try:
         sp = sqrt_psd(pm)
         sq = sqrt_psd(qm)
@@ -104,22 +109,10 @@ def douglas_factor(p, q, r) -> FactorResult:
     return factor_through(sp, sq, rm)
 
 
-def assemble_block(p, q, r) -> np.ndarray:
-    pm = as_matrix(p)
-    qm = as_matrix(q)
-    rm = as_matrix(r)
-    n = pm.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = pm
-    out[:n, n:] = rm
-    out[n:, :n] = rm.conj().T
-    out[n:, n:] = qm
-    return out
-
-
 def block_psd_check(p, q, r) -> tuple[bool, float]:
     """Verdict and margin: smallest eigenvalue of [[P, R], [R*, Q]]."""
-    block = assemble_block(p, q, r)
+    pm, qm, rm = _pqr(p, q, r)
+    block = np.block([[pm, rm], [rm.conj().T, qm]])
     margin = hermitian_min_eig(block)
     scale = 1.0 + operator_norm(block)
     return margin >= -PSD_TOL * scale, margin
@@ -141,13 +134,7 @@ def halmos_unitary(k) -> np.ndarray:
     """The unitary [[K, Dstar], [D, -K*]] on the doubled space."""
     km = as_matrix(k)
     pair = defects(km)
-    n = km.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = km
-    out[:n, n:] = pair.dstar
-    out[n:, :n] = pair.d
-    out[n:, n:] = -km.conj().T
-    return out
+    return np.block([[km, pair.dstar], [pair.d, -km.conj().T]])
 
 
 def compress_through(u: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .numerics import as_matrix, eigenvalues, inverse
+from .numerics import PSD_TOL, as_matrix, eigenvalues, inverse
 
 # Relative slack when testing membership in the convergence band.
 BAND_SLACK = 1e-9
@@ -53,6 +53,12 @@ class AnnulusParams:
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise DomainError(f"inner radius must lie in (0, 1), got {self.r}")
+
+
+def spectrum_in_annulus(t, ap: AnnulusParams) -> bool:
+    """True iff every eigenvalue modulus lies in [r - PSD_TOL, 1 + PSD_TOL]."""
+    mods = np.abs(eigenvalues(as_matrix(t)))
+    return bool(np.all((mods >= ap.r - PSD_TOL) & (mods <= 1.0 + PSD_TOL)))
 
 
 @dataclass(frozen=True)

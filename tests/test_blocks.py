@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from annulus_cert.blocks import BlockSpec, assemble, fcalc_hat, fcalc_tx
+from annulus_cert.blocks import BlockSpec, assemble, fcalc
 from annulus_cert.errors import ContractViolationError, DomainError
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.numerics import eigenvalues, inverse, operator_norm
@@ -48,6 +48,12 @@ class TestAssemble:
         with pytest.raises(ContractViolationError):
             assemble(BlockSpec("tx", t, x))
 
+    def test_tx_second_diagonal_must_equal_first(self):
+        t = random_normal_annulus(2, AP5, seed=7)
+        assert assemble(BlockSpec("tx", t, np.eye(2), t.copy())).shape == (4, 4)
+        with pytest.raises(ContractViolationError, match="T2 must equal T1"):
+            BlockSpec("tx", t, np.eye(2), 0.9 * t)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolationError):
             BlockSpec("tx", np.eye(2), np.eye(3))
@@ -69,13 +75,14 @@ class TestFcalcTx:
         t = random_normal_annulus(3, AP5, seed=5)
         x = poly_in(t, np.random.default_rng(6))
         f = RationalFunction([0.0, 1.0], [1.0])
-        assert operator_norm(fcalc_tx(t, x, f, AP5) - assemble(BlockSpec("tx", t, x))) < 1e-12
+        spec = BlockSpec("tx", t, x)
+        assert operator_norm(fcalc(spec, f, AP5) - assemble(spec)) < 1e-12
 
     def test_square_top_right_is_2xt(self):
         t = random_normal_annulus(2, AP5, seed=8)
         x = poly_in(t, np.random.default_rng(9))
         f = RationalFunction([0.0, 0.0, 1.0], [1.0])
-        out = fcalc_tx(t, x, f, AP5)
+        out = fcalc(BlockSpec("tx", t, x), f, AP5)
         assert operator_norm(out[:2, 2:] - 2.0 * x @ t) < 1e-10
 
     def test_against_direct_block_evaluation(self, rng):
@@ -83,8 +90,9 @@ class TestFcalcTx:
             t = random_normal_annulus(3, AP5, seed=100 + seed)
             x = poly_in(t, rng)
             f = random_poles_off_rational(rng, AP5)
-            direct = eval_matrix(f, assemble(BlockSpec("tx", t, x)))
-            reduced = fcalc_tx(t, x, f, AP5)
+            spec = BlockSpec("tx", t, x)
+            direct = eval_matrix(f, assemble(spec))
+            reduced = fcalc(spec, f, AP5)
             scale = 1.0 + operator_norm(direct)
             assert operator_norm(reduced - direct) <= 1e-8 * scale
 
@@ -92,29 +100,49 @@ class TestFcalcTx:
         t = random_normal_annulus(2, AP5, seed=3)
         f = RationalFunction([1.0], [-0.7, 1.0])
         with pytest.raises(DomainError):
-            fcalc_tx(t, np.eye(2), f, AP5)
+            fcalc(BlockSpec("tx", t, np.eye(2)), f, AP5)
 
 
 class TestFcalcHat:
     def test_identity_function_reproduces_block(self):
         t1, t2, x = interior_commuting_triple(3, AP5, seed=11)
         f = RationalFunction([0.0, 1.0], [1.0])
-        assert operator_norm(fcalc_hat(t1, t2, x, f, AP5) - assemble(BlockSpec("hat", t1, x, t2))) < 1e-10
+        spec = BlockSpec("hat", t1, x, t2)
+        assert operator_norm(fcalc(spec, f, AP5) - assemble(spec)) < 1e-10
 
     def test_equal_diagonals_block_diagonal(self):
         t1, _, x = interior_commuting_triple(3, AP5, seed=12)
         f = RationalFunction([1.0], [0.0, 1.0])
-        out = fcalc_hat(t1, t1, x, f, AP5)
+        out = fcalc(BlockSpec("hat", t1, x, t1), f, AP5)
         assert operator_norm(out[:3, 3:]) < 1e-10
 
     def test_reciprocal_against_direct(self, rng):
         for seed in range(10):
             t1, t2, x = interior_commuting_triple(3, AP5, seed=200 + seed)
             f = RationalFunction([1.0], [0.0, 1.0])
-            direct = eval_matrix(f, assemble(BlockSpec("hat", t1, x, t2)))
-            reduced = fcalc_hat(t1, t2, x, f, AP5)
+            spec = BlockSpec("hat", t1, x, t2)
+            direct = eval_matrix(f, assemble(spec))
+            reduced = fcalc(spec, f, AP5)
             scale = 1.0 + operator_norm(direct)
             assert operator_norm(reduced - direct) <= 1e-8 * scale
+
+
+class TestFcalcContract:
+    @pytest.mark.parametrize("t2", [None, 0.6 * np.eye(3)], ids=["tx", "hat"])
+    def test_mismatched_sizes_contract_violation(self, t2):
+        z = RationalFunction([0.0, 1.0], [1.0])
+        kind = "tx" if t2 is None else "hat"
+        with pytest.raises(ContractViolationError, match="share one dimension"):
+            fcalc(BlockSpec(kind, 0.7 * np.eye(3), np.eye(2), t2), z, AP5)
+
+    def test_general_has_no_reduction(self):
+        t1, t2, x = interior_commuting_triple(3, AP5, seed=14)
+        with pytest.raises(DomainError, match="general"):
+            fcalc(BlockSpec("general", t1, x @ (t1 - t2), t2), RationalFunction([0.0, 1.0], [1.0]), AP5)
+
+    def test_spectrum_off_annulus_rejected(self):
+        with pytest.raises(DomainError, match="spectrum"):
+            fcalc(BlockSpec("tx", 0.3 * np.eye(2), np.eye(2)), RationalFunction([1.0], [1.0]), AP5)
 
 
 class TestGeneralReduction:

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus_cert.certifier import PencilGrid, check_thm_block1, check_thm_block2
 from annulus_cert.cli import main
@@ -167,6 +169,12 @@ class TestBlockCommand:
         out = str(tmp_path / "o.json")
         assert main(["block", "--kind", "tx", "--t1", t, "--x", x, "--out", out]) == 65
 
+    def test_tx_with_distinct_t2_exit_65(self, files, tmp_path):
+        out = str(tmp_path / "o.json")
+        argv = ["block", "--kind", "tx", "--t1", files["t"], "--x", files["x_small"], "--out", out]
+        assert main([*argv, "--t2", files["t"]]) == 0
+        assert main([*argv, "--t2", files["t2"]]) == 65
+
 
 class TestOtherCommands:
     def test_factor_identity_weights(self, files, tmp_path, capsys):
@@ -275,7 +283,46 @@ def run_cli(*argv):
                           capture_output=True, text=True, env=env)
 
 
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3),
+    _json_containers,
+    max_leaves=10,
+)
+# short, odd or non-numeric [re, im] entries
+_ODD_ENTRIES = st.lists(st.lists(st.floats() | st.integers(-3, 3) | _JSON_VALUES, max_size=3), max_size=9)
+_WELL_FORMED = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.just(n),
+    "data": st.lists(st.lists(st.floats(-1.0, 1.0) | st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=2, max_size=2),
+                     min_size=n * n, max_size=n * n),
+}))
+MATRIX_DOCUMENTS = st.one_of(
+    _JSON_VALUES,
+    st.fixed_dictionaries({"n": st.integers(-1, 3) | _JSON_VALUES, "data": _ODD_ENTRIES | _JSON_VALUES},
+                          optional={"extra": _JSON_VALUES}),
+    _WELL_FORMED,
+)
+
+
 class TestHostileInputs:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(doc=MATRIX_DOCUMENTS)
+    def test_any_matrix_document_ends_in_a_documented_exit_code(self, doc):
+        text = json.dumps(doc)
+        try:
+            matrix_from_dict(json.loads(text))
+            allowed = {0, 1, 2, 65}
+        except ContractViolationError:
+            allowed = {64}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            path.write_text(text)
+            assert main(["certify", "--matrix", str(path), "--r", "0.5", "--eps", "0.5", "--alphas", "8"]) in allowed
+
     @pytest.mark.parametrize("doc", [
         '{"n": true, "data": [[0.7, 0.0]]}',
         '{"n": 1, "data": [[true, 0.0]]}',

@@ -74,6 +74,14 @@ class TestBlockPsdCheck:
         assert ok
         assert margin == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(3, 2, 3), (2, 2, 3)])
+    def test_mismatched_sizes_contract_violation(self, sizes):
+        p, q, r = (np.eye(n) for n in sizes)
+        with pytest.raises(ContractViolationError, match="share one dimension"):
+            block_psd_check(p, q, r)
+        with pytest.raises(ContractViolationError, match="share one dimension"):
+            douglas_factor(p, q, r)
+
     def test_equivalence_with_douglas(self):
         mismatches = 0
         for seed in range(300):

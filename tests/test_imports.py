@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and no private name goes unused.
+"""No module imports a name it never uses, no private name goes unused, and
+the README names no API that is gone.
 
 Deleting a feature tends to leave its imports and its private helpers and
 constants behind; this keeps the library modules (the package ``__init__``
@@ -6,9 +7,12 @@ re-exports by design) and the test modules free of them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import annulus_cert
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "annulus_cert").glob("*.py"))
@@ -81,3 +85,24 @@ def test_detects_unreferenced_private_name():
         "b.py": "from a import _helper\nx = _helper()\n",
     }
     assert unreferenced_privates(sources) == ["a.py: _TOL"]
+
+
+def key_api_names(readme: str) -> list[str]:
+    """Backticked names of the README "Key API:" paragraph; ``f1/2`` names f1 and f2."""
+    paragraph = readme.split("Key API:", 1)[1].split("\n\n", 1)[0]
+    names = []
+    for name in re.findall(r"`([^`]+)`", paragraph):
+        stem, slash, alt = name.partition("/")
+        names += [stem, stem[: -len(alt)] + alt] if slash else [name]
+    return names
+
+
+def test_readme_key_api_names_resolve():
+    names = key_api_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert "certify_ar" in names
+    assert [name for name in names if not hasattr(annulus_cert, name)] == []
+
+
+def test_key_api_names_expand_slash():
+    readme = "intro\n\nKey API: `a_b1/2` (m); `c`\nand `d`.\n\n`e` is not listed.\n"
+    assert key_api_names(readme) == ["a_b1", "a_b2", "c", "d"]
