@@ -26,8 +26,8 @@ from .numerics import (
 from .pencil import (
     AnnulusParams,
     PencilPoint,
-    TruncationPlan,
-    DEFAULT_PLAN,
+    N_MAX,
+    TAIL_TOL,
     gamma_coeff,
     gamma_derivative_matrix,
     gamma_matrix,

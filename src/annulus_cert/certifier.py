@@ -2,9 +2,12 @@
 
 A certificate is a sampled object: positivity of the pencil real part is
 tested on a finite (eps, alpha) grid, so "certified" means no violation was
-found at the recorded grid density, while "refuted" is a hard disproof
-(robust to truncation error, which the plan keeps orders of magnitude below
-the refutation threshold).
+found at the recorded grid density, while "refuted" is a hard disproof.  A
+margin must fall below -PSD_TOL * (1 + ||Gamma||) to refute, and the fixed
+truncation rule of the pencil (each side stops once its terms stay below
+TAIL_TOL = 1e-10 relative to the running sum, at most N_MAX = 4096 terms)
+keeps the series tail orders of magnitude below that; a sum that needs more
+terms makes the eps rung inconclusive rather than truncating it early.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .pencil import (
     AnnulusParams,
     MatrixPencil,
     PencilPoint,
-    TruncationPlan,
-    DEFAULT_PLAN,
     re_part,
     spectrum_in_annulus,
 )
@@ -50,6 +51,10 @@ VERDICT_CERTIFIED = "certified"
 VERDICT_REFUTED = "refuted"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# Largest alpha grid: each eps rung folds into alpha_count n x n complex
+# buckets, 256 MiB at the largest file dimension (128).
+MAX_ALPHAS = 1024
+
 
 @dataclass(frozen=True)
 class PencilGrid:
@@ -64,8 +69,8 @@ class PencilGrid:
         for e in self.eps_values:
             if not (0.0 < e < 1.0):
                 raise DomainError(f"eps values must lie in (0, 1), got {e}")
-        if self.alpha_count < 8:
-            raise DomainError(f"alpha_count must be at least 8, got {self.alpha_count}")
+        if not 8 <= self.alpha_count <= MAX_ALPHAS:
+            raise DomainError(f"alpha_count must lie in [8, {MAX_ALPHAS}], got {self.alpha_count}")
 
     def alphas(self) -> np.ndarray:
         j = np.arange(self.alpha_count)
@@ -127,9 +132,9 @@ class Certificate:
         }
 
 
-def _eps_records(t, eps, alphas, ap, plan):
+def _eps_records(t, eps, alphas, ap):
     """Margins of Re Gamma(alpha T) for all alphas at one eps."""
-    mp = MatrixPencil(t, eps, ap, plan)
+    mp = MatrixPencil(t, eps, ap)
     gam = mp.gamma_for_alphas(alphas.size)
     n_pos, n_neg = mp.gamma_indices()
     herm = 0.5 * (gam + np.conj(np.swapaxes(gam, 1, 2)))
@@ -144,7 +149,7 @@ def _eps_records(t, eps, alphas, ap, plan):
 
 
 def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
-               plan: TruncationPlan = DEFAULT_PLAN, threads: int | None = None) -> Certificate:
+               threads: int | None = None) -> Certificate:
     """Decide annulus contractivity on the sampled grid.
 
     Spectrum containment is checked first; the pencil sweep then records the
@@ -163,7 +168,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
 
     def run(eps):
         try:
-            return _eps_records(tm, eps, alphas, ap, plan), None
+            return _eps_records(tm, eps, alphas, ap), None
         except TruncationError as exc:
             return [], f"eps={eps}: {exc}"
 
@@ -377,15 +382,14 @@ class ThmReport:
         }
 
 
-def _check_thm(spec: BlockSpec, point_terms, ap: AnnulusParams, grid: PencilGrid,
-               plan: TruncationPlan) -> ThmReport:
+def _check_thm(spec: BlockSpec, point_terms, ap: AnnulusParams, grid: PencilGrid) -> ThmReport:
     """Douglas extraction plus Halmos reconstruction at each grid point.
 
     ``point_terms(eps, m)`` yields (P, Q, R) at the m-th roots of unity in
     order; the all-points verdict is compared with the direct certificate of
     the assembled block.
     """
-    cert = certify_ar(assemble(spec), ap, grid, plan)
+    cert = certify_ar(assemble(spec), ap, grid)
     alphas = grid.alphas()
     points = []
     max_k = 0.0
@@ -411,8 +415,7 @@ def _check_thm(spec: BlockSpec, point_terms, ap: AnnulusParams, grid: PencilGrid
     return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)
 
 
-def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
-                     plan: TruncationPlan = DEFAULT_PLAN) -> ThmReport:
+def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> ThmReport:
     """Equivalence data for the same-diagonal block [[T, X], [0, T]].
 
     Point factorization: P^{1/2} K P^{1/2} = X Gamma'(alpha T)/2 with
@@ -421,16 +424,15 @@ def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     spec = BlockSpec("tx", t, x)
 
     def point_terms(eps, m):
-        mp = MatrixPencil(spec.t1, eps, ap, plan)
+        mp = MatrixPencil(spec.t1, eps, ap)
         for g, d in zip(mp.gamma_for_alphas(m), mp.derivative_for_alphas(m)):
             p = re_part(g)
             yield p, p, spec.x @ d / 2.0
 
-    return _check_thm(spec, point_terms, ap, grid, plan)
+    return _check_thm(spec, point_terms, ap, grid)
 
 
-def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
-                     plan: TruncationPlan = DEFAULT_PLAN) -> ThmReport:
+def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> ThmReport:
     """Equivalence data for the block [[T1, X(T1 - T2)], [0, T2]].
 
     Point factorization: Re Gamma(alpha T1)^{1/2} K Re Gamma(alpha T2)^{1/2}
@@ -439,9 +441,9 @@ def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GR
     spec = BlockSpec("hat", t1, x, t2)
 
     def point_terms(eps, m):
-        g1 = MatrixPencil(spec.t1, eps, ap, plan).gamma_for_alphas(m)
-        g2 = MatrixPencil(spec.t2, eps, ap, plan).gamma_for_alphas(m)
+        g1 = MatrixPencil(spec.t1, eps, ap).gamma_for_alphas(m)
+        g2 = MatrixPencil(spec.t2, eps, ap).gamma_for_alphas(m)
         for a, b in zip(g1, g2):
             yield re_part(a), re_part(b), spec.x @ (a - b) / 2.0
 
-    return _check_thm(spec, point_terms, ap, grid, plan)
+    return _check_thm(spec, point_terms, ap, grid)

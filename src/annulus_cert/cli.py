@@ -45,7 +45,7 @@ from .factorization import douglas_factor
 from .io import load_matrix, save_matrix
 from .misra import misra_threshold, sweep_rows
 from .numerics import inverse
-from .pencil import AnnulusParams, TruncationPlan, DEFAULT_PLAN
+from .pencil import AnnulusParams
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -91,13 +91,6 @@ def _grid_from_args(args, base: PencilGrid) -> PencilGrid:
     return PencilGrid(eps_values=tuple(eps), alpha_count=alphas)
 
 
-def _plan_from_args(args) -> TruncationPlan:
-    return TruncationPlan(
-        n_max=args.n_max if args.n_max is not None else DEFAULT_PLAN.n_max,
-        tail_tol=args.tail_tol if args.tail_tol is not None else DEFAULT_PLAN.tail_tol,
-    )
-
-
 def _load(path):
     """Matrix file loading; malformed documents are usage errors, not contract ones."""
     try:
@@ -123,10 +116,9 @@ def _cert_exit(cert: Certificate) -> int:
 def _cmd_certify(args) -> int:
     t = _load(args.matrix)
     grid = _grid_from_args(args, DEFAULT_GRID)
-    plan = _plan_from_args(args)
     # certify_ar caps the pool at the number of eps rungs
     threads = args.threads if args.threads is not None else os.cpu_count()
-    cert = certify_ar(t, _annulus(args.r), grid, plan, threads=threads)
+    cert = certify_ar(t, _annulus(args.r), grid, threads=threads)
     _emit(cert.to_dict(), args.out)
     return _cert_exit(cert)
 
@@ -189,14 +181,13 @@ def _cmd_thm(args) -> int:
     t1 = _load(args.t1)
     x = _load(args.x)
     grid = _grid_from_args(args, DEFAULT_GRID)
-    plan = _plan_from_args(args)
     ap = _annulus(args.r)
     if args.which == "block1":
-        report = check_thm_block1(t1, x, ap, grid, plan)
+        report = check_thm_block1(t1, x, ap, grid)
     else:
         if not args.t2:
             raise DomainError("--t2 is required for block2")
-        report = check_thm_block2(t1, _load(args.t2), x, ap, grid, plan)
+        report = check_thm_block2(t1, _load(args.t2), x, ap, grid)
     _emit({"which": args.which, **report.to_dict()}, args.out)
     return EXIT_OK if report.agree else EXIT_REFUTED
 
@@ -210,8 +201,6 @@ def build_parser() -> _Parser:
     def add_grid_flags(p):
         p.add_argument("--eps", help="comma-separated eps ladder (default: certifier grid)")
         p.add_argument("--alphas", type=int, help="number of unimodular alpha samples")
-        p.add_argument("--tail-tol", dest="tail_tol", type=float, help="series tail tolerance")
-        p.add_argument("--n-max", dest="n_max", type=int, help="per-side truncation cap")
 
     p = sub.add_parser("certify", help="decide annulus contractivity of a matrix")
     p.add_argument("--matrix", required=True)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .certifier import PencilGrid, certify_ar
 from .errors import DiagnosticError, DomainError, TruncationError
-from .pencil import AnnulusParams, MatrixPencil, TruncationPlan, DEFAULT_PLAN
+from .pencil import AnnulusParams, MatrixPencil
 
 # Threshold hunting needs a much deeper eps ladder than plain certification:
 # the flip point converges to its limit linearly in the smallest eps.
@@ -102,7 +102,7 @@ def jordan_block(w: complex, h: complex) -> np.ndarray:
     return np.array([[w, h], [0.0, w]], dtype=complex)
 
 
-def _pencil_bracket(w: complex, ap: AnnulusParams, plan: TruncationPlan) -> tuple[float, float]:
+def _pencil_bracket(w: complex, ap: AnnulusParams) -> tuple[float, float]:
     """Bracket of width SEARCH_TOL around min 2 Re Gamma(alpha w) / |Gamma'(alpha w)|.
 
     Entry [0, 0] of Gamma(alpha J) for J = [[w, 1], [0, w]] is Gamma(alpha w)
@@ -112,7 +112,7 @@ def _pencil_bracket(w: complex, ap: AnnulusParams, plan: TruncationPlan) -> tupl
     j1 = jordan_block(w, 1.0)
     m = MISRA_GRID.alpha_count
     try:
-        gam = np.concatenate([MatrixPencil(j1, eps, ap, plan).gamma_for_alphas(m)
+        gam = np.concatenate([MatrixPencil(j1, eps, ap).gamma_for_alphas(m)
                               for eps in MISRA_GRID.eps_values])
     except (TruncationError, DomainError):
         return 0.0, 2.0
@@ -129,7 +129,7 @@ def _pencil_bracket(w: complex, ap: AnnulusParams, plan: TruncationPlan) -> tupl
     return lo, hi
 
 
-def threshold_via_pencil(w: complex, r: float, plan: TruncationPlan = DEFAULT_PLAN) -> float:
+def threshold_via_pencil(w: complex, r: float) -> float:
     """Certificate flip point of [[w, h], [0, w]] over real h >= 0, to within SEARCH_TOL.
 
     The phase of h is irrelevant (a diagonal unitary similarity moves it onto
@@ -144,14 +144,14 @@ def threshold_via_pencil(w: complex, r: float, plan: TruncationPlan = DEFAULT_PL
     ap = AnnulusParams(r)
 
     def certified(h: float) -> bool:
-        cert = certify_ar(jordan_block(w, h), ap, MISRA_GRID, plan)
+        cert = certify_ar(jordan_block(w, h), ap, MISRA_GRID)
         if cert.verdict == "inconclusive":
             raise DiagnosticError(
                 f"certificate inconclusive at h = {h:.6g}: {cert.diagnostics}"
             )
         return cert.certified
 
-    lo, hi = _pencil_bracket(w, ap, plan)
+    lo, hi = _pencil_bracket(w, ap)
     if lo > 0.0 and not certified(lo):
         lo = 0.0
     if lo == 0.0 and not certified(lo):

@@ -39,8 +39,12 @@ from .numerics import PSD_TOL, as_matrix, eigenvalues, inverse
 # Relative slack when testing membership in the convergence band.
 BAND_SLACK = 1e-9
 
-# Consecutive sub-threshold terms required before a side of the bilateral
-# sum is allowed to stop; guards against transient growth of non-normal powers.
+# Bilateral truncation: each side of the sum stops once its term norms stay
+# below TAIL_TOL * (1 + accumulated term norms) for _DECAY_RUN consecutive
+# indices (a guard against transient growth of non-normal powers); N_MAX is
+# the hard per-side cap, past which the sum raises TruncationError.
+TAIL_TOL = 1e-10
+N_MAX = 4096
 _DECAY_RUN = 3
 
 
@@ -75,28 +79,6 @@ class PencilPoint:
             raise DomainError(f"alpha must be unimodular, got |alpha| = {abs(self.alpha)}")
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
-    """Bilateral truncation control.
-
-    Each side of the sum stops once its term norms stay below
-    tail_tol * (1 + accumulated term norms) for three consecutive indices;
-    ``n_max`` is the hard per-side cap.
-    """
-
-    n_max: int = 4096
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_max < 8:
-            raise DomainError(f"n_max must be at least 8, got {self.n_max}")
-        if not self.tail_tol > 0.0:
-            raise DomainError("tail_tol must be positive")
-
-
-DEFAULT_PLAN = TruncationPlan()
-
-
 def gamma_coeff(k: int, eps: float, r: float) -> float:
     """Series coefficient c_k, evaluated in the overflow-free algebraic form."""
     if not (0.0 < eps < 1.0):
@@ -117,46 +99,43 @@ def re_part(a) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _band(eps: float, r: float) -> tuple[float, float]:
-    return (1.0 - eps) * r, 1.0 / (1.0 - eps)
-
-
-def _check_scalar_band(absz: float, eps: float, r: float) -> None:
-    lo, hi = _band(eps, r)
-    if absz < lo * (1.0 - BAND_SLACK) or absz > hi * (1.0 + BAND_SLACK):
+def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
+    """DomainError unless every modulus lies in the convergence band [(1-eps) r, 1/(1-eps)]."""
+    lo, hi = (1.0 - eps) * r, 1.0 / (1.0 - eps)
+    mn, mx = float(mods.min()), float(mods.max())
+    if mn < lo * (1.0 - BAND_SLACK) or mx > hi * (1.0 + BAND_SLACK):
         raise DomainError(
-            f"|z| = {absz:.6g} outside the convergence band [{lo:.6g}, {hi:.6g}] at eps = {eps}"
+            f"moduli [{mn:.6g}, {mx:.6g}] leave the convergence band "
+            f"[{lo:.6g}, {hi:.6g}] at eps = {eps}"
         )
 
 
-def _envelope_terms(rho: float, tail_tol: float, n_max: int) -> int:
-    """Smallest N with geometric tail bound 2 rho^(N+1)/(1-rho) < tail_tol."""
+def _envelope_terms(rho: float) -> int:
+    """Smallest N with geometric tail bound 2 rho^(N+1)/(1-rho) < TAIL_TOL."""
     if rho <= 0.0:
         return 8
     if rho >= 1.0:
         raise TruncationError(f"series ratio {rho:.6g} >= 1; tail cannot be bounded")
-    n = int(math.ceil(math.log(tail_tol * (1.0 - rho) / 2.0) / math.log(rho)))
+    n = int(math.ceil(math.log(TAIL_TOL * (1.0 - rho) / 2.0) / math.log(rho)))
     n = max(n, 8)
-    if n > n_max:
-        raise TruncationError(f"need {n} terms per side, exceeding the cap {n_max}")
+    if n > N_MAX:
+        raise TruncationError(f"need {n} terms per side, exceeding the cap {N_MAX}")
     return n
 
 
-def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams,
-                       plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
+def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
     """Vectorized Gamma over an array of scalars (shared truncation index)."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     absz = np.abs(zs)
     if np.any(absz == 0.0):
         raise DomainError("z = 0 is outside every convergence band")
-    _check_scalar_band(float(absz.min()), pt.eps, ap.r)
-    _check_scalar_band(float(absz.max()), pt.eps, ap.r)
+    _check_band(absz, pt.eps, ap.r)
     b = 1.0 - pt.eps
     d = b * b * ap.r
     x = b * pt.alpha * zs
     y = b * ap.r / (pt.alpha * zs)
-    n_pos = _envelope_terms(float(np.max(np.abs(x))), plan.tail_tol, plan.n_max)
-    n_neg = _envelope_terms(float(np.max(np.abs(y))), plan.tail_tol, plan.n_max)
+    n_pos = _envelope_terms(float(np.max(np.abs(x))))
+    n_neg = _envelope_terms(float(np.max(np.abs(y))))
     ks = np.arange(n_pos + 1, dtype=float)
     a_pos = 2.0 / (1.0 + d**ks)
     ms = np.arange(1, n_neg + 1, dtype=float)
@@ -205,31 +184,22 @@ class MatrixPencil:
     Y^j = ((1-eps) r T^-1)^j that applies the stop rule to their Frobenius
     norms and folds every term into M buckets (j mod M, see the module
     docstring).  Only the current powers and the buckets are kept, so memory
-    is O(M n^2) however deep the ladder runs.  The first pass fixes the
-    truncation indices.
+    is O(M n^2) however deep the ladder runs.  The stop indices do not depend
+    on M, so every pass records them.
     """
 
-    def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams,
-                 plan: TruncationPlan = DEFAULT_PLAN):
+    def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams):
         if not (0.0 < eps < 1.0):
             raise DomainError(f"eps must lie in (0, 1), got {eps}")
         self.t = as_matrix(t)
         self.eps = eps
         self.ap = ap
-        self.plan = plan
         b = 1.0 - eps
-        lam = eigenvalues(self.t)
-        lo, hi = _band(eps, ap.r)
-        mods = np.abs(lam)
-        if mods.min() < lo * (1.0 - BAND_SLACK) or mods.max() > hi * (1.0 + BAND_SLACK):
-            raise DomainError(
-                f"spectrum moduli [{mods.min():.6g}, {mods.max():.6g}] leave the band "
-                f"[{lo:.6g}, {hi:.6g}] at eps = {eps}"
-            )
+        _check_band(np.abs(eigenvalues(self.t)), eps, ap.r)
         self._x = b * self.t
         self._y = b * ap.r * inverse(self.t)
         self._d = b * b * ap.r
-        # stop indices of Gamma and of the derivative pencil, set by the first pass
+        # stop indices of Gamma and of the derivative pencil, set by any pass
         self._stops: list[tuple[int, int] | None] = [None, None]
 
     def _fold(self, m: int, weighted: bool) -> tuple[np.ndarray, tuple[int, int]]:
@@ -239,10 +209,9 @@ class MatrixPencil:
         -j = b mod m, where w_j = a_j, or with ``weighted`` +j a_j on the
         positive and -j a_j on the negative side.
         The sides are scanned interleaved, positive first; each stops after
-        _DECAY_RUN consecutive term norms below tail_tol * (1 + acc), acc
+        _DECAY_RUN consecutive term norms below TAIL_TOL * (1 + acc), acc
         being the running sum of the term norms of both sides.
         """
-        plan = self.plan
         n = self.t.shape[0]
         d = self._d
         buckets = np.zeros((m, n, n), dtype=complex)
@@ -256,11 +225,11 @@ class MatrixPencil:
         acc = 0.0 if weighted else math.sqrt(n)
         j = 1
         while pos.stop is None or neg.stop is None:
-            if j > plan.n_max:
+            if j > N_MAX:
                 side = "positive" if pos.stop is None else "negative"
                 raise TruncationError(
-                    f"{side} side of the bilateral sum not decayed after {plan.n_max} "
-                    f"terms at eps = {self.eps} (tail_tol = {plan.tail_tol:g})"
+                    f"{side} side of the bilateral sum not decayed after {N_MAX} "
+                    f"terms at eps = {self.eps} (TAIL_TOL = {TAIL_TOL:g})"
                 )
             a = 2.0 / (1.0 + d ** float(j))
             for ladder, sign in sides:
@@ -270,7 +239,7 @@ class MatrixPencil:
                 np.multiply(power, sign * j * a if weighted else a, out=scratch)
                 bins[(sign * j) % m] += scratch
                 term = a * norm * j if weighted else a * norm
-                small = term < plan.tail_tol * (1.0 + acc)
+                small = term < TAIL_TOL * (1.0 + acc)
                 acc += term
                 ladder.run = ladder.run + 1 if small else 0
                 if ladder.run >= _DECAY_RUN:
@@ -279,10 +248,8 @@ class MatrixPencil:
         return buckets, (pos.stop, neg.stop)
 
     def _sweep(self, m: int, weighted: bool) -> np.ndarray:
-        """Values at the m-th roots of unity; the first pass fixes the stop indices."""
-        buckets, stop = self._fold(m, weighted)
-        if self._stops[weighted] is None:
-            self._stops[weighted] = stop
+        """Values at the m-th roots of unity; the pass records the stop indices."""
+        buckets, self._stops[weighted] = self._fold(m, weighted)
         return m * np.fft.ifft(buckets, axis=0)
 
     def _indices(self, weighted: bool) -> tuple[int, int]:
@@ -312,20 +279,18 @@ class MatrixPencil:
         return tinv @ core
 
 
-def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams,
-                 plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
+def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
     """Gamma(alpha T) for a square matrix T with spectrum in the band."""
-    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap, plan)
+    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap)
     return mp.gamma_for_alphas(1)[0]
 
 
-def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams,
-                            plan: TruncationPlan = DEFAULT_PLAN) -> np.ndarray:
+def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
     """Derivative pencil: sum_k k c_k alpha^k T^(k-1).
 
     This is the z-derivative of z -> Gamma(alpha z) evaluated at T, the unique
     convention under which Gamma(alpha T_X) has top-right block X times this
     matrix when X commutes with T.  By the chain rule it is alpha Gamma'(alpha T).
     """
-    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap, plan)
+    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap)
     return pt.alpha * mp.derivative_for_alphas(1)[0]

@@ -18,6 +18,12 @@ from .pencil import AnnulusParams
 # Slack around the boundary circles when classifying pole locations.
 POLE_SLACK = 1e-9
 
+# Golden-section steps per bracket in ``sup_on_annulus``.
+_GOLDEN_ITERS = 60
+
+# Largest number of boundary samples per circle in ``sup_on_annulus``.
+MAX_SAMPLES = 1 << 20
+
 
 def _trim(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=complex).ravel()
@@ -130,7 +136,7 @@ def derivative(f: RationalFunction) -> RationalFunction:
     return RationalFunction(num - sub, polymul(f.q, f.q))
 
 
-def _golden_max(fun, lo: list[float], hi: list[float], iters: int = 60) -> list[float]:
+def _golden_max(fun, lo: list[float], hi: list[float]) -> list[float]:
     """Golden-section maximization on the brackets [lo[i], hi[i]], all advanced together.
 
     ``fun`` maps a list of angles, one per bracket, to the list of values
@@ -138,7 +144,7 @@ def _golden_max(fun, lo: list[float], hi: list[float], iters: int = 60) -> list[
     search run on it alone: keep the side of the larger interior value
     (``fc < fd`` moves up), shrink by 1/phi, probe one new point.  One
     iteration probes every bracket with a single ``fun`` call, so a search
-    costs 2 + iters calls whatever the number of brackets.  The bookkeeping
+    costs 2 + _GOLDEN_ITERS calls whatever the number of brackets.  The bookkeeping
     stays in Python floats: for a handful of brackets that is cheaper than
     array updates and gives the same IEEE results.  Returns max(fc, fd) per
     bracket.
@@ -148,7 +154,7 @@ def _golden_max(fun, lo: list[float], hi: list[float], iters: int = 60) -> list[
     c = [bi - inv_phi * (bi - ai) for ai, bi in zip(a, b)]
     d = [ai + inv_phi * (bi - ai) for ai, bi in zip(a, b)]
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         up = [x < y for x, y in zip(fc, fd)]
         probe = []
         for i, u in enumerate(up):
@@ -180,8 +186,8 @@ def sup_on_annulus(f: RationalFunction, ap: AnnulusParams, m: int = 1024) -> flo
     search exhaustive for pole-free f, but the value is a sampled estimate,
     not a certified upper bound.
     """
-    if m < 8:
-        raise DomainError("need at least 8 samples per circle")
+    if not 8 <= m <= MAX_SAMPLES:
+        raise DomainError(f"samples per circle must lie in [8, {MAX_SAMPLES}], got {m}")
     if not poles_off_annulus(f, ap):
         raise DomainError("f has poles on or inside the closed annulus")
     rhos = (ap.r, 1.0)

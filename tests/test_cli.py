@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annulus_cert.certifier import PencilGrid, check_thm_block1, check_thm_block2
+from annulus_cert.certifier import MAX_ALPHAS, PencilGrid, check_thm_block1, check_thm_block2
 from annulus_cert.cli import main
 from annulus_cert.io import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
 from annulus_cert.errors import ContractViolationError
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.pencil import AnnulusParams
+from annulus_cert.rational import MAX_SAMPLES
 
 AP5 = AnnulusParams(0.5)
 DATA = Path(__file__).parent / "data"
@@ -42,6 +45,16 @@ def files(tmp_path):
     # near the inner circle the sampler finds violating functions reliably
     put("bad", jordan_block(0.55, 1.5 * misra_threshold(0.55, 0.5)))
     paths["tmp"] = tmp_path
+    return paths
+
+
+@pytest.fixture(scope="module")
+def one_by_one(tmp_path_factory):
+    """A 1 x 1 T inside the annulus r = 0.5 and a small commuting X."""
+    tmp = tmp_path_factory.mktemp("one_by_one")
+    paths = {"t": str(tmp / "t.json"), "x": str(tmp / "x.json")}
+    save_matrix(np.array([[0.7]]), paths["t"])
+    save_matrix(np.array([[0.05]]), paths["x"])
     return paths
 
 
@@ -102,6 +115,17 @@ class TestCertifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len(doc["records"]) == 16
+
+    def test_half_threshold_jordan_block_certified(self, tmp_path, capsys):
+        # half the kernel threshold 0.3086, so an annulus contraction; a loose
+        # truncation tail once refuted it with margin -2.4e-4
+        path = str(tmp_path / "j.json")
+        save_matrix(jordan_block(0.7, 0.1543), path)
+        code = main(["certify", "--matrix", path, "--r", "0.5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["verdict"] == "certified"
+        assert doc["min_margin"] > 0.0
 
     def test_missing_file_usage_error(self, files):
         assert main(["certify", "--matrix", "nope.json", "--r", "0.5"]) == 64
@@ -308,6 +332,37 @@ MATRIX_DOCUMENTS = st.one_of(
 )
 
 
+def _huge(cap):
+    return st.sampled_from([cap + 1, 10**9, 10**18])
+
+
+def _eps_lists(values, min_size):
+    return st.lists(st.sampled_from(values), min_size=min_size, max_size=3).map(",".join)
+
+
+# Per flag: values the CLI accepts (None leaves the flag out) and values it
+# must reject with exit 64, including sizes past the allocation caps.
+_VALID_FLAGS = {
+    "--alphas": st.none() | st.integers(8, 64),
+    "--eps": st.none() | _eps_lists(["0.5", "0.1", "1e-3"], 1),
+    "--threads": st.none() | st.integers(1, 3),
+    "--m": st.none() | st.integers(8, 2048),
+    "--r": st.sampled_from(["0.5", "0.3", "0.75", "1e-300"]),
+}
+_HOSTILE_FLAGS = {
+    "--alphas": st.integers(-2, 7) | _huge(MAX_ALPHAS),
+    "--eps": _eps_lists(["0", "1", "-0.2", "nan", "inf", "x"], 0),
+    "--threads": st.integers(-2, 0),
+    "--m": st.integers(-2, 7) | _huge(MAX_SAMPLES),
+    "--r": st.sampled_from(["0", "1", "-1", "nan", "inf", "x"]),
+}
+_COMMAND_FLAGS = {
+    "certify": ["--alphas", "--eps", "--threads", "--r"],
+    "thm": ["--alphas", "--eps", "--r"],
+    "vn": ["--m", "--r"],
+}
+
+
 class TestHostileInputs:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(doc=MATRIX_DOCUMENTS)
@@ -348,8 +403,6 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--alphas", "0"],
-        ["certify", "--n-max", "0"],
-        ["certify", "--tail-tol", "0"],
         ["certify", "--threads", "0"],
         ["certify", "--threads", "-5"],
         ["thm", "--which", "block1", "--alphas", "0"],
@@ -360,3 +413,53 @@ class TestHostileInputs:
         inputs = {"certify": ["--matrix", files["eye"]], "vn": ["--matrix", files["eye"]],
                   "thm": ["--t1", files["t"], "--x", files["x_small"]]}[argv[0]]
         assert main([*argv, *inputs, "--r", "0.5"]) == 64
+
+    @pytest.mark.parametrize("flag", [["--tail-tol", "1e-4"], ["--n-max", "8"]], ids=lambda f: f[0])
+    @pytest.mark.parametrize("cmd", ["certify", "thm"])
+    def test_removed_truncation_flags_usage_error(self, files, cmd, flag):
+        # the truncation rule is fixed; a loose tail used to refute contractions
+        inputs = {"certify": ["--matrix", files["t"]],
+                  "thm": ["--which", "block1", "--t1", files["t"], "--x", files["x_small"]]}[cmd]
+        proc = run_cli(cmd, *inputs, *THM_GRID, *flag)
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert "unrecognized arguments" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--alphas", str(MAX_ALPHAS + 1)],
+        ["certify", "--alphas", str(10**15)],
+        ["thm", "--which", "block1", "--alphas", str(MAX_ALPHAS + 1)],
+        ["vn", "--m", str(MAX_SAMPLES + 1)],
+        ["vn", "--m", str(10**15)],
+    ], ids="_".join)
+    def test_memory_sized_flags_capped(self, files, argv):
+        # rejected when read, before the buckets or boundary samples are allocated
+        inputs = {"certify": ["--matrix", files["t"]], "vn": ["--matrix", files["t"]],
+                  "thm": ["--t1", files["t"], "--x", files["x_small"]]}[argv[0]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([*argv, *inputs, "--r", "0.5"]) == 64
+        assert "must lie in" in err.getvalue()
+
+    def test_caps_admit_the_documented_sizes(self):
+        assert PencilGrid(alpha_count=MAX_ALPHAS).alpha_count == MAX_ALPHAS
+        assert MAX_ALPHAS >= 64 and MAX_SAMPLES >= 1024
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(cmd=st.sampled_from(sorted(_COMMAND_FLAGS)), data=st.data())
+    def test_any_flag_values_end_in_a_documented_exit_code(self, one_by_one, cmd, data):
+        # at most one hostile flag, so a run with one must exit 64
+        flags = _COMMAND_FLAGS[cmd]
+        hostile = data.draw(st.sampled_from([None, *flags]), label="hostile")
+        argv = [cmd, *{"certify": ["--matrix", one_by_one["t"]],
+                       "vn": ["--matrix", one_by_one["t"], "--count", "2"],
+                       "thm": ["--which", "block1", "--t1", one_by_one["t"], "--x", one_by_one["x"]]}[cmd]]
+        for flag in flags:
+            value = data.draw((_HOSTILE_FLAGS if flag == hostile else _VALID_FLAGS)[flag], label=flag)
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 64 if hostile else code in {0, 1, 2, 64, 65}
+        assert "Traceback" not in err.getvalue()

@@ -1,5 +1,5 @@
 """No module imports a name it never uses, no private name goes unused, and
-the README names no API that is gone.
+the README names no API or CLI flag that is gone.
 
 Deleting a feature tends to leave its imports and its private helpers and
 constants behind; this keeps the library modules (the package ``__init__``
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import annulus_cert
+from annulus_cert.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "annulus_cert").glob("*.py"))
@@ -106,3 +107,35 @@ def test_readme_key_api_names_resolve():
 def test_key_api_names_expand_slash():
     readme = "intro\n\nKey API: `a_b1/2` (m); `c`\nand `d`.\n\n`e` is not listed.\n"
     assert key_api_names(readme) == ["a_b1", "a_b2", "c", "d"]
+
+
+def readme_cli_flags(readme: str) -> dict[str, set[str]]:
+    """``--flags`` per subcommand in the README CLI block, one ``annulus-cert CMD`` line
+    each with indented continuation lines."""
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    flags: dict[str, set[str]] = {}
+    cmd = None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["annulus-cert"]:
+            cmd = words[1]
+            flags[cmd] = set()
+        if cmd is not None:
+            flags[cmd] |= set(re.findall(r"--[a-z][a-z0-9-]*", line))
+    return flags
+
+
+def parser_flags() -> dict[str, set[str]]:
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {cmd: {opt for action in p._actions for opt in action.option_strings
+                  if opt.startswith("--") and opt != "--help"}
+            for cmd, p in sub.choices.items()}
+
+
+def test_readme_cli_synopsis_matches_parser():
+    assert readme_cli_flags((ROOT / "README.md").read_text(encoding="utf-8")) == parser_flags()
+
+
+def test_readme_cli_flags_parse_continuations():
+    readme = "## CLI\n\n```\nannulus-cert a --x 1 [--y-z 2]\n               [--w]\nannulus-cert b\n```\n"
+    assert readme_cli_flags(readme) == {"a": {"--x", "--y-z", "--w"}, "b": set()}

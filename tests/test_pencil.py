@@ -9,9 +9,10 @@ from annulus_cert.generators import random_normal_annulus
 from annulus_cert.numerics import operator_norm
 from annulus_cert.pencil import (
     AnnulusParams,
+    N_MAX,
+    TAIL_TOL,
     MatrixPencil,
     PencilPoint,
-    TruncationPlan,
     gamma_coeff,
     gamma_derivative_matrix,
     gamma_matrix,
@@ -102,9 +103,9 @@ class TestGammaScalar:
             gamma_scalar_batch(0.2, PencilPoint(0.5), AP5)
 
     def test_band_edge_needs_more_terms(self):
-        # just inside the outer band edge the envelope exceeds a tiny cap
-        with pytest.raises(TruncationError):
-            gamma_scalar_batch(1.0, PencilPoint(0.01), AP5, TruncationPlan(n_max=64))
+        # just inside the outer band edge the envelope needs more than N_MAX terms
+        with pytest.raises(TruncationError, match="need 30612 terms"):
+            gamma_scalar_batch(1.0, PencilPoint(0.001), AP5)
 
 
 class TestGammaMatrix:
@@ -184,7 +185,7 @@ class TestRePart:
         assert operator_norm(re_part(a) - np.array([[0.0, 1.0], [1.0, 0.0]])) < 1e-14
 
 
-def reference_pencil(t, eps, r, alphas, plan=TruncationPlan(), weighted=False):
+def reference_pencil(t, eps, r, alphas, weighted=False):
     """Per-alpha direct sums with the interleaved stop rule, as plain loops.
 
     Returns the values sum_j w_j alpha^j X^j + sum_m w_m conj(alpha)^m Y^m
@@ -204,7 +205,7 @@ def reference_pencil(t, eps, r, alphas, plan=TruncationPlan(), weighted=False):
     runs, stops = [0, 0], [None, None]
     j = 1
     while None in stops:
-        if j > plan.n_max:
+        if j > N_MAX:
             raise TruncationError("reference did not decay")
         for side in (0, 1):
             if stops[side] is not None:
@@ -212,7 +213,7 @@ def reference_pencil(t, eps, r, alphas, plan=TruncationPlan(), weighted=False):
             powers[side].append(powers[side][-1] @ steps[side])
             term = coeff(j) * np.linalg.norm(powers[side][j])
             term = term * j if weighted else term
-            small = term < plan.tail_tol * (1.0 + acc)
+            small = term < TAIL_TOL * (1.0 + acc)
             acc += term
             runs[side] = runs[side] + 1 if small else 0
             if runs[side] >= 3:
@@ -244,17 +245,17 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def assert_fold_matches(t, eps, m, plan=TruncationPlan(), r=0.5):
+def assert_fold_matches(t, eps, m, r=0.5):
     """Gamma and the derivative pencil from the fold against the direct sums."""
     ap = AnnulusParams(r)
     alphas = roots_of_unity(m)
-    mp_ = MatrixPencil(t, eps, ap, plan)
+    mp_ = MatrixPencil(t, eps, ap)
     gam = mp_.gamma_for_alphas(m)
-    ref, idx = reference_pencil(t, eps, r, alphas, plan)
+    ref, idx = reference_pencil(t, eps, r, alphas)
     assert mp_.gamma_indices() == idx
     assert rel_diff(gam, ref) <= 1e-12
     der = mp_.derivative_for_alphas(m)
-    ref_core, idx_d = reference_pencil(t, eps, r, alphas, plan, weighted=True)
+    ref_core, idx_d = reference_pencil(t, eps, r, alphas, weighted=True)
     assert mp_.deriv_indices() == idx_d
     assert rel_diff(der, np.linalg.inv(t) @ ref_core) <= 1e-12
     return idx
@@ -302,8 +303,9 @@ class TestAlphaFold:
             assert rotated.deriv_indices() == mp_.deriv_indices()
 
     def test_band_edge_sweep_needs_more_terms(self):
-        mp_ = MatrixPencil(np.diag([1.0, 0.7]), 0.01, AP5, TruncationPlan(n_max=64))
-        with pytest.raises(TruncationError):
+        # eigenvalue 1 sits just inside the outer band edge at eps = 0.001
+        mp_ = MatrixPencil(np.diag([1.0, 0.7]), 0.001, AP5)
+        with pytest.raises(TruncationError, match=f"after {N_MAX} terms"):
             mp_.gamma_for_alphas(64)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
