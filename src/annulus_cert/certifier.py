@@ -3,15 +3,16 @@
 A certificate is a sampled object: positivity of the pencil real part is
 tested on a finite (eps, alpha) grid, so "certified" means no violation was
 found at the recorded grid density, while "refuted" is a hard disproof.  A
-margin must fall below -PSD_TOL * (1 + ||Gamma||) to refute, and the fixed
-truncation rule of the pencil (each side stops once its terms stay below
-TAIL_TOL = 1e-10 relative to the running sum, at most N_MAX = 4096 terms)
-keeps the series tail orders of magnitude below that; a sum that needs more
-terms makes the eps rung inconclusive rather than truncating it early.
+margin must fall below -PSD_TOL * (1 + ||Gamma||) to refute.  The pencil's
+fixed truncation (TAIL_TOL = 1e-10, at most N_MAX = 4096 terms per side) does
+not keep its tail below that slack: near the circles it was measured off by up
+to about 2e-8 (1 + ||Gamma||).  A sum that needs more than N_MAX terms makes
+the eps rung inconclusive rather than truncating it early.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -156,7 +157,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     smallest eigenvalue of Re Gamma(alpha T) at every grid point.  Any point
     below -PSD_TOL * (1 + ||Gamma||) refutes.  Truncation failures downgrade
     the verdict to inconclusive unless a refutation was found anyway.
-    ``threads`` (at least 1) caps how many eps rungs run at once.
+    ``threads`` (at least 1) caps concurrent eps rungs, as does os.cpu_count().
     """
     if threads is not None and threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
@@ -172,7 +173,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
         except TruncationError as exc:
             return [], f"eps={eps}: {exc}"
 
-    nthreads = 1 if threads is None else min(int(threads), len(grid.eps_values))
+    nthreads = 1 if threads is None else min(int(threads), len(grid.eps_values), os.cpu_count() or 1)
     if nthreads <= 1:
         outcomes = [run(eps) for eps in grid.eps_values]
     else:

@@ -85,9 +85,9 @@ def _annulus(r: float) -> AnnulusParams:
     return AnnulusParams(r)
 
 
-def _grid_from_args(args, base: PencilGrid) -> PencilGrid:
-    eps = _parse_eps_list(args.eps) if args.eps is not None else base.eps_values
-    alphas = args.alphas if args.alphas is not None else base.alpha_count
+def _grid_from_args(args) -> PencilGrid:
+    eps = _parse_eps_list(args.eps) if args.eps is not None else DEFAULT_GRID.eps_values
+    alphas = args.alphas if args.alphas is not None else DEFAULT_GRID.alpha_count
     return PencilGrid(eps_values=tuple(eps), alpha_count=alphas)
 
 
@@ -115,8 +115,8 @@ def _cert_exit(cert: Certificate) -> int:
 
 def _cmd_certify(args) -> int:
     t = _load(args.matrix)
-    grid = _grid_from_args(args, DEFAULT_GRID)
-    # certify_ar caps the pool at the number of eps rungs
+    grid = _grid_from_args(args)
+    # certify_ar caps the pool at the number of eps rungs and of cores
     threads = args.threads if args.threads is not None else os.cpu_count()
     cert = certify_ar(t, _annulus(args.r), grid, threads=threads)
     _emit(cert.to_dict(), args.out)
@@ -180,7 +180,7 @@ def _cmd_vn(args) -> int:
 def _cmd_thm(args) -> int:
     t1 = _load(args.t1)
     x = _load(args.x)
-    grid = _grid_from_args(args, DEFAULT_GRID)
+    grid = _grid_from_args(args)
     ap = _annulus(args.r)
     if args.which == "block1":
         report = check_thm_block1(t1, x, ap, grid)

@@ -12,6 +12,16 @@ normalization is forced: it is the unique one whose reciprocal matches the
 extremal derivative bound sup { |f'(w)| : ||f|| <= 1 } realized by the pencil
 certificates in the small-eps limit.
 
+Expanding 1 / (1 + r^{2n+1}) geometrically and summing over n gives, with
+rho = |w|, the closed form
+
+    K(w) = sum_{k>=0} (-1)^k [ r^k / ((1 - rho r^k)(1 + rho r^k))
+                               + r^{k+1} / ((rho - r^{k+1})(rho + r^{k+1})) ],
+
+whose positive terms t_k shrink by at least r per step, so the remainder
+after K terms is at most r^K t_0 <= r^K K(w) / (1 - r).  The denominators
+stay factored, so no distance to a circle is lost to cancellation.
+
 ``threshold_via_pencil`` recomputes the same number from the pencil
 certificates, giving the library a two-sided oracle on itself.  Since
 Gamma(alpha [[w, h], [0, w]]) = [[g, h g'], [0, g]] with g = Gamma(alpha w)
@@ -31,7 +41,7 @@ import numpy as np
 
 from .certifier import PencilGrid, certify_ar
 from .errors import DiagnosticError, DomainError, TruncationError
-from .pencil import AnnulusParams, MatrixPencil
+from .pencil import SCALAR_TOL, AnnulusParams, MatrixPencil, scalar_terms
 
 # Threshold hunting needs a much deeper eps ladder than plain certification:
 # the flip point converges to its limit linearly in the smallest eps.
@@ -39,11 +49,6 @@ MISRA_GRID = PencilGrid(
     eps_values=(0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 5e-4, 2.5e-4),
     alpha_count=64,
 )
-
-_KERNEL_CAP = 200_000
-
-# Relative truncation tail of the kernel diagonal.
-_KERNEL_TAIL_TOL = 1e-12
 
 # Width of the h bracket that ``threshold_via_pencil`` returns the midpoint of.
 SEARCH_TOL = 2e-5
@@ -58,39 +63,14 @@ def _check_point(w: complex, r: float) -> float:
     return aw
 
 
-def _kernel_terms(aw: float, r: float, n: int) -> tuple[float, float]:
-    """(positive-index term, negative-index term) at index n >= 1, overflow-free."""
-    tp = aw ** (2 * n) / (1.0 + r ** (2 * n + 1))
-    tm = (r * r / (aw * aw)) ** n / (r * (1.0 + r ** (2 * n - 1)))
-    return tp, tm
-
-
-def _tail_bound(aw: float, r: float, n: int) -> float:
-    """Upper bound on the remainder beyond |index| = n.
-
-    Terms are bounded by pure geometric sequences (the denominators shrink
-    toward one on the negative side, so they must be dropped from the bound).
-    """
-    rho_p = aw * aw
-    rho_m = (r * r) / (aw * aw)
-    return rho_p ** (n + 1) / (1.0 - rho_p) + rho_m ** (n + 1) / (r * (1.0 - rho_m))
-
-
 def kernel_diag(w: complex, r: float) -> float:
-    """Bilateral kernel diagonal, the truncation grown until the relative
-    tail bound is below _KERNEL_TAIL_TOL."""
+    """Bilateral kernel diagonal in closed form, relative remainder below SCALAR_TOL."""
     aw = _check_point(w, r)
-    s = 1.0 / (1.0 + r)
-    n = 1
-    while True:
-        tp, tm = _kernel_terms(aw, r, n)
-        s += tp + tm
-        if n >= 8 and _tail_bound(aw, r, n) < _KERNEL_TAIL_TOL * s:
-            break
-        if n >= _KERNEL_CAP:
-            raise TruncationError(f"kernel tail not below {_KERNEL_TAIL_TOL:g} after {n} terms")
-        n += 1
-    return s
+    rk = r ** np.arange(scalar_terms(r, SCALAR_TOL * (1.0 - r)) + 1, dtype=float)
+    p, q = rk[:-1], rk[1:]
+    terms = p / ((1.0 - aw * p) * (1.0 + aw * p)) + q / ((aw - q) * (aw + q))
+    terms[1::2] *= -1.0
+    return float(np.sum(terms))
 
 
 def misra_threshold(w: complex, r: float) -> float:

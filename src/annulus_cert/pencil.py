@@ -13,9 +13,9 @@ works with the folded terms
     c_{-m} (alpha z)^{-m} = a_m y^m  (m >= 1,  y = (1-eps) r / (alpha z))
 
 where a_j = 2 / (1 + d^j) and d = (1-eps)^2 r, so both sides are power series
-with moduli strictly below 1 on the band and O(1) coefficients.  The matrix
-case replaces x, y by the scaled operators (1-eps) alpha T and
-(1-eps) r (alpha T)^{-1}.
+with moduli strictly below 1 on the band and O(1) coefficients.  Scalars sum
+them in closed form (``gamma_scalar_batch``); the matrix case replaces x, y
+by the scaled operators (1-eps) alpha T and (1-eps) r (alpha T)^{-1}.
 
 A sweep over the M-th roots of unity alpha_k needs only one pass over the
 power ladders of X = (1-eps) T and Y = (1-eps) r T^{-1}: since alpha_k^j
@@ -39,13 +39,17 @@ from .numerics import PSD_TOL, as_matrix, eigenvalues, inverse
 # Relative slack when testing membership in the convergence band.
 BAND_SLACK = 1e-9
 
-# Bilateral truncation: each side of the sum stops once its term norms stay
-# below TAIL_TOL * (1 + accumulated term norms) for _DECAY_RUN consecutive
+# Matrix pencil truncation: each side of the sum stops once its term norms
+# stay below TAIL_TOL * (1 + accumulated term norms) for _DECAY_RUN consecutive
 # indices (a guard against transient growth of non-normal powers); N_MAX is
 # the hard per-side cap, past which the sum raises TruncationError.
 TAIL_TOL = 1e-10
 N_MAX = 4096
 _DECAY_RUN = 3
+
+# Closed-form scalar sums: remainder bound and term cap (r within ~1e-4 of 1).
+SCALAR_TOL = 1e-16
+SCALAR_MAX_TERMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,44 +114,43 @@ def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
         )
 
 
-def _envelope_terms(rho: float) -> int:
-    """Smallest N with geometric tail bound 2 rho^(N+1)/(1-rho) < TAIL_TOL."""
-    if rho <= 0.0:
-        return 8
-    if rho >= 1.0:
-        raise TruncationError(f"series ratio {rho:.6g} >= 1; tail cannot be bounded")
-    n = int(math.ceil(math.log(TAIL_TOL * (1.0 - rho) / 2.0) / math.log(rho)))
-    n = max(n, 8)
-    if n > N_MAX:
-        raise TruncationError(f"need {n} terms per side, exceeding the cap {N_MAX}")
-    return n
+def scalar_terms(q: float, bound: float) -> int:
+    """Term count, fixed before any evaluation, of a closed-form scalar sum
+    (``gamma_scalar_batch``, ``misra.kernel_diag``): the smallest K >= 1 with
+    q^K <= bound, for a series ratio 0 <= q < 1."""
+    k = 1 if q <= bound else math.ceil(math.log(bound) / math.log(q))
+    if k > SCALAR_MAX_TERMS:
+        raise TruncationError(f"series ratio {q!r} needs {k} terms, exceeding the cap {SCALAR_MAX_TERMS}")
+    return k
 
 
 def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
-    """Vectorized Gamma over an array of scalars (shared truncation index)."""
+    """Vectorized Gamma over an array of scalars, summed in closed form.
+
+    Expanding a_j = 2 / (1 + d^j) geometrically and summing over j gives
+
+        Gamma(alpha z) = 1 + 2 sum_{k>=0} (-1)^k [x d^k / (1 - x d^k) + y d^k / (1 - y d^k)],
+
+    with remainder at most 4 d^K / ((1-d)(1-d^K)) after K terms while |x|, |y| < 1.
+    Denominators are formed as (1 - d^k u) + eps d^k u and (u - r d^k) + eps r d^k
+    (u = alpha z), so no 1 - (1-eps) cancels near the circles.
+    """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     absz = np.abs(zs)
-    if np.any(absz == 0.0):
-        raise DomainError("z = 0 is outside every convergence band")
-    _check_band(absz, pt.eps, ap.r)
-    b = 1.0 - pt.eps
-    d = b * b * ap.r
-    x = b * pt.alpha * zs
-    y = b * ap.r / (pt.alpha * zs)
-    n_pos = _envelope_terms(float(np.max(np.abs(x))))
-    n_neg = _envelope_terms(float(np.max(np.abs(y))))
-    ks = np.arange(n_pos + 1, dtype=float)
-    a_pos = 2.0 / (1.0 + d**ks)
-    ms = np.arange(1, n_neg + 1, dtype=float)
-    a_neg = 2.0 / (1.0 + d**ms)
-    acc = np.zeros_like(zs)
-    for k in range(n_pos, 0, -1):
-        acc = (acc + a_pos[k]) * x
-    acc = acc + a_pos[0]
-    acc_n = np.zeros_like(zs)
-    for m in range(n_neg, 0, -1):
-        acc_n = (acc_n + a_neg[m - 1]) * y
-    return acc + acc_n
+    eps, r = pt.eps, ap.r
+    _check_band(absz, eps, r)
+    b = 1.0 - eps
+    d = b * b * r
+    rho = b * max(float(absz.max()), r / float(absz.min()))
+    if rho >= 1.0:
+        raise TruncationError(f"series ratio {rho:.6g} >= 1: the sum diverges on the band edge")
+    u = pt.alpha * zs
+    acc = np.zeros_like(u)
+    # d^K <= SCALAR_TOL (1-d) / 8 puts the remainder bound below SCALAR_TOL
+    for k in range(scalar_terms(d, SCALAR_TOL * (1.0 - d) / 8.0) - 1, -1, -1):
+        du, rd = d**k * u, r * d**k
+        acc = b * du / ((1.0 - du) + eps * du) + b * rd / ((u - rd) + eps * rd) - acc
+    return 1.0 + 2.0 * acc
 
 
 class _Ladder:

@@ -46,9 +46,6 @@ class RationalFunction:
         if self.q.size == 1 and self.q[0] == 0:
             raise DomainError("denominator is identically zero")
 
-    def degree(self) -> tuple[int, int]:
-        return self.p.size - 1, self.q.size - 1
-
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
         return polyval(self.p, zs) / polyval(self.q, zs)
@@ -58,12 +55,6 @@ class RationalFunction:
             "p": [[float(c.real), float(c.imag)] for c in self.p],
             "q": [[float(c.real), float(c.imag)] for c in self.q],
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RationalFunction":
-        p = [complex(re, im) for re, im in d["p"]]
-        q = [complex(re, im) for re, im in d["q"]]
-        return RationalFunction(p, q)
 
 
 def polyval(c: np.ndarray, z):

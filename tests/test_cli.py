@@ -37,11 +37,11 @@ def files(tmp_path):
 
     put("eye", np.eye(3))
     put("shrunk", np.diag([0.1 + 0j]))
-    w = 0.7
-    th = misra_threshold(w, 0.5)
-    put("t", np.array([[w]]))
+    put("t", np.array([[0.7]]))
     put("t2", np.array([[0.6]]))
-    put("x_small", np.array([[0.5 * th]]))
+    # half the kernel threshold at w = 0.7, r = 0.5, pinned so the golden
+    # files do not follow the last digits of misra_threshold
+    put("x_small", np.array([[0.15428348717445867]]))
     # near the inner circle the sampler finds violating functions reliably
     put("bad", jordan_block(0.55, 1.5 * misra_threshold(0.55, 0.5)))
     paths["tmp"] = tmp_path
@@ -222,6 +222,18 @@ class TestOtherCommands:
         out = capsys.readouterr().out.strip()
         assert code == 0
         assert float(out) == pytest.approx(misra_threshold(0.5, 0.25), rel=1e-12)
+
+    @pytest.mark.parametrize("w", ["0.99999,0", "0.500001,0"])
+    def test_misra_near_the_circles(self, capsys, w):
+        # a term-by-term kernel sum would need hundreds of thousands of terms here
+        code = main(["misra", "--r", "0.5", "--w", w])
+        out = capsys.readouterr().out.strip()
+        assert code == 0
+        assert float(out) > 0.0
+
+    def test_misra_r_near_one_inconclusive(self, capsys):
+        assert main(["misra", "--r", "0.99999999", "--w", "0.999999995,0"]) == 2
+        assert "exceeding the cap" in capsys.readouterr().err
 
     def test_misra_bad_w_usage(self, capsys):
         assert main(["misra", "--r", "0.25", "--w", "0.1,0"]) == 64

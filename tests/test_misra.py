@@ -15,18 +15,15 @@ from annulus_cert.misra import (
     sweep_rows,
     threshold_via_pencil,
 )
-from annulus_cert.pencil import AnnulusParams
+from annulus_cert.pencil import SCALAR_TOL, AnnulusParams, scalar_terms
 
 
-def kernel_mp(absw, r, nmax=4000):
-    """Arclength-weight kernel diagonal in 40-digit arithmetic."""
+def kernel_nsum(absw, r):
+    """Arclength-weight kernel diagonal in 40-digit arithmetic, the bilateral
+    series summed to convergence by mp.nsum."""
     mp.dps = 40
-    absw = mpf(absw)
-    r = mpf(r)
-    s = mpf(0)
-    for n in range(-nmax, nmax + 1):
-        s += absw ** (2 * n) / (1 + r ** (2 * n + 1))
-    return float(s)
+    rho, r = mpf(absw) ** 2, mpf(r)
+    return mp.nsum(lambda n: rho**n / (1 + r ** (2 * n + 1)), [-mp.inf, mp.inf])
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +56,7 @@ class _FixedVerdict:
         self.verdict = "certified" if certified else "refuted"
 
 
-# Frozen from kernel_mp(0.5, 0.25) above; the symmetric point |w| = sqrt(r).
+# Frozen from kernel_nsum(0.5, 0.25) above; the symmetric point |w| = sqrt(r).
 KERNEL_HALF_QUARTER = 2.258850470247361
 
 
@@ -71,24 +68,41 @@ class TestKernelDiag:
 
     def test_frozen_oracle_value(self):
         assert kernel_diag(0.5, 0.25) == pytest.approx(KERNEL_HALF_QUARTER, rel=1e-12)
-        assert kernel_mp(0.5, 0.25) == pytest.approx(KERNEL_HALF_QUARTER, rel=1e-12)
+        assert float(kernel_nsum(0.5, 0.25)) == pytest.approx(KERNEL_HALF_QUARTER, rel=1e-12)
 
     def test_depends_only_on_modulus(self):
         w = 0.5 * np.exp(1.234j)
         assert kernel_diag(w, 0.25) == pytest.approx(kernel_diag(0.5, 0.25), rel=1e-14)
 
-    def test_tail_estimate_bounds_truth(self):
-        # the bound kernel_diag stops on
-        def partial(n):
-            s = 1.0 / 1.3
-            for k in range(1, n + 1):
-                tp, tm = misra._kernel_terms(0.6, 0.3, k)
-                s += tp + tm
-            return s
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.9, 0.99])
+    def test_closed_form_matches_bilateral_nsum(self, r):
+        # from 1e-9 (1-r) off the inner circle to 1e-9 (1-r) off the outer one
+        gap = 1e-9 * (1.0 - r)
+        for aw in (r + gap, r + 1e-4 * (1.0 - r), np.sqrt(r), 1.0 - 1e-4 * (1.0 - r), 1.0 - gap):
+            ref = kernel_nsum(aw, r)
+            assert abs(kernel_diag(aw, r) - ref) <= 1e-14 * ref
 
-        coarse, tail = partial(12), misra._tail_bound(0.6, 0.3, 12)
-        fine = partial(400)
-        assert 0.0 < fine - coarse <= tail + 1e-14
+    @pytest.mark.parametrize("r, aw", [(0.3, 0.6), (0.5, 0.500001), (0.9, 0.99)])
+    def test_a_priori_remainder_bound_holds(self, r, aw):
+        # the closed form's terms t_k are positive and shrink by at least r,
+        # so the sum over k >= K lies in (0, r^K t_0] and t_0 <= K(w) / (1-r):
+        # the bound behind kernel_diag's term count
+        mp.dps = 40
+        rho, rr = mpf(aw), mpf(r)
+
+        def t(k):
+            return (rr**k / ((1 - rho * rr**k) * (1 + rho * rr**k))
+                    + rr ** (k + 1) / ((rho - rr ** (k + 1)) * (rho + rr ** (k + 1))))
+
+        total = kernel_nsum(aw, r)
+        assert t(0) <= total / (1 - rr)
+        for k in range(40):
+            assert 0 < t(k + 1) <= rr * t(k)
+        for big_k in (1, 2, 5, 20):
+            partial = sum((-1) ** k * t(k) for k in range(big_k))
+            assert 0 < (-1) ** big_k * (total - partial) <= rr**big_k * t(0)
+        big_k = scalar_terms(r, SCALAR_TOL * (1.0 - r))
+        assert r**big_k <= SCALAR_TOL * (1.0 - r) < r ** (big_k - 1)
 
     def test_lower_bound_half(self):
         for r, aw in [(0.3, 0.4), (0.5, 0.7), (0.8, 0.9)]:

@@ -18,6 +18,7 @@ from annulus_cert.pencil import (
     gamma_matrix,
     gamma_scalar_batch,
     re_part,
+    scalar_terms,
 )
 
 from conftest import eig_match_max
@@ -25,15 +26,14 @@ from conftest import eig_match_max
 AP5 = AnnulusParams(0.5)
 
 
-def gamma_mp(z, eps, r, kmax):
-    """Literal-formula bilateral sum in 40-digit arithmetic."""
+def gamma_nsum(z, eps, r):
+    """Literal-formula bilateral series in 40-digit arithmetic, summed to
+    convergence by mp.nsum."""
     mp.dps = 40
     b = 1 - mpf(eps)
     r = mpf(r)
-    s = mpc(0)
-    for k in range(-kmax, kmax + 1):
-        s += 2 * b**k / (1 + b ** (2 * k) * r**k) * mpc(z) ** k
-    return complex(s)
+    z = mpc(z)
+    return complex(mp.nsum(lambda k: 2 * b**k / (1 + b ** (2 * k) * r**k) * z**k, [-mp.inf, mp.inf]))
 
 
 class TestCoefficients:
@@ -68,12 +68,12 @@ class TestCoefficients:
 class TestGammaScalar:
     def test_wide_truncation_oracle_at_one(self):
         mine = gamma_scalar_batch(1.0, PencilPoint(0.5), AP5)[0]
-        assert abs(mine - gamma_mp(1.0, 0.5, 0.5, 500)) < 1e-10
+        assert abs(mine - gamma_nsum(1.0, 0.5, 0.5)) < 1e-10
 
     def test_extended_precision_interior_point(self):
         z = -0.3
         mine = gamma_scalar_batch(z, PencilPoint(0.01), AnnulusParams(0.3))[0]
-        assert abs(mine - gamma_mp(z, 0.01, 0.3, 6000)) < 2e-10
+        assert abs(mine - gamma_nsum(z, 0.01, 0.3)) < 2e-10
 
     def test_scalar_positivity_small_grid(self):
         # scalar points of the closed annulus are normal contractions
@@ -102,10 +102,48 @@ class TestGammaScalar:
         with pytest.raises(DomainError):
             gamma_scalar_batch(0.2, PencilPoint(0.5), AP5)
 
-    def test_band_edge_needs_more_terms(self):
-        # just inside the outer band edge the envelope needs more than N_MAX terms
-        with pytest.raises(TruncationError, match="need 30612 terms"):
-            gamma_scalar_batch(1.0, PencilPoint(0.001), AP5)
+    def test_band_edge_matches_reference(self):
+        # just inside the outer band edge, where a term-by-term sum needs
+        # tens of thousands of terms
+        ref = gamma_nsum(1.0, 0.001, 0.5)
+        assert abs(gamma_scalar_batch(1.0, PencilPoint(0.001), AP5)[0] - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("z", [2.0, 0.25])
+    def test_exact_band_edge_diverges(self, z):
+        # at eps = 0.5 the band of r = 0.5 is [0.25, 2]; on its edge |x| or |y| is 1
+        with pytest.raises(TruncationError, match="diverges"):
+            gamma_scalar_batch(z, PencilPoint(0.5), AP5)
+
+    @pytest.mark.parametrize("r", [0.3, 0.5])
+    @pytest.mark.parametrize("eps", [0.5, 1e-3, 1e-6])
+    def test_closed_form_matches_bilateral_nsum(self, r, eps):
+        ap = AnnulusParams(r)
+        angles = np.exp(2j * np.pi * np.arange(8) / 8)
+        angles[0] = 1.0
+        for rho in (r, 1.0):
+            z = rho * angles
+            for alpha in (1.0, 1j):  # alpha z stays exact in floating point
+                vals = gamma_scalar_batch(z, PencilPoint(eps, alpha), ap)
+                for zi, vi in zip(z, vals):
+                    ref = gamma_nsum(alpha * zi, eps, r)
+                    assert abs(vi - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_a_priori_remainder_bound_holds(self):
+        # after K terms of the closed form the remainder is at most
+        # 4 d^K / ((1-d)(1-d^K)); checked in 40 digits near both circles
+        mp.dps = 40
+        eps, r = mpf(0.01), mpf(0.5)
+        b = 1 - eps
+        d = b * b * r
+        for z in (mpc(0.999, 0.01), mpc(0.0, 0.501), mpc(-0.7, 0.2)):
+            x, y = b * z, b * r / z
+            total = gamma_nsum(z, 0.01, 0.5)
+            partial = 1
+            for k in range(12):
+                partial += 2 * (-1) ** k * (x * d**k / (1 - x * d**k) + y * d**k / (1 - y * d**k))
+                assert abs(total - partial) <= 4 * d ** (k + 1) / ((1 - d) * (1 - d ** (k + 1)))
+        n_terms = scalar_terms(0.25, 0.5e-16)
+        assert 0.25**n_terms <= 0.5e-16 < 0.25 ** (n_terms - 1)
 
 
 class TestGammaMatrix:

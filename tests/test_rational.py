@@ -256,7 +256,8 @@ class TestSupProperties:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        f = RationalFunction([1.0 + 2j, 0.5], [1.0, 0.0, -0.25j])
-        g = RationalFunction.from_dict(f.to_dict())
-        assert np.array_equal(f.p, g.p) and np.array_equal(f.q, g.q)
+    def test_to_dict_document(self):
+        # ascending [re, im] pairs, trailing zero coefficients trimmed
+        f = RationalFunction([1.0 + 2j, 0.5, 0.0], [1.0, 0.0, -0.25j])
+        assert f.to_dict() == {"p": [[1.0, 2.0], [0.5, 0.0]],
+                               "q": [[1.0, 0.0], [0.0, 0.0], [0.0, -0.25]]}
