@@ -26,9 +26,6 @@ from .numerics import (
 from .pencil import (
     AnnulusParams,
     PencilPoint,
-    N_MAX,
-    TAIL_TOL,
-    gamma_coeff,
     gamma_derivative_matrix,
     gamma_matrix,
     gamma_scalar_batch,

@@ -3,11 +3,12 @@
 A certificate is a sampled object: positivity of the pencil real part is
 tested on a finite (eps, alpha) grid, so "certified" means no violation was
 found at the recorded grid density, while "refuted" is a hard disproof.  A
-margin must fall below -PSD_TOL * (1 + ||Gamma||) to refute.  The pencil's
-fixed truncation (TAIL_TOL = 1e-10, at most N_MAX = 4096 terms per side) does
-not keep its tail below that slack: near the circles it was measured off by up
-to about 2e-8 (1 + ||Gamma||).  A sum that needs more than N_MAX terms makes
-the eps rung inconclusive rather than truncating it early.
+margin must fall below -PSD_TOL * (1 + ||Gamma||) to refute.  Neither the
+truncation nor the rounding of the pencil may spend that slack: the sum is
+taken in closed form with an a-priori tail below SCALAR_TOL = 1e-16, and a
+sweep whose rounding could reach a tenth of PSD_TOL raises TruncationError.
+That error, like a spectrum on a band edge where the series diverges, makes
+the eps rung inconclusive rather than refuted.
 """
 
 from __future__ import annotations

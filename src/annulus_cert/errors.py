@@ -18,7 +18,7 @@ class SingularityError(AnnulusCertError):
 
 
 class TruncationError(AnnulusCertError):
-    """Series tail could not be brought under tolerance within the term cap."""
+    """A series diverges, needs more terms than the cap, or rounds beyond the slack."""
 
 
 class NumericalFailureError(AnnulusCertError):

@@ -13,17 +13,20 @@ works with the folded terms
     c_{-m} (alpha z)^{-m} = a_m y^m  (m >= 1,  y = (1-eps) r / (alpha z))
 
 where a_j = 2 / (1 + d^j) and d = (1-eps)^2 r, so both sides are power series
-with moduli strictly below 1 on the band and O(1) coefficients.  Scalars sum
-them in closed form (``gamma_scalar_batch``); the matrix case replaces x, y
-by the scaled operators (1-eps) alpha T and (1-eps) r (alpha T)^{-1}.
+with moduli below 1 inside the band.  Expanding a_j = 2 sum_k (-1)^k d^{jk}
+turns each side into an alternating sum of resolvents whose terms shrink like
+d^k whatever eps is, summed in closed form after a term count fixed in advance
+(``scalar_terms``): scalars in ``gamma_scalar_batch``, matrices in
+``MatrixPencil`` with X = (1-eps) T and Y = (1-eps) r T^{-1} for x and y.
 
-A sweep over the M-th roots of unity alpha_k needs only one pass over the
-power ladders of X = (1-eps) T and Y = (1-eps) r T^{-1}: since alpha_k^j
-depends only on j mod M, the pass adds a_j X^j into bucket j mod M and
-a_j Y^j into bucket (-j) mod M, and one inverse FFT over the M buckets gives
-Gamma(alpha_k T) for every k.  Memory is O(M n^2), independent of the number
-of terms.  A single arbitrary alpha is the M = 1 sweep of the rotated
-matrix alpha T.
+At the M-th roots of unity alpha_k, alpha_k^j depends only on j mod M, so
+each side W (X or Y) needs only the buckets B_b = sum_{j = b mod M} a_j W^j,
+and one inverse FFT over them gives Gamma(alpha_k T) for every k.  With
+V = W^M and R_k = (I - d^{kM} V)^{-1} each bucket closes exactly:
+
+    B_b = W^b [a_b I + 2 sum_k (-1)^k d^{k(b+M)} V R_k]        (b = 1..M).
+
+A single arbitrary alpha is the M = 1 sweep of the rotated matrix alpha T.
 """
 
 from __future__ import annotations
@@ -36,20 +39,19 @@ import numpy as np
 from .errors import DomainError, TruncationError
 from .numerics import PSD_TOL, as_matrix, eigenvalues, inverse
 
-# Relative slack when testing membership in the convergence band.
-BAND_SLACK = 1e-9
-
-# Matrix pencil truncation: each side of the sum stops once its term norms
-# stay below TAIL_TOL * (1 + accumulated term norms) for _DECAY_RUN consecutive
-# indices (a guard against transient growth of non-normal powers); N_MAX is
-# the hard per-side cap, past which the sum raises TruncationError.
-TAIL_TOL = 1e-10
-N_MAX = 4096
-_DECAY_RUN = 3
-
-# Closed-form scalar sums: remainder bound and term cap (r within ~1e-4 of 1).
+# Closed-form sums: remainder bound and term cap (r within ~1e-4 of 1).
 SCALAR_TOL = 1e-16
 SCALAR_MAX_TERMS = 1 << 20
+
+# Absolute rounding of a matrix sweep per unit of sum_b ||B_b||_F: ten times
+# the largest part of the measured errors not proportional to |Gamma| (see
+# README).  A sweep whose rounding could reach a tenth of PSD_TOL raises
+# TruncationError, so the refutation slack is never spent on rounding.
+SWEEP_ROUNDING = 1e-15
+
+# Bucket products are formed this many matrix entries at a time, so a sweep
+# holds no (M, n, n) stack besides the buckets.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,20 +85,6 @@ class PencilPoint:
             raise DomainError(f"alpha must be unimodular, got |alpha| = {abs(self.alpha)}")
 
 
-def gamma_coeff(k: int, eps: float, r: float) -> float:
-    """Series coefficient c_k, evaluated in the overflow-free algebraic form."""
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"r must lie in (0, 1), got {r}")
-    b = 1.0 - eps
-    d = b * b * r
-    if k >= 0:
-        return 2.0 * b**k / (1.0 + d**k)
-    m = -k
-    return 2.0 * (b * r) ** m / (1.0 + d**m)
-
-
 def re_part(a) -> np.ndarray:
     """Hermitian real part (A + A*)/2."""
     m = as_matrix(a)
@@ -104,20 +92,29 @@ def re_part(a) -> np.ndarray:
 
 
 def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
-    """DomainError unless every modulus lies in the convergence band [(1-eps) r, 1/(1-eps)]."""
+    """Both series converge at these moduli, or raise.
+
+    DomainError when a modulus leaves the band [(1-eps) r, 1/(1-eps)] by more
+    than PSD_TOL, the slack of ``spectrum_in_annulus``; TruncationError when
+    one lies on or past a band edge, where a series ratio reaches 1.
+    """
     lo, hi = (1.0 - eps) * r, 1.0 / (1.0 - eps)
     mn, mx = float(mods.min()), float(mods.max())
-    if mn < lo * (1.0 - BAND_SLACK) or mx > hi * (1.0 + BAND_SLACK):
+    if mn < lo - PSD_TOL or mx > hi + PSD_TOL:
         raise DomainError(
             f"moduli [{mn:.6g}, {mx:.6g}] leave the convergence band "
             f"[{lo:.6g}, {hi:.6g}] at eps = {eps}"
         )
+    rho = (1.0 - eps) * max(mx, r / mn)
+    if rho >= 1.0:
+        raise TruncationError(f"series ratio {rho:.6g} >= 1: the sum diverges on the band edge")
 
 
 def scalar_terms(q: float, bound: float) -> int:
-    """Term count, fixed before any evaluation, of a closed-form scalar sum
-    (``gamma_scalar_batch``, ``misra.kernel_diag``): the smallest K >= 1 with
-    q^K <= bound, for a series ratio 0 <= q < 1."""
+    """Term count, fixed before any evaluation, of a closed-form sum
+    (``gamma_scalar_batch``, ``misra.kernel_diag``, the levels of a
+    ``MatrixPencil`` sweep): the smallest K >= 1 with q^K <= bound, for a
+    series ratio 0 <= q < 1."""
     k = 1 if q <= bound else math.ceil(math.log(bound) / math.log(q))
     if k > SCALAR_MAX_TERMS:
         raise TruncationError(f"series ratio {q!r} needs {k} terms, exceeding the cap {SCALAR_MAX_TERMS}")
@@ -136,14 +133,10 @@ def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
     (u = alpha z), so no 1 - (1-eps) cancels near the circles.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    absz = np.abs(zs)
     eps, r = pt.eps, ap.r
-    _check_band(absz, eps, r)
+    _check_band(np.abs(zs), eps, r)
     b = 1.0 - eps
     d = b * b * r
-    rho = b * max(float(absz.max()), r / float(absz.min()))
-    if rho >= 1.0:
-        raise TruncationError(f"series ratio {rho:.6g} >= 1: the sum diverges on the band edge")
     u = pt.alpha * zs
     acc = np.zeros_like(u)
     # d^K <= SCALAR_TOL (1-d) / 8 puts the remainder bound below SCALAR_TOL
@@ -153,42 +146,35 @@ def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
     return 1.0 + 2.0 * acc
 
 
-class _Ladder:
-    """Powers of one step matrix, kept two deep, with their Frobenius norms."""
-
-    __slots__ = ("step", "prev", "cur", "run", "stop")
-
-    def __init__(self, step: np.ndarray):
-        n = step.shape[0]
-        self.step = step
-        self.prev = self._buffer(np.eye(n, dtype=complex))
-        self.cur = self._buffer(np.empty((n, n), dtype=complex))
-        self.run = 0
-        self.stop: int | None = None
-
-    @staticmethod
-    def _buffer(a: np.ndarray) -> tuple:
-        flat = a.reshape(-1)
-        return a, flat.real, flat.imag
-
-    def advance(self) -> tuple[np.ndarray, float]:
-        """The next power and its Frobenius norm, summed as np.linalg.norm sums it."""
-        prev, cur = self.prev, self.cur
-        np.matmul(prev[0], self.step, out=cur[0])
-        self.prev, self.cur = cur, prev
-        _, re, im = cur
-        return cur[0], math.sqrt(re.dot(re) + im.dot(im))
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """W^1, ..., W^count, by doubling: log2(count) batched products."""
+    out = np.empty((count, *w.shape), dtype=complex)
+    out[0] = w
+    done = 1
+    while done < count:
+        take = min(done, count - done)
+        np.matmul(out[done - 1], out[:take], out=out[done:done + take])
+        done += take
+    return out
 
 
 class MatrixPencil:
     """Pencil evaluation for one matrix T at one eps.
 
-    Each sweep is one streaming pass over the ladders X^j = ((1-eps) T)^j and
-    Y^j = ((1-eps) r T^-1)^j that applies the stop rule to their Frobenius
-    norms and folds every term into M buckets (j mod M, see the module
-    docstring).  Only the current powers and the buckets are kept, so memory
-    is O(M n^2) however deep the ladder runs.  The stop indices do not depend
-    on M, so every pass records them.
+    A sweep over m alphas adds each side W (X or Y) into the m buckets in
+    closed form (module docstring).  The level count L of the resolvent sum
+    over k is fixed before any solve.  While d^L ||W|| <= 1 and
+    d^{Lm} ||V|| <= 1/2 (so ||R_k|| <= 2 for k >= L), the levels k >= L of
+    all buckets together, for Gamma or for the derivative pencil, have
+    operator norm at most
+
+        16 m^2 ||W|| ||V|| q^L / (1 - q),     q = d^{m+1},
+
+    since sum_b ||W^b|| d^{kb} <= m ||W|| d^k.  This holds for non-normal W
+    too, and ``scalar_terms`` puts it below SCALAR_TOL.  On the default grid
+    at r = 0.5, L is 1 to 3 for normal T up to n = 64, whatever eps is.  The
+    powers W^b are built _CHUNK entries at a time, so a sweep holds the m
+    buckets plus O(_CHUNK) entries.
     """
 
     def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams):
@@ -202,71 +188,76 @@ class MatrixPencil:
         self._x = b * self.t
         self._y = b * ap.r * inverse(self.t)
         self._d = b * b * ap.r
-        # stop indices of Gamma and of the derivative pencil, set by any pass
-        self._stops: list[tuple[int, int] | None] = [None, None]
+        # per-side level counts of the last sweep
+        self._levels: tuple[int, int] | None = None
 
-    def _fold(self, m: int, weighted: bool) -> tuple[np.ndarray, tuple[int, int]]:
-        """One pass over both ladders into m buckets; returns (buckets, stop indices).
+    def _fold(self, w: np.ndarray, sign: int, buckets: np.ndarray, weighted: bool) -> int:
+        """Add the side of W into ``buckets``; returns its level count.
 
-        Bucket b holds the terms w_j X^j with j = b mod m and w_j Y^j with
-        -j = b mod m, where w_j = a_j, or with ``weighted`` +j a_j on the
-        positive and -j a_j on the negative side.
-        The sides are scanned interleaved, positive first; each stops after
-        _DECAY_RUN consecutive term norms below TAIL_TOL * (1 + acc), acc
-        being the running sum of the term norms of both sides.
+        W^j goes to bucket (sign j) mod m.  With ``weighted`` each term also
+        carries the factor sign * j (the derivative pencil); summing
+        (b + l m) c^l V^l over l turns V R_k into b V R_k + m V R_k^2.
         """
-        n = self.t.shape[0]
+        m, n = buckets.shape[0], w.shape[0]
         d = self._d
+        v = np.linalg.matrix_power(w, m)
+        q = d ** (m + 1)
+        # Frobenius norms, at least 1: upper bounds of ||W|| and ||V||
+        wn, vn = max(float(np.linalg.norm(w)), 1.0), max(float(np.linalg.norm(v)), 1.0)
+        levels = max(
+            scalar_terms(d, 1.0 / wn),
+            scalar_terms(d**m, 0.5 / vn),
+            scalar_terms(q, SCALAR_TOL * (1.0 - q) / (16.0 * m * m * wn * vn)),
+        )
+        k = np.arange(levels)
+        c = d ** (m * k)
+        vr = np.linalg.solve(np.eye(n) - c[:, None, None] * v, np.broadcast_to(v, (levels, n, n)))
+        j = np.arange(1, m + 1)
+        coef = 2.0 * (-1.0) ** k[:, None] * d ** (k[:, None] * (j + m))
+        diag = 2.0 / (1.0 + d ** j.astype(float))
+        if weighted:
+            vr = np.concatenate([vr, vr + c[:, None, None] * (vr @ vr)])  # V R_k, V R_k^2
+            coef = sign * np.concatenate([coef * j, coef * m])
+            diag = sign * j * diag
+        vr = vr.reshape(len(vr), n * n)
+        slot = (sign * j) % m
+        step = max(1, _CHUNK // (n * n))
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            if lo == 0:
+                pw = _powers(w, hi)
+                top = pw[-1]  # W^step, the shift to the next chunk
+            else:
+                pw = (top @ pw)[: hi - lo]
+            s = (coef[:, lo:hi].T @ vr).reshape(hi - lo, n, n)
+            s[:, np.arange(n), np.arange(n)] += diag[lo:hi, None]
+            buckets[slot[lo:hi]] += pw @ s
+        return levels
+
+    def _sweep(self, m: int, weighted: bool) -> np.ndarray:
+        """Values at the m-th roots of unity; records the level counts."""
+        n = self.t.shape[0]
         buckets = np.zeros((m, n, n), dtype=complex)
         if not weighted:
             buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
-        bins = list(buckets)
-        scratch = np.empty((n, n), dtype=complex)
-        pos = _Ladder(self._x)
-        neg = _Ladder(self._y)
-        sides = ((pos, 1), (neg, -1))
-        acc = 0.0 if weighted else math.sqrt(n)
-        j = 1
-        while pos.stop is None or neg.stop is None:
-            if j > N_MAX:
-                side = "positive" if pos.stop is None else "negative"
-                raise TruncationError(
-                    f"{side} side of the bilateral sum not decayed after {N_MAX} "
-                    f"terms at eps = {self.eps} (TAIL_TOL = {TAIL_TOL:g})"
-                )
-            a = 2.0 / (1.0 + d ** float(j))
-            for ladder, sign in sides:
-                if ladder.stop is not None:
-                    continue
-                power, norm = ladder.advance()
-                np.multiply(power, sign * j * a if weighted else a, out=scratch)
-                bins[(sign * j) % m] += scratch
-                term = a * norm * j if weighted else a * norm
-                small = term < TAIL_TOL * (1.0 + acc)
-                acc += term
-                ladder.run = ladder.run + 1 if small else 0
-                if ladder.run >= _DECAY_RUN:
-                    ladder.stop = j
-            j += 1
-        return buckets, (pos.stop, neg.stop)
-
-    def _sweep(self, m: int, weighted: bool) -> np.ndarray:
-        """Values at the m-th roots of unity; the pass records the stop indices."""
-        buckets, self._stops[weighted] = self._fold(m, weighted)
+        self._levels = (self._fold(self._x, 1, buckets, weighted),
+                        self._fold(self._y, -1, buckets, weighted))
+        rounding = SWEEP_ROUNDING * float(np.sum(np.linalg.norm(buckets, axis=(1, 2))))
+        if not rounding <= 0.1 * PSD_TOL:
+            raise TruncationError(f"sweep rounding up to {rounding:.3g} at eps = {self.eps} "
+                                  f"would reach the refutation slack PSD_TOL = {PSD_TOL:g}")
         return m * np.fft.ifft(buckets, axis=0)
 
-    def _indices(self, weighted: bool) -> tuple[int, int]:
-        if self._stops[weighted] is None:
-            self._stops[weighted] = self._fold(1, weighted)[1]
-        return self._stops[weighted]
-
     def gamma_indices(self) -> tuple[int, int]:
-        """Per-side truncation (n_pos, n_neg) of Gamma."""
-        return self._indices(False)
+        """Per-side level counts (n_pos, n_neg) of the last sweep (of the M = 1
+        sweep of Gamma if none ran yet)."""
+        if self._levels is None:
+            self._sweep(1, weighted=False)
+        return self._levels
 
     def deriv_indices(self) -> tuple[int, int]:
-        """Per-side truncation of the derivative pencil (weighted stop rule)."""
-        return self._indices(True)
+        """The level counts of ``gamma_indices``: both pencils share one level rule."""
+        return self.gamma_indices()
 
     def gamma_for_alphas(self, m: int) -> np.ndarray:
         """Gamma(alpha_k T) at alpha_k = exp(2 pi i k / m), k = 0..m-1, in one pass."""

@@ -117,6 +117,21 @@ class TestCertifyAr:
         assert verdicts[0] and not verdicts[-1]
         assert flips == 1
 
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
+    def test_rounding_never_refutes(self, eps):
+        # a unit eigenvalue puts about 2 / eps into the buckets; the sweep's
+        # rounding would exceed the slack where Gamma is small, so the rung
+        # must end inconclusive, never refuted
+        cert = certify_ar(np.array([[1.0]]), AP5, PencilGrid((eps,), 64))
+        assert cert.verdict != "refuted"
+
+    @pytest.mark.parametrize("t", [[[1.0]], [[1.0, 0.0], [0.0, 0.7]]])
+    def test_unit_eigenvalue_certified_at_small_eps(self, t):
+        # a unitary part is an annulus contraction; the closed-form sum
+        # evaluates the rung however close the band edge comes
+        cert = certify_ar(np.array(t), AP5, PencilGrid((0.01, 0.001), 64))
+        assert cert.verdict == "certified"
+
     def test_certificate_json_schema(self):
         cert = certify_ar(0.7 * np.eye(1), AP5, PencilGrid(eps_values=(0.5, 0.25), alpha_count=8))
         doc = cert.to_dict()

@@ -127,6 +127,18 @@ class TestCertifyCommand:
         assert doc["verdict"] == "certified"
         assert doc["min_margin"] > 0.0
 
+    @pytest.mark.parametrize("modulus", [1.000000005, 0.499999995])
+    def test_band_edge_inconclusive(self, tmp_path, capsys, modulus):
+        # inside the closed annulus up to PSD_TOL, but past the band edge of
+        # eps = 1e-9: the series diverges there, so the rung is inconclusive
+        path = str(tmp_path / "edge.json")
+        save_matrix(np.array([[modulus]]), path)
+        code = main(["certify", "--matrix", path, "--r", "0.5", "--eps", "1e-9"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["spectrum_ok"] is True
+        assert "diverges on the band edge" in doc["diagnostics"][0]
+
     def test_missing_file_usage_error(self, files):
         assert main(["certify", "--matrix", "nope.json", "--r", "0.5"]) == 64
 

@@ -51,9 +51,10 @@ def bisect_threshold(w, r, search_tol=2e-5):
 class _FixedVerdict:
     """Stand-in certificate with a fixed verdict."""
 
-    def __init__(self, certified):
-        self.certified = certified
-        self.verdict = "certified" if certified else "refuted"
+    def __init__(self, verdict):
+        self.certified = verdict == "certified"
+        self.verdict = verdict
+        self.diagnostics = ()
 
 
 # Frozen from kernel_nsum(0.5, 0.25) above; the symmetric point |w| = sqrt(r).
@@ -177,19 +178,20 @@ class TestThresholdViaPencil:
                             lambda *args: (oracle + shift, oracle + shift + 2e-5))
         assert abs(threshold_via_pencil(0.7, 0.5) - oracle) <= 2e-5
 
-    def test_truncation_in_scan_keeps_error_contract(self):
-        # this close to the outer circle the scan needs more than N_MAX terms
-        # at the small eps rungs; the fallback bracket's h = 0 certificate is
-        # inconclusive for the same reason
-        with pytest.raises(DiagnosticError, match="inconclusive at h = 0"):
-            threshold_via_pencil(0.998, 0.5)
+    def test_truncation_in_scan_keeps_error_contract(self, monkeypatch):
+        # an eps rung the pencil cannot sum makes the certificate inconclusive,
+        # which the search reports instead of reading it as a verdict
+        monkeypatch.setattr(misra, "certify_ar", lambda *args, **kwargs: _FixedVerdict("inconclusive"))
+        with pytest.raises(DiagnosticError, match="inconclusive at h = "):
+            threshold_via_pencil(0.7, 0.5)
 
     @pytest.mark.parametrize("certified, message", [
         (False, "h = 0 not certified"),
         (True, "h = 2 certified"),
     ])
     def test_bracket_ends_keep_error_contract(self, monkeypatch, certified, message):
-        monkeypatch.setattr(misra, "certify_ar", lambda *args, **kwargs: _FixedVerdict(certified))
+        verdict = "certified" if certified else "refuted"
+        monkeypatch.setattr(misra, "certify_ar", lambda *args, **kwargs: _FixedVerdict(verdict))
         with pytest.raises(DiagnosticError, match=message):
             threshold_via_pencil(0.7, 0.5)
 

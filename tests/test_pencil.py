@@ -6,14 +6,12 @@ from mpmath import mp, mpc, mpf
 from annulus_cert.blocks import BlockSpec, assemble
 from annulus_cert.errors import DomainError, TruncationError
 from annulus_cert.generators import random_normal_annulus
+from annulus_cert.misra import jordan_block
 from annulus_cert.numerics import operator_norm
 from annulus_cert.pencil import (
     AnnulusParams,
-    N_MAX,
-    TAIL_TOL,
     MatrixPencil,
     PencilPoint,
-    gamma_coeff,
     gamma_derivative_matrix,
     gamma_matrix,
     gamma_scalar_batch,
@@ -34,35 +32,6 @@ def gamma_nsum(z, eps, r):
     r = mpf(r)
     z = mpc(z)
     return complex(mp.nsum(lambda k: 2 * b**k / (1 + b ** (2 * k) * r**k) * z**k, [-mp.inf, mp.inf]))
-
-
-class TestCoefficients:
-    def test_k0_is_one(self):
-        for eps, r in [(0.5, 0.5), (0.1, 0.3), (0.9, 0.8)]:
-            assert gamma_coeff(0, eps, r) == pytest.approx(1.0)
-
-    def test_direct_substitution(self):
-        assert gamma_coeff(1, 0.5, 0.5) == pytest.approx(2 * 0.5 / (1 + 0.25 * 0.5))
-
-    def test_k_minus_10_extended_precision(self):
-        mp.dps = 40
-        k, eps, r = -10, 0.1, 0.5
-        lit = float(2 * (1 - mpf(eps)) ** k / (1 + (1 - mpf(eps)) ** (2 * k) * mpf(r) ** k))
-        assert gamma_coeff(k, eps, r) == pytest.approx(lit, rel=1e-12)
-
-    @pytest.mark.parametrize("eps,r", [(0.5, 0.5), (0.1, 0.3), (0.02, 0.5)])
-    def test_decay_bounds(self, eps, r):
-        b = 1.0 - eps
-        for k in range(0, 300):
-            assert gamma_coeff(k, eps, r) <= 2.0 * b**k + 1e-300
-        for k in range(-300, 0):
-            assert gamma_coeff(k, eps, r) <= 2.0 * (b * r) ** (-k) + 1e-300
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(DomainError):
-            gamma_coeff(1, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            gamma_coeff(1, 0.5, 1.5)
 
 
 class TestGammaScalar:
@@ -95,8 +64,12 @@ class TestGammaScalar:
             assert abs(gamma_scalar_batch(zi, pt, AP5)[0] - vi) < 1e-10
 
     def test_reports_truncation_indices(self):
-        n_pos, n_neg = MatrixPencil(np.array([[0.7]]), 0.25, AP5).gamma_indices()
-        assert n_pos >= 8 and n_neg >= 8
+        # the level count of the resolvent sum is fixed by d, m and the norms
+        # of W and W^m, so it stays flat as eps shrinks towards the circles
+        for eps in (0.5, 0.01, 1e-4, 1e-6):
+            mp_ = MatrixPencil(np.array([[0.999]]), eps, AP5)
+            mp_.gamma_for_alphas(64)
+            assert max(mp_.gamma_indices()) <= 2
 
     def test_outside_band_rejected(self):
         with pytest.raises(DomainError):
@@ -169,8 +142,17 @@ class TestGammaMatrix:
         assert eig_match_max(np.linalg.eigvals(g), mapped) < 1e-8
 
     def test_reports_indices(self):
+        # before any sweep the index methods run the M = 1 sweep
         n_pos, n_neg = MatrixPencil(0.7 * np.eye(2), 0.25, AP5).gamma_indices()
-        assert n_pos >= 8 and n_neg >= 8
+        assert n_pos >= 1 and n_neg >= 1
+        # a large nilpotent part needs more levels on both sides (d^L ||W|| <= 1)
+        levels = []
+        for t in (0.7 * np.eye(2), jordan_block(0.7, 50.0)):
+            mp_ = MatrixPencil(t, 0.25, AP5)
+            mp_.gamma_for_alphas(64)
+            levels.append(mp_.gamma_indices())
+        assert levels[0] == (1, 1)
+        assert min(levels[1]) >= 3
 
     def test_singular_rejected(self):
         with pytest.raises(DomainError):
@@ -185,9 +167,10 @@ class TestGammaDerivative:
     def test_identity_matches_scalar_derivative_sum(self):
         pt = PencilPoint(0.25, 1.0)
         d = gamma_derivative_matrix(np.eye(2), pt, AP5)
-        # term-by-term scalar differentiation at z = 1
+        # term-by-term scalar differentiation at z = 1, c_k from its definition
+        b, r = 1.0 - pt.eps, AP5.r
         total = sum(
-            k * gamma_coeff(k, pt.eps, AP5.r) for k in range(-400, 401) if k != 0
+            k * 2.0 * b**k / (1.0 + b ** (2 * k) * r**k) for k in range(-400, 401) if k != 0
         )
         assert operator_norm(d - total * np.eye(2)) < 1e-8
 
@@ -224,51 +207,45 @@ class TestRePart:
 
 
 def reference_pencil(t, eps, r, alphas, weighted=False):
-    """Per-alpha direct sums with the interleaved stop rule, as plain loops.
+    """Per-alpha direct sums of both sides, each summed until its term norms
+    fall below 1e-17.
 
     Returns the values sum_j w_j alpha^j X^j + sum_m w_m conj(alpha)^m Y^m
-    (w = a_j, or +j a_j and -m a_m when ``weighted``) and (n_pos, n_neg).
+    (w = a_j, or +j a_j and -m a_m when ``weighted``).
     """
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
     b = 1.0 - eps
     d = b * b * r
-    steps = (b * t, b * r * np.linalg.inv(t))
-    powers = ([np.eye(n, dtype=complex)], [np.eye(n, dtype=complex)])
+    alphas = np.asarray(alphas, dtype=complex)
+    total = np.zeros((alphas.size, n, n), dtype=complex)
+    if not weighted:
+        total += np.eye(n)
+    for step, rot, sign in ((b * t, alphas, 1), (b * r * np.linalg.inv(t), alphas.conj(), -1)):
+        power = np.eye(n, dtype=complex)
+        j = 0
+        while True:
+            j += 1
+            power = power @ step
+            term = 2.0 / (1.0 + d ** float(j)) * (sign * j if weighted else 1) * power
+            total += rot[:, None, None] ** j * term
+            if np.linalg.norm(term) < 1e-17:
+                break
+    return total
 
-    def coeff(j):
-        return 2.0 / (1.0 + d ** float(j))
 
-    acc = 0.0 if weighted else np.sqrt(n)
-    runs, stops = [0, 0], [None, None]
-    j = 1
-    while None in stops:
-        if j > N_MAX:
-            raise TruncationError("reference did not decay")
-        for side in (0, 1):
-            if stops[side] is not None:
-                continue
-            powers[side].append(powers[side][-1] @ steps[side])
-            term = coeff(j) * np.linalg.norm(powers[side][j])
-            term = term * j if weighted else term
-            small = term < TAIL_TOL * (1.0 + acc)
-            acc += term
-            runs[side] = runs[side] + 1 if small else 0
-            if runs[side] >= 3:
-                stops[side] = j
-        j += 1
-    n_pos, n_neg = stops
-    values = []
-    for alpha in alphas:
-        total = np.zeros((n, n), dtype=complex)
-        for j in range(1 if weighted else 0, n_pos + 1):
-            w = coeff(j) * j if weighted else coeff(j)
-            total += w * alpha**j * powers[0][j]
-        for m in range(1, n_neg + 1):
-            w = -coeff(m) * m if weighted else coeff(m)
-            total += w * np.conj(alpha) ** m * powers[1][m]
-        values.append(total)
-    return np.array(values), (n_pos, n_neg)
+def gamma_jordan_nsum(w, h, eps, r, alpha):
+    """Gamma and the derivative pencil of alpha [[w, h], [0, w]] from the
+    literal series in 40-digit arithmetic: f(J) = [[f(w), h f'(w)], [0, f(w)]]."""
+    mp.dps = 40
+    b, r, w, alpha = 1 - mpf(eps), mpf(r), mpc(w), mpc(alpha)
+
+    def series(p):  # sum_k k^(p) c_k alpha^k w^(k-p), k^(p) the falling factorial
+        return complex(mp.nsum(lambda k: mp.ff(k, p) * 2 * b**k / (1 + b ** (2 * k) * r**k)
+                               * alpha**k * w ** (k - p), [-mp.inf, mp.inf]))
+
+    g, g1, g2 = series(0), series(1), series(2)
+    return np.array([[g, h * g1], [0, g]]), np.array([[g1, h * g2], [0, g1]])
 
 
 def roots_of_unity(m):
@@ -284,19 +261,19 @@ def rel_diff(a, b):
 
 
 def assert_fold_matches(t, eps, m, r=0.5):
-    """Gamma and the derivative pencil from the fold against the direct sums."""
+    """Gamma and the derivative pencil of a sweep against the direct sums;
+    returns the level counts."""
     ap = AnnulusParams(r)
     alphas = roots_of_unity(m)
     mp_ = MatrixPencil(t, eps, ap)
     gam = mp_.gamma_for_alphas(m)
-    ref, idx = reference_pencil(t, eps, r, alphas)
-    assert mp_.gamma_indices() == idx
-    assert rel_diff(gam, ref) <= 1e-12
+    levels = mp_.gamma_indices()
+    assert rel_diff(gam, reference_pencil(t, eps, r, alphas)) <= 1e-12
     der = mp_.derivative_for_alphas(m)
-    ref_core, idx_d = reference_pencil(t, eps, r, alphas, weighted=True)
-    assert mp_.deriv_indices() == idx_d
+    assert mp_.deriv_indices() == levels
+    ref_core = reference_pencil(t, eps, r, alphas, weighted=True)
     assert rel_diff(der, np.linalg.inv(t) @ ref_core) <= 1e-12
-    return idx
+    return levels
 
 
 class TestAlphaFold:
@@ -311,17 +288,23 @@ class TestAlphaFold:
         assert_fold_matches(shift_chain(3, 0.1), 0.1, m)
 
     def test_more_alphas_than_terms(self):
+        # the level count does not grow with the grid: W^m only shrinks
         n_pos, n_neg = assert_fold_matches(random_normal_annulus(2, AP5, seed=8), 0.5, 200)
-        assert max(n_pos, n_neg) < 200
+        assert max(n_pos, n_neg) == 1
+
+    def test_chunked_buckets(self):
+        # n = 40 puts 40 powers in a chunk, so m = 90 takes three chunks,
+        # the last one partial
+        t = random_normal_annulus(40, AP5, seed=2) + 0.05 * np.eye(40, k=1)
+        assert_fold_matches(t, 0.1, 90)
 
     def test_single_alpha_off_the_grid(self):
         t = shift_chain(3, 0.15)
         alpha = np.exp(0.3j)
         g = gamma_matrix(t, PencilPoint(0.1, alpha), AP5)
-        ref, _ = reference_pencil(t, 0.1, 0.5, [alpha])
-        assert rel_diff(g, ref[0]) <= 1e-12
+        assert rel_diff(g, reference_pencil(t, 0.1, 0.5, [alpha])[0]) <= 1e-12
         d = gamma_derivative_matrix(t, PencilPoint(0.1, alpha), AP5)
-        ref_core, _ = reference_pencil(t, 0.1, 0.5, [alpha], weighted=True)
+        ref_core = reference_pencil(t, 0.1, 0.5, [alpha], weighted=True)
         assert rel_diff(d, np.linalg.inv(t) @ ref_core[0]) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.5, 0.1])
@@ -332,19 +315,37 @@ class TestAlphaFold:
         mp_ = MatrixPencil(t, eps, AP5)
         gam = mp_.gamma_for_alphas(m)
         der = mp_.derivative_for_alphas(m)
+        levels = MatrixPencil(t, eps, AP5).gamma_indices()
         for k, alpha in enumerate(roots_of_unity(m)):
             pt = PencilPoint(eps, alpha)
             assert rel_diff(gamma_matrix(t, pt, AP5), gam[k]) <= 1e-12
             assert rel_diff(gamma_derivative_matrix(t, pt, AP5), der[k]) <= 1e-12
+            # the level rule reads only norms, which a rotation keeps
             rotated = MatrixPencil(alpha * t, eps, AP5)
-            assert rotated.gamma_indices() == mp_.gamma_indices()
-            assert rotated.deriv_indices() == mp_.deriv_indices()
+            assert rotated.gamma_indices() == levels
+            assert rotated.deriv_indices() == levels
 
-    def test_band_edge_sweep_needs_more_terms(self):
-        # eigenvalue 1 sits just inside the outer band edge at eps = 0.001
-        mp_ = MatrixPencil(np.diag([1.0, 0.7]), 0.001, AP5)
-        with pytest.raises(TruncationError, match=f"after {N_MAX} terms"):
-            mp_.gamma_for_alphas(64)
+    def test_band_edge_sweep_matches_reference(self):
+        # eigenvalue 1 sits just inside the outer band edge at eps = 0.001,
+        # where a term-by-term sum needs tens of thousands of terms
+        t = np.diag([1.0, 0.7])
+        ref = [np.diag(gamma_scalar_batch(np.diag(t), PencilPoint(0.001, alpha), AP5))
+               for alpha in roots_of_unity(64)]
+        assert rel_diff(MatrixPencil(t, 0.001, AP5).gamma_for_alphas(64), np.array(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("w", [0.999, 0.5005 * np.exp(0.3j)])
+    def test_jordan_block_matches_extended_precision(self, w):
+        # near the outer and the inner circle, where transient growth of the
+        # nilpotent part meets slowly decaying powers
+        t = jordan_block(w, 0.05)
+        m = 8
+        mp_ = MatrixPencil(t, 0.01, AP5)
+        gam = mp_.gamma_for_alphas(m)
+        der = mp_.derivative_for_alphas(m)
+        ref_g, ref_d = zip(*(gamma_jordan_nsum(w, 0.05, 0.01, 0.5, alpha)
+                             for alpha in roots_of_unity(m)))
+        assert rel_diff(gam, np.array(ref_g)) <= 1e-13
+        assert rel_diff(der, np.array(ref_d)) <= 1e-10
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
