@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -116,9 +115,7 @@ def _cert_exit(cert: Certificate) -> int:
 def _cmd_certify(args) -> int:
     t = _load(args.matrix)
     grid = _grid_from_args(args)
-    # certify_ar caps the pool at the number of eps rungs and of cores
-    threads = args.threads if args.threads is not None else os.cpu_count()
-    cert = certify_ar(t, _annulus(args.r), grid, threads=threads)
+    cert = certify_ar(t, _annulus(args.r), grid, threads=args.threads)
     _emit(cert.to_dict(), args.out)
     return _cert_exit(cert)
 
@@ -206,7 +203,9 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--r", type=float, required=True)
     add_grid_flags(p)
-    p.add_argument("--threads", type=int, help="eps-level parallelism, at least 1 (default: cores, capped at the eps count)")
+    p.add_argument("--threads", type=int,
+                   help="eps-level parallelism, at least 1, capped at the eps count and the cores "
+                        "(default: serial)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 

@@ -2,11 +2,15 @@
 
 Coefficients are stored ascending.  Evaluation on matrices goes through
 p(T) q(T)^{-1}; pole location uses companion-matrix eigenvalues so polynomial
-roots inherit the accuracy contract of the shared eigensolver.
+roots inherit the accuracy contract of the shared eigensolver.  Boundary sups
+take a batch of functions at once: their coefficients are stacked, zero-padded
+at the top, and one Horner loop and one golden-section pass serve them all
+with the IEEE operations a single function would see.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,10 @@ _GOLDEN_ITERS = 60
 
 # Largest number of boundary samples per circle in ``sup_on_annulus``.
 MAX_SAMPLES = 1 << 20
+
+# Boundary points per chunk of the dense sample in ``sup_on_annulus``; a chunk
+# holds max(1, _CHUNK_POINTS // m) functions.
+_CHUNK_POINTS = 1 << 13
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -58,10 +66,20 @@ class RationalFunction:
 
 
 def polyval(c: np.ndarray, z):
-    """Horner evaluation of an ascending-coefficient polynomial."""
+    """Horner evaluation of ascending coefficients at z.
+
+    ``c`` is one coefficient vector, evaluated at every point of z, or an
+    (N, d) stack whose row i is evaluated against row i of z: z is then (k,)
+    points shared by all rows or (N, k) points per row, and the result is
+    (N, k).  Zero padding at the top keeps the accumulator at +0 until a row's
+    leading coefficient, so a padded row gives exactly its trimmed vector's
+    values.
+    """
+    c = np.asarray(c)
     zs = np.asarray(z, dtype=complex)
-    acc = np.zeros_like(zs)
-    for a in c[::-1]:
+    cols = c if c.ndim == 1 else c.T[:, :, None]
+    acc = np.zeros(np.broadcast_shapes(cols.shape[1:], zs.shape), dtype=complex)
+    for a in cols[::-1]:
         acc = acc * zs + a
     return acc
 
@@ -127,73 +145,89 @@ def derivative(f: RationalFunction) -> RationalFunction:
     return RationalFunction(num - sub, polymul(f.q, f.q))
 
 
-def _golden_max(fun, lo: list[float], hi: list[float]) -> list[float]:
-    """Golden-section maximization on the brackets [lo[i], hi[i]], all advanced together.
+def _stack(coeffs) -> np.ndarray:
+    """(N, d) array of ascending coefficient vectors, zero-padded at the top."""
+    out = np.zeros((len(coeffs), max(c.size for c in coeffs)), dtype=complex)
+    for row, c in zip(out, coeffs):
+        row[:c.size] = c
+    return out
 
-    ``fun`` maps a list of angles, one per bracket, to the list of values
-    there.  Each bracket takes exactly the steps of a scalar golden-section
-    search run on it alone: keep the side of the larger interior value
-    (``fc < fd`` moves up), shrink by 1/phi, probe one new point.  One
+
+def _modulus(p: np.ndarray, q: np.ndarray, z) -> np.ndarray:
+    """|p(z) / q(z)| for the (N, d) coefficient stacks p and q, row by row (see ``polyval``)."""
+    return np.abs(polyval(p, z) / polyval(q, z))
+
+
+def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section maximization on every bracket [lo, hi] at once, elementwise.
+
+    ``fun`` maps an array of angles, one per bracket, to the values there.
+    Each bracket takes exactly the steps of a scalar golden-section search run
+    on it alone: keep the side of the larger interior value (``fc < fd`` moves
+    up), shrink by 1/phi, probe one new point.  Both candidate probes are
+    formed for every bracket and ``np.where`` keeps the one its scalar search
+    would take, so every value is that search's own IEEE result.  One
     iteration probes every bracket with a single ``fun`` call, so a search
-    costs 2 + _GOLDEN_ITERS calls whatever the number of brackets.  The bookkeeping
-    stays in Python floats: for a handful of brackets that is cheaper than
-    array updates and gives the same IEEE results.  Returns max(fc, fd) per
-    bracket.
+    costs 2 + _GOLDEN_ITERS calls whatever the number of brackets.  Returns
+    max(fc, fd) per bracket.
     """
     inv_phi = float((np.sqrt(5.0) - 1.0) / 2.0)
-    a, b = list(lo), list(hi)
-    c = [bi - inv_phi * (bi - ai) for ai, bi in zip(a, b)]
-    d = [ai + inv_phi * (bi - ai) for ai, bi in zip(a, b)]
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(_GOLDEN_ITERS):
-        up = [x < y for x, y in zip(fc, fd)]
-        probe = []
-        for i, u in enumerate(up):
-            if u:
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = a[i] + inv_phi * (b[i] - a[i])
-                probe.append(d[i])
-            else:
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = b[i] - inv_phi * (b[i] - a[i])
-                probe.append(c[i])
-        for i, (u, v) in enumerate(zip(up, fun(probe))):
-            if u:
-                fd[i] = v
-            else:
-                fc[i] = v
-    return [max(x, y) for x, y in zip(fc, fd)]
+        up = fc < fd
+        a = np.where(up, c, a)
+        b = np.where(up, b, d)
+        probe = np.where(up, a + inv_phi * (b - a), b - inv_phi * (b - a))
+        v = fun(probe)
+        c, d = np.where(up, d, probe), np.where(up, probe, c)
+        fc, fd = np.where(up, fd, v), np.where(up, v, fc)
+    return np.maximum(fc, fd)
 
 
-def sup_on_annulus(f: RationalFunction, ap: AnnulusParams, m: int = 1024) -> float:
-    """Sup of |f| over the two boundary circles.
+def sup_on_annulus(f: RationalFunction | Sequence[RationalFunction], ap: AnnulusParams,
+                   m: int = 1024) -> float | list[float]:
+    """Sup of |f| over the two boundary circles, for one function or a batch.
 
-    Samples m equispaced angles per circle (one ``f`` call per circle), then
-    refines a bracket of one sample step on each side of the best three
-    samples of each circle by golden section.  The six brackets are refined
-    together, one ``f`` call on a six-entry array per iteration, so a sup
-    costs 2 + 2 + 60 evaluations of ``f``; each bracket's result is exactly
-    that of its own scalar search.  The maximum principle makes the boundary
-    search exhaustive for pole-free f, but the value is a sampled estimate,
-    not a certified upper bound.
+    ``f`` is a RationalFunction, giving a float, or a sequence of them, giving
+    a list with one float per function; both take the same path.  Samples m
+    equispaced angles per circle, then refines a bracket of one sample step on
+    each side of the best three samples of each circle by golden section.
+
+    The N functions are evaluated together as zero-padded coefficient stacks.
+    The dense samples go in chunks of rows = max(1, _CHUNK_POINTS // m)
+    functions, so memory does not grow with N, and all 6N brackets advance in
+    one ``_golden_max``.  A call therefore costs 2 ceil(N / rows) + 2 + 60
+    evaluations of the stack, and each function's sup is bit for bit that of
+    six scalar searches run on it alone.  The maximum principle makes the
+    boundary search exhaustive for pole-free f, but the value is a sampled
+    estimate, not a certified upper bound.
     """
     if not 8 <= m <= MAX_SAMPLES:
         raise DomainError(f"samples per circle must lie in [8, {MAX_SAMPLES}], got {m}")
-    if not poles_off_annulus(f, ap):
-        raise DomainError("f has poles on or inside the closed annulus")
+    fs = [f] if isinstance(f, RationalFunction) else list(f)
+    for g in fs:
+        if not poles_off_annulus(g, ap):
+            raise DomainError("f has poles on or inside the closed annulus")
+    if not fs:
+        return []
+    p, q = _stack([g.p for g in fs]), _stack([g.q for g in fs])
+    rows = max(1, _CHUNK_POINTS // m)
     rhos = (ap.r, 1.0)
     step = 2.0 * np.pi / m
     theta = step * np.arange(m)
-    peaks, starts = [], []
-    for rho in rhos:
-        vals = np.abs(f(rho * np.exp(1j * theta)))
-        peaks.append(float(np.max(vals)))
-        starts.append(theta[np.argsort(vals)[-3:]])
-    t0 = np.concatenate(starts)
+    peak = np.zeros(len(fs))
+    starts = np.empty((len(fs), 6))
+    for k, rho in enumerate(rhos):
+        z = rho * np.exp(1j * theta)
+        for i in range(0, len(fs), rows):
+            vals = _modulus(p[i:i + rows], q[i:i + rows], z)
+            peak[i:i + rows] = np.maximum(peak[i:i + rows], vals.max(axis=1))
+            starts[i:i + rows, 3 * k:3 * k + 3] = theta[np.argsort(vals, axis=1)[:, -3:]]
     radii = np.repeat(rhos, 3)
-    mod = lambda t: np.abs(f(radii * np.exp(1j * np.array(t)))).tolist()
-    refined = _golden_max(mod, (t0 - step).tolist(), (t0 + step).tolist())
-    best = 0.0
-    for k, peak in enumerate(peaks):
-        best = max(best, peak, *refined[3 * k:3 * k + 3])
-    return best
+    mod = lambda t: _modulus(p, q, radii * np.exp(1j * t))
+    refined = _golden_max(mod, starts - step, starts + step)
+    best = np.maximum(peak, refined.max(axis=1)).tolist()
+    return best[0] if isinstance(f, RationalFunction) else best

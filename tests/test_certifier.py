@@ -191,6 +191,12 @@ class TestVnSample:
     def _normal_case():
         return random_normal_annulus(3, AP5, seed=9), 20, 7
 
+    @classmethod
+    def _long_jordan_case(cls):
+        # 300 trials span two blocks of vn_sample; at this seed the witness
+        # comes from the second block
+        return cls._jordan_case()[0], 300, 8
+
     @pytest.mark.parametrize("case, worst, p, q", [
         ("_jordan_case", 1.1059037297787455,
          [-1.107373047165193 - 0.46674961687980204j, 0.19958453284708083 + 0.23550561173022522j],
@@ -201,23 +207,27 @@ class TestVnSample:
           0.8015740750257806 + 0j],
          [0.36771900675012825 - 0.15941449593138662j, 0.6811514715576442 - 0.03929279894156054j,
           -0.6909210614663833 - 0.40638538922505807j]),
+        ("_long_jordan_case", 1.1571337825591732,
+         [-0.0979441453791408 - 0.49520990871457066j],
+         [0j, 0j, 0j, -0.33876261139215275 + 0.022007980350502974j, 1 + 0j]),
     ])
     def test_frozen_reports(self, case, worst, p, q):
-        # frozen from the version that computed sup |f| twice per recentered trial
+        # the first two frozen from the version that computed sup |f| twice per
+        # recentered trial, the third from the last one that ran trials one at a time
         t, count, seed = getattr(self, case)()
         report = vn_sample(t, AP5, count=count, seed=seed)
         assert report.worst_ratio == worst
         assert report.witness.p.tolist() == p
         assert report.witness.q.tolist() == q
 
-    @pytest.mark.parametrize("case", ["_jordan_case", "_normal_case"])
+    @pytest.mark.parametrize("case", ["_jordan_case", "_normal_case", "_long_jordan_case"])
     def test_one_sup_per_evaluated_function(self, monkeypatch, case):
         t, count, seed = getattr(self, case)()
         sup_args, candidates = [], []
 
-        def counting_sup(f, *args, **kwargs):
-            sup_args.append(f)
-            return sup_on_annulus(f, *args, **kwargs)
+        def counting_sup(fs, *args, **kwargs):
+            sup_args.extend(fs)
+            return sup_on_annulus(fs, *args, **kwargs)
 
         def counting_recenter(*args, **kwargs):
             cand = recenter(*args, **kwargs)

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annulus_cert.certifier import MAX_ALPHAS, PencilGrid, check_thm_block1, check_thm_block2
+from annulus_cert import cli
+from annulus_cert.certifier import (
+    MAX_ALPHAS,
+    PencilGrid,
+    certify_ar,
+    check_thm_block1,
+    check_thm_block2,
+)
 from annulus_cert.cli import main
 from annulus_cert.io import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
 from annulus_cert.errors import ContractViolationError
@@ -138,6 +145,19 @@ class TestCertifyCommand:
         assert code == 2
         assert doc["spectrum_ok"] is True
         assert "diverges on the band edge" in doc["diagnostics"][0]
+
+    @pytest.mark.parametrize("argv, threads", [([], None), (["--threads", "2"], 2)])
+    def test_serial_unless_threads_given(self, files, capsys, monkeypatch, argv, threads):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return certify_ar(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_ar", recording)
+        assert main(["certify", "--matrix", files["eye"], "--r", "0.5", *argv]) == 0
+        capsys.readouterr()
+        assert seen == [threads]
 
     def test_missing_file_usage_error(self, files):
         assert main(["certify", "--matrix", "nope.json", "--r", "0.5"]) == 64

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulus_cert import rational
 from annulus_cert.certifier import _blaschke_pair, _plain_rational
 from annulus_cert.errors import DomainError, SingularityError
 from annulus_cert.generators import random_normal_annulus
@@ -201,6 +204,27 @@ def evaluations(sup, f, ap, m, monkeypatch):
     return value, calls
 
 
+def batched_evaluations(fs, ap, m, monkeypatch):
+    """sup_on_annulus(fs, ap, m) and, per call of the stack evaluator, the
+    points it evaluated, one row per function."""
+    calls = []
+    modulus = rational._modulus
+
+    def recording(p, q, z):
+        values = modulus(p, q, z)
+        calls.append(np.broadcast_to(np.asarray(z, dtype=complex), values.shape))
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rational, "_modulus", recording)
+        value = sup_on_annulus(fs, ap, m)
+    return value, calls
+
+
+def chunk_rows(m):
+    return max(1, rational._CHUNK_POINTS // m)
+
+
 class TestSupJointRefinement:
     """The six brackets refined together give exactly the one-at-a-time sup."""
 
@@ -211,6 +235,15 @@ class TestSupJointRefinement:
         for f in vn_functions(ap, 24, seed=int(100 * r) + m):
             assert sup_on_annulus(f, ap, m) == reference_sup(f, ap, m)
 
+    @pytest.mark.parametrize("m", [8, 1024, 1 << 14])
+    def test_batch_equals_one_function_at_a_time(self, m):
+        # mixed degrees share one zero-padded stack; 37 functions leave a
+        # partial chunk at m = 1024 and take one chunk each at m = 2^14
+        fs = vn_functions(AP5, 37, seed=m)
+        assert len({(f.p.size, f.q.size) for f in fs}) > 1
+        assert len(fs) % chunk_rows(m) != 0 or chunk_rows(m) == 1
+        assert sup_on_annulus(fs, AP5, m) == [reference_sup(f, AP5, m) for f in fs]
+
     @pytest.mark.parametrize("m", [8, 64, 1024])
     @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
     def test_ties_follow_argsort(self, r, m, monkeypatch):
@@ -218,17 +251,29 @@ class TestSupJointRefinement:
         # brackets and the sup alone cannot tell; compare the probed points.
         ap = AnnulusParams(r)
         for f in (RationalFunction([0.0, 1.0], [1.0]), RationalFunction([0.3 - 0.4j], [1.0])):
-            new, new_calls = evaluations(sup_on_annulus, f, ap, m, monkeypatch)
+            new, new_calls = batched_evaluations([f], ap, m, monkeypatch)
             ref, ref_calls = evaluations(reference_sup, f, ap, m, monkeypatch)
-            assert new == ref
-            assert np.array_equal(np.sort(np.concatenate(new_calls)),
+            assert new == [ref]
+            assert np.array_equal(np.sort(np.concatenate([z.ravel() for z in new_calls])),
                                   np.sort(np.concatenate(ref_calls)))
 
     def test_f_evaluations_per_sup(self, monkeypatch):
-        # 2 circle samples + 2 initial probes + 60 iterations, each one call
-        f = vn_functions(AP5, 1, seed=3)[0]
-        _, calls = evaluations(sup_on_annulus, f, AP5, 1024, monkeypatch)
-        assert len(calls) <= 2 + 2 + 60
+        # 2 circles x one call per chunk + 2 initial probes + 60 iterations
+        for n in (1, 37):
+            fs = vn_functions(AP5, n, seed=3)
+            _, calls = batched_evaluations(fs, AP5, 1024, monkeypatch)
+            assert len(calls) <= 2 * -(-n // chunk_rows(1024)) + 2 + 60
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        # one unchunked (512, 1024) complex sample alone would take 8 MB
+        fs = vn_functions(AP5, 512, seed=11)
+        tracemalloc.start()
+        try:
+            sup_on_annulus(fs, AP5, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSupProperties:
