@@ -80,10 +80,6 @@ def _parse_complex(text: str) -> complex:
         raise DomainError(f"bad complex literal {text!r}: {exc}") from exc
 
 
-def _annulus(r: float) -> AnnulusParams:
-    return AnnulusParams(r)
-
-
 def _grid_from_args(args) -> PencilGrid:
     eps = _parse_eps_list(args.eps) if args.eps is not None else DEFAULT_GRID.eps_values
     alphas = args.alphas if args.alphas is not None else DEFAULT_GRID.alpha_count
@@ -115,7 +111,7 @@ def _cert_exit(cert: Certificate) -> int:
 def _cmd_certify(args) -> int:
     t = _load(args.matrix)
     grid = _grid_from_args(args)
-    cert = certify_ar(t, _annulus(args.r), grid, threads=args.threads)
+    cert = certify_ar(t, AnnulusParams(args.r), grid, threads=args.threads)
     _emit(cert.to_dict(), args.out)
     return _cert_exit(cert)
 
@@ -169,7 +165,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_vn(args) -> int:
     t = _load(args.matrix)
-    report = vn_sample(t, _annulus(args.r), count=args.count, seed=args.seed, m=args.m)
+    report = vn_sample(t, AnnulusParams(args.r), count=args.count, seed=args.seed, m=args.m)
     _emit(report.to_dict(), args.out)
     return EXIT_REFUTED if report.violation else EXIT_OK
 
@@ -178,7 +174,7 @@ def _cmd_thm(args) -> int:
     t1 = _load(args.t1)
     x = _load(args.x)
     grid = _grid_from_args(args)
-    ap = _annulus(args.r)
+    ap = AnnulusParams(args.r)
     if args.which == "block1":
         report = check_thm_block1(t1, x, ap, grid)
     else:

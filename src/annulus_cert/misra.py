@@ -28,9 +28,9 @@ Gamma(alpha [[w, h], [0, w]]) = [[g, h g'], [0, g]] with g = Gamma(alpha w)
 and g' its z-derivative, the Hermitian part has smallest eigenvalue
 Re g - h |g'| / 2, so the flip point is the minimum of 2 Re g / |g'| over the
 (eps, alpha) grid (the certificate flips a hair above it, as it lets margins
-dip to -PSD_TOL * scale).  One pencil pass per eps reads that number off; two
-certificates then confirm the bracket around it, and bisection of the
-certificate flip point is left as the fallback.
+dip to -PSD_TOL * scale).  One pencil pass per eps reads that number off, and
+two certificates confirm the bracket around it; a scan or a certificate that
+does not confirm it raises DiagnosticError.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _pencil_bracket(w: complex, ap: AnnulusParams) -> tuple[float, float]:
     """Bracket of width SEARCH_TOL around min 2 Re Gamma(alpha w) / |Gamma'(alpha w)|.
 
     Entry [0, 0] of Gamma(alpha J) for J = [[w, 1], [0, w]] is Gamma(alpha w)
-    and entry [0, 1] its z-derivative.  Falls back to [0, 2] when the scan
+    and entry [0, 1] its z-derivative.  Raises DiagnosticError when the scan
     fails, a Re Gamma is negative, or the minimum leaves (0, 2).
     """
     j1 = jordan_block(w, 1.0)
@@ -94,14 +94,14 @@ def _pencil_bracket(w: complex, ap: AnnulusParams) -> tuple[float, float]:
     try:
         gam = np.concatenate([MatrixPencil(j1, eps, ap).gamma_for_alphas(m)
                               for eps in MISRA_GRID.eps_values])
-    except (TruncationError, DomainError):
-        return 0.0, 2.0
+    except (TruncationError, DomainError) as exc:
+        raise DiagnosticError(f"pencil scan failed: {exc}") from exc
     re_g = gam[:, 0, 0].real
     if np.any(re_g < 0.0):
-        return 0.0, 2.0
+        raise DiagnosticError(f"Re Gamma(alpha w) reaches {float(re_g.min()):.6g} < 0 on the grid")
     h_star = float(np.min(2.0 * re_g / np.abs(gam[:, 0, 1])))
     if not 0.0 < h_star < 2.0:
-        return 0.0, 2.0
+        raise DiagnosticError(f"pencil flip point {h_star:.6g} lies outside (0, 2)")
     lo = max(h_star - 0.5 * SEARCH_TOL, 0.0)
     hi = lo + SEARCH_TOL
     while hi - lo > SEARCH_TOL:  # the sum may round up
@@ -113,12 +113,11 @@ def threshold_via_pencil(w: complex, r: float) -> float:
     """Certificate flip point of [[w, h], [0, w]] over real h >= 0, to within SEARCH_TOL.
 
     The phase of h is irrelevant (a diagonal unitary similarity moves it onto
-    the positive axis).  Certificates use ``MISRA_GRID``.  The search starts
-    from the pencil bracket of width SEARCH_TOL (see the module docstring);
-    its lower end must be certified and its upper end refuted.  An end that
-    fails its check moves out to 0 or 2, and bisection narrows the bracket
-    again.  The kernel diagonal never drops below 1/(1+r) > 1/2, keeping
-    every flip point well inside [0, 2].
+    the positive axis).  Certificates use ``MISRA_GRID``.  The result is the
+    midpoint of the pencil bracket of width SEARCH_TOL (see the module
+    docstring), whose lower end must be certified and whose upper end refuted;
+    any other outcome raises DiagnosticError.  The kernel diagonal never drops
+    below 1/(1+r) > 1/2, so every flip point lies well inside (0, 2).
     """
     _check_point(w, r)
     ap = AnnulusParams(r)
@@ -132,20 +131,10 @@ def threshold_via_pencil(w: complex, r: float) -> float:
         return cert.certified
 
     lo, hi = _pencil_bracket(w, ap)
-    if lo > 0.0 and not certified(lo):
-        lo = 0.0
-    if lo == 0.0 and not certified(lo):
-        raise DiagnosticError("h = 0 not certified; w may sit too close to the boundary")
-    if hi < 2.0 and certified(hi):
-        hi = 2.0
-    if hi == 2.0 and certified(hi):
-        raise DiagnosticError("h = 2 certified; no flip inside the bracket")
-    while hi - lo > SEARCH_TOL:
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
+    if not certified(lo):
+        raise DiagnosticError(f"lower bracket end h = {lo:.6g} refuted; the pencil flip point is too high")
+    if certified(hi):
+        raise DiagnosticError(f"upper bracket end h = {hi:.6g} certified; the pencil flip point is too low")
     return 0.5 * (lo + hi)
 
 

@@ -27,6 +27,10 @@ V = W^M and R_k = (I - d^{kM} V)^{-1} each bucket closes exactly:
     B_b = W^b [a_b I + 2 sum_k (-1)^k d^{k(b+M)} V R_k]        (b = 1..M).
 
 A single arbitrary alpha is the M = 1 sweep of the rotated matrix alpha T.
+
+The derivative pencil needs no second closed form: f([[T, I], [0, T]]) =
+[[f(T), f'(T)], [0, f(T)]], so Gamma'(alpha T) is the top-right block of
+the sweep of [[T, I], [0, T]], with its tail bound and rounding guard.
 """
 
 from __future__ import annotations
@@ -165,8 +169,7 @@ class MatrixPencil:
     closed form (module docstring).  The level count L of the resolvent sum
     over k is fixed before any solve.  While d^L ||W|| <= 1 and
     d^{Lm} ||V|| <= 1/2 (so ||R_k|| <= 2 for k >= L), the levels k >= L of
-    all buckets together, for Gamma or for the derivative pencil, have
-    operator norm at most
+    all buckets together have operator norm at most
 
         16 m^2 ||W|| ||V|| q^L / (1 - q),     q = d^{m+1},
 
@@ -188,16 +191,13 @@ class MatrixPencil:
         self._x = b * self.t
         self._y = b * ap.r * inverse(self.t)
         self._d = b * b * ap.r
-        # per-side level counts of the last sweep
+        # per-side level counts of the last sweep and the last derivative sweep
         self._levels: tuple[int, int] | None = None
+        self._deriv_levels: tuple[int, int] | None = None
 
-    def _fold(self, w: np.ndarray, sign: int, buckets: np.ndarray, weighted: bool) -> int:
-        """Add the side of W into ``buckets``; returns its level count.
-
-        W^j goes to bucket (sign j) mod m.  With ``weighted`` each term also
-        carries the factor sign * j (the derivative pencil); summing
-        (b + l m) c^l V^l over l turns V R_k into b V R_k + m V R_k^2.
-        """
+    def _fold(self, w: np.ndarray, sign: int, buckets: np.ndarray) -> int:
+        """Add the side of W into ``buckets``, W^j to bucket (sign j) mod m;
+        returns its level count."""
         m, n = buckets.shape[0], w.shape[0]
         d = self._d
         v = np.linalg.matrix_power(w, m)
@@ -212,14 +212,10 @@ class MatrixPencil:
         k = np.arange(levels)
         c = d ** (m * k)
         vr = np.linalg.solve(np.eye(n) - c[:, None, None] * v, np.broadcast_to(v, (levels, n, n)))
+        vr = vr.reshape(levels, n * n)  # V R_k
         j = np.arange(1, m + 1)
         coef = 2.0 * (-1.0) ** k[:, None] * d ** (k[:, None] * (j + m))
         diag = 2.0 / (1.0 + d ** j.astype(float))
-        if weighted:
-            vr = np.concatenate([vr, vr + c[:, None, None] * (vr @ vr)])  # V R_k, V R_k^2
-            coef = sign * np.concatenate([coef * j, coef * m])
-            diag = sign * j * diag
-        vr = vr.reshape(len(vr), n * n)
         slot = (sign * j) % m
         step = max(1, _CHUNK // (n * n))
         for lo in range(0, m, step):
@@ -234,14 +230,12 @@ class MatrixPencil:
             buckets[slot[lo:hi]] += pw @ s
         return levels
 
-    def _sweep(self, m: int, weighted: bool) -> np.ndarray:
+    def _sweep(self, m: int) -> np.ndarray:
         """Values at the m-th roots of unity; records the level counts."""
         n = self.t.shape[0]
         buckets = np.zeros((m, n, n), dtype=complex)
-        if not weighted:
-            buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
-        self._levels = (self._fold(self._x, 1, buckets, weighted),
-                        self._fold(self._y, -1, buckets, weighted))
+        buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
+        self._levels = (self._fold(self._x, 1, buckets), self._fold(self._y, -1, buckets))
         rounding = SWEEP_ROUNDING * float(np.sum(np.linalg.norm(buckets, axis=(1, 2))))
         if not rounding <= 0.1 * PSD_TOL:
             raise TruncationError(f"sweep rounding up to {rounding:.3g} at eps = {self.eps} "
@@ -252,25 +246,32 @@ class MatrixPencil:
         """Per-side level counts (n_pos, n_neg) of the last sweep (of the M = 1
         sweep of Gamma if none ran yet)."""
         if self._levels is None:
-            self._sweep(1, weighted=False)
+            self._sweep(1)
         return self._levels
 
     def deriv_indices(self) -> tuple[int, int]:
-        """The level counts of ``gamma_indices``: both pencils share one level rule."""
-        return self.gamma_indices()
+        """The ``gamma_indices`` of the embedded pencil of [[T, I], [0, T]] in
+        the last derivative sweep (of the M = 1 sweep if none ran yet)."""
+        if self._deriv_levels is None:
+            self.derivative_for_alphas(1)
+        return self._deriv_levels
 
     def gamma_for_alphas(self, m: int) -> np.ndarray:
         """Gamma(alpha_k T) at alpha_k = exp(2 pi i k / m), k = 0..m-1, in one pass."""
-        values = self._sweep(m, weighted=False)
+        values = self._sweep(m)
         self.gamma_indices()  # a lookup now; the index methods report the truncation
         return values
 
     def derivative_for_alphas(self, m: int) -> np.ndarray:
-        """z-derivative of z -> Gamma(alpha_k z) at T, at the same alphas."""
-        core = self._sweep(m, weighted=True)
-        self.deriv_indices()
-        tinv = self._y / ((1.0 - self.eps) * self.ap.r)
-        return tinv @ core
+        """z-derivative of z -> Gamma(alpha_k z) at T, at the same alphas: the
+        top-right block of the sweep of [[T, I], [0, T]] (module docstring),
+        copied so the (m, 2n, 2n) sweep is freed."""
+        n = self.t.shape[0]
+        embedded = MatrixPencil(np.block([[self.t, np.eye(n)], [np.zeros((n, n)), self.t]]),
+                                self.eps, self.ap)
+        corner = embedded.gamma_for_alphas(m)[:, :n, n:].copy()
+        self._deriv_levels = embedded.gamma_indices()
+        return corner
 
 
 def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:

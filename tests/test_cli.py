@@ -407,7 +407,51 @@ _COMMAND_FLAGS = {
 }
 
 
+def _chain(n, w, h):
+    """w I plus h on the superdiagonal: a Jordan chain for n > 1."""
+    return w * np.eye(n) + h * np.eye(n, k=1)
+
+
+def _near_circles(n):
+    """Jordan chains with spectrum within 1e-8 of the outer or the inner circle of r = 0.5."""
+    modulus = st.floats(0.0, 1e-8).flatmap(lambda gap: st.sampled_from([1.0 - gap, 0.5 + gap]))
+    return st.builds(lambda mod, angle, h: _chain(n, mod * np.exp(1j * angle), h),
+                     modulus, st.sampled_from([0.0, 0.7, np.pi]), st.sampled_from([1e-3, 0.1, 1.0]))
+
+
+def _near_singular(n):
+    """T whose smallest singular value is tiny against its largest: a strong
+    chain inside the annulus, or an eigenvalue near 0."""
+    chains = st.sampled_from([1e4, 1e8]).map(lambda h: _chain(n, 0.7, h))
+    tiny = st.sampled_from([1e-12, 1e-300]).map(lambda s: np.diag([0.7] * (n - 1) + [s]))
+    return chains | tiny if n > 1 else tiny
+
+
 class TestHostileInputs:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(which=st.sampled_from(["block1", "block2"]), n=st.integers(1, 3), data=st.data())
+    def test_hostile_thm_inputs_end_in_a_documented_exit_code(self, which, n, data):
+        matrices = _near_circles(n) | _near_singular(n)
+        t1 = data.draw(matrices, label="t1")
+        x = data.draw(st.sampled_from([1.0, 0.01, 1e200]), label="x") * np.eye(n)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, matrix in (("t1", t1), ("x", x)):
+                paths[name] = str(Path(tmp) / f"{name}.json")
+                save_matrix(matrix, paths[name])
+            argv = ["thm", "--which", which, "--t1", paths["t1"], "--x", paths["x"],
+                    "--r", "0.5", "--eps", "0.5,0.01", "--alphas", "8"]
+            if which == "block2":
+                paths["t2"] = str(Path(tmp) / "t2.json")
+                save_matrix(data.draw(matrices, label="t2"), paths["t2"])
+                argv += ["--t2", paths["t2"]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in {0, 1, 2, 64, 65}
+        assert "Traceback" not in err.getvalue()
+
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(doc=MATRIX_DOCUMENTS)
     def test_any_matrix_document_ends_in_a_documented_exit_code(self, doc):

@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from annulus_cert import misra
 from annulus_cert.certifier import certify_ar
-from annulus_cert.errors import DiagnosticError, DomainError
+from annulus_cert.errors import DiagnosticError, DomainError, TruncationError
 from annulus_cert.misra import (
     MISRA_GRID,
     jordan_block,
@@ -171,12 +171,15 @@ class TestThresholdViaPencil:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("shift", [-0.1, 0.1])
-    def test_wrong_bracket_falls_back_to_bisection(self, monkeypatch, shift):
+    def test_shifted_bracket_raises(self, monkeypatch, shift):
         # a bracket wholly below (shift < 0) or above (shift > 0) the flip point
+        # is reported, not widened and searched
         oracle = bisect_threshold(0.7, 0.5)
         monkeypatch.setattr(misra, "_pencil_bracket",
                             lambda *args: (oracle + shift, oracle + shift + 2e-5))
-        assert abs(threshold_via_pencil(0.7, 0.5) - oracle) <= 2e-5
+        end = "upper bracket end .* certified" if shift < 0 else "lower bracket end .* refuted"
+        with pytest.raises(DiagnosticError, match=end):
+            threshold_via_pencil(0.7, 0.5)
 
     def test_truncation_in_scan_keeps_error_contract(self, monkeypatch):
         # an eps rung the pencil cannot sum makes the certificate inconclusive,
@@ -185,15 +188,40 @@ class TestThresholdViaPencil:
         with pytest.raises(DiagnosticError, match="inconclusive at h = "):
             threshold_via_pencil(0.7, 0.5)
 
-    @pytest.mark.parametrize("certified, message", [
-        (False, "h = 0 not certified"),
-        (True, "h = 2 certified"),
-    ])
-    def test_bracket_ends_keep_error_contract(self, monkeypatch, certified, message):
-        verdict = "certified" if certified else "refuted"
+    @pytest.mark.parametrize("verdict, message", [
+        ("refuted", "lower bracket end h = .* refuted"),
+        ("certified", "upper bracket end h = .* certified"),
+    ], ids=["lower_end_refuted", "upper_end_certified"])
+    def test_bracket_ends_keep_error_contract(self, monkeypatch, verdict, message):
         monkeypatch.setattr(misra, "certify_ar", lambda *args, **kwargs: _FixedVerdict(verdict))
         with pytest.raises(DiagnosticError, match=message):
             threshold_via_pencil(0.7, 0.5)
+
+    @pytest.mark.parametrize("scan, message", [
+        (TruncationError("planted"), "pencil scan failed: planted"),
+        (DomainError("planted"), "pencil scan failed: planted"),
+        (np.array([[-0.5, 1.0], [0.0, -0.5]]), "Re Gamma.* < 0"),
+        (np.array([[1.5, 1.0], [0.0, 1.5]]), "flip point 3 lies outside"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "flip point 0 lies outside"),
+    ], ids=["truncation", "domain", "negative_re_gamma", "flip_point_above_2", "flip_point_at_0"])
+    def test_failed_scan_raises_instead_of_a_midpoint(self, monkeypatch, scan, message):
+        # the midpoint of [0, 2] is 1.0; a scan that fails or leaves the search
+        # range must not produce it, nor spend a certificate
+        class PlantedPencil:
+            def __init__(self, *args):
+                pass
+
+            def gamma_for_alphas(self, m):
+                if isinstance(scan, Exception):
+                    raise scan
+                return np.broadcast_to(scan.astype(complex), (m, 2, 2))
+
+        certificates = []
+        monkeypatch.setattr(misra, "MatrixPencil", PlantedPencil)
+        monkeypatch.setattr(misra, "certify_ar", lambda *args, **kwargs: certificates.append(args))
+        with pytest.raises(DiagnosticError, match=message):
+            threshold_via_pencil(0.7, 0.5)
+        assert certificates == []
 
 
 class TestSweep:

@@ -260,6 +260,12 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def embedded(t):
+    """[[T, I], [0, T]], whose pencil carries the derivative pencil of T in its corner."""
+    n = t.shape[0]
+    return np.block([[t, np.eye(n)], [np.zeros((n, n)), t]])
+
+
 def assert_fold_matches(t, eps, m, r=0.5):
     """Gamma and the derivative pencil of a sweep against the direct sums;
     returns the level counts."""
@@ -270,7 +276,9 @@ def assert_fold_matches(t, eps, m, r=0.5):
     levels = mp_.gamma_indices()
     assert rel_diff(gam, reference_pencil(t, eps, r, alphas)) <= 1e-12
     der = mp_.derivative_for_alphas(m)
-    assert mp_.deriv_indices() == levels
+    outer = MatrixPencil(embedded(t), eps, ap)
+    outer.gamma_for_alphas(m)
+    assert mp_.deriv_indices() == outer.gamma_indices()
     ref_core = reference_pencil(t, eps, r, alphas, weighted=True)
     assert rel_diff(der, np.linalg.inv(t) @ ref_core) <= 1e-12
     return levels
@@ -316,6 +324,7 @@ class TestAlphaFold:
         gam = mp_.gamma_for_alphas(m)
         der = mp_.derivative_for_alphas(m)
         levels = MatrixPencil(t, eps, AP5).gamma_indices()
+        deriv_levels = MatrixPencil(embedded(t), eps, AP5).gamma_indices()
         for k, alpha in enumerate(roots_of_unity(m)):
             pt = PencilPoint(eps, alpha)
             assert rel_diff(gamma_matrix(t, pt, AP5), gam[k]) <= 1e-12
@@ -323,7 +332,7 @@ class TestAlphaFold:
             # the level rule reads only norms, which a rotation keeps
             rotated = MatrixPencil(alpha * t, eps, AP5)
             assert rotated.gamma_indices() == levels
-            assert rotated.deriv_indices() == levels
+            assert rotated.deriv_indices() == deriv_levels
 
     def test_band_edge_sweep_matches_reference(self):
         # eigenvalue 1 sits just inside the outer band edge at eps = 0.001,
@@ -346,6 +355,16 @@ class TestAlphaFold:
                              for alpha in roots_of_unity(m)))
         assert rel_diff(gam, np.array(ref_g)) <= 1e-13
         assert rel_diff(der, np.array(ref_d)) <= 1e-10
+
+    @pytest.mark.parametrize("w", [0.999, 0.5005])
+    def test_derivative_sweep_rounding_guard(self, w):
+        # the corner of the embedded sweep carries Gamma's rounding guard: at
+        # eps = 1e-3 Gamma of a Jordan block near a circle passes it, while the
+        # sweep of [[T, I], [0, T]], whose buckets hold the derivative, does not
+        mp_ = MatrixPencil(jordan_block(w, 0.05), 1e-3, AP5)
+        mp_.gamma_for_alphas(8)
+        with pytest.raises(TruncationError, match="sweep rounding up to "):
+            mp_.derivative_for_alphas(8)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
