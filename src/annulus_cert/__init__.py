@@ -34,7 +34,6 @@ from .pencil import (
 )
 from .rational import (
     RationalFunction,
-    derivative,
     eval_matrix,
     poles_off_annulus,
     sup_on_annulus,

@@ -8,9 +8,11 @@ Three block kinds are supported:
 
 The contract of a kind (one shared dimension, and the commutation it needs)
 is enforced when its ``BlockSpec`` is built, so every spec in hand is valid.
-For the commuting kinds, ``fcalc(spec, f, ap)`` reduces f(block) to n x n
-arithmetic in f(T), f'(T) or f(T1) - f(T2); those reductions are exact
-identities and the heart of the block certification pipeline.
+For the commuting kinds f(block) = [[f(T1), X F], [0, f(T2)]], where F is
+the corner of f(E) for the *unit block* E = [[T1, C], [0, T2]], C = I (tx,
+F = f'(T)) or C = T1 - T2 (hat, F = f(T1) - f(T2); no commutation of T1 with
+T2 is needed, as [[I, -I], [0, I]] conjugates E to T1 (+) T2).  ``fcalc`` and
+the theorem checks of ``certifier`` both read F off ``unit_block``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ContractViolationError, DomainError
 from .numerics import EQ_TOL, MAX_DIM, as_matrix, operator_norm
 from .pencil import AnnulusParams, spectrum_in_annulus
-from .rational import RationalFunction, derivative, eval_matrix, poles_off_annulus
+from .rational import RationalFunction, eval_matrix, poles_off_annulus
 
 KINDS = ("tx", "hat", "general")
 
@@ -79,20 +81,26 @@ def assemble(spec: BlockSpec) -> np.ndarray:
     return _upper(spec.t1, top_right, spec.t2)
 
 
-def fcalc(spec: BlockSpec, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
-    """f of the block through its commutant reduction.
-
-    tx gives [[f(T), X f'(T)], [0, f(T)]] and hat gives
-    [[f(T1), X (f(T1) - f(T2))], [0, f(T2)]]; kind 'general' has no reduction.
-    """
+def unit_block(spec: BlockSpec) -> np.ndarray:
+    """E = [[T1, I], [0, T1]] (tx) or [[T1, T1 - T2], [0, T2]] (hat); 'general' has none."""
     if spec.kind == "general":
         raise DomainError("kind 'general' has no functional-calculus reduction")
+    n = spec.t1.shape[0]
+    corner = np.eye(n, dtype=complex) if spec.kind == "tx" else spec.t1 - spec.t2
+    return _upper(spec.t1, corner, spec.t2)
+
+
+def fcalc(spec: BlockSpec, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
+    """f of the block as [[F11, X F12], [0, F22]] with F = f(unit_block(spec)).
+
+    That is [[f(T), X f'(T)], [0, f(T)]] for tx and
+    [[f(T1), X (f(T1) - f(T2))], [0, f(T2)]] for hat.
+    """
+    e = unit_block(spec)
     if not poles_off_annulus(f, ap):
         raise DomainError("f has poles on the closed annulus")
     if not (spectrum_in_annulus(spec.t1, ap) and spectrum_in_annulus(spec.t2, ap)):
         raise DomainError(f"spectrum leaves the closed annulus [{ap.r}, 1]")
-    f1 = eval_matrix(f, spec.t1)
-    if spec.kind == "tx":
-        return _upper(f1, spec.x @ eval_matrix(derivative(f), spec.t1), f1)
-    f2 = eval_matrix(f, spec.t2)
-    return _upper(f1, spec.x @ (f1 - f2), f2)
+    n = spec.t1.shape[0]
+    fe = eval_matrix(f, e)
+    return _upper(fe[:n, :n], spec.x @ fe[:n, n:], fe[n:, n:])

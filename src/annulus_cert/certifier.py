@@ -9,6 +9,9 @@ taken in closed form with an a-priori tail below SCALAR_TOL = 1e-16, and a
 sweep whose rounding could reach a tenth of PSD_TOL raises TruncationError.
 That error, like a spectrum on a band edge where the series diverges, makes
 the eps rung inconclusive rather than refuted.
+
+The theorem checks read their point factorizations off one sweep per eps of
+the unit block of ``blocks`` and compare them with the assembled block's certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockSpec, assemble
+from .blocks import BlockSpec, assemble, unit_block
 from .errors import DomainError, TruncationError
 from .factorization import (
     FactorResult,
@@ -401,23 +404,40 @@ class ThmReport:
         }
 
 
-def _check_thm(spec: BlockSpec, point_terms, ap: AnnulusParams, grid: PencilGrid) -> ThmReport:
+def _root(h: np.ndarray, name: str, eps: float, alpha: complex) -> np.ndarray:
+    """sqrt_psd of Re Gamma(alpha T) for the diagonal block ``name``, or DomainError naming it."""
+    try:
+        return sqrt_psd(h)
+    except DomainError as exc:
+        raise DomainError(
+            f"{name} is not an annulus contraction, which the block theorems assume: "
+            f"Re Gamma(alpha {name}) at eps = {eps}, alpha = {alpha:.6g}: {exc}"
+        ) from exc
+
+
+def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmReport:
     """Douglas extraction plus Halmos reconstruction at each grid point.
 
-    ``point_terms(eps, m)`` yields (P, Q, R) at the m-th roots of unity in
-    order; the all-points verdict is compared with the direct certificate of
-    the assembled block.
+    Per eps, one sweep of the unit block E (``blocks``) gives
+    Gamma(alpha E) = [[G11, G12], [0, G22]] at every alpha, and P^{1/2} K Q^{1/2}
+    = R is solved with P = Re G11, Q = Re G22 and R = X G12 / 2.  The
+    all-points verdict is compared with the certificate of the assembled
+    block, which carries X inside the sweep instead of multiplying it in.
     """
     cert = certify_ar(assemble(spec), ap, grid)
+    e = unit_block(spec)
+    n = spec.t1.shape[0]
     alphas = grid.alphas()
     points = []
     max_k = 0.0
     max_recon = None
     all_pass = True
     for eps in grid.eps_values:
-        for alpha, (p, q, r) in zip(alphas, point_terms(eps, grid.alpha_count)):
-            sp = sqrt_psd(p)
-            sq = sqrt_psd(q)
+        sweep = MatrixPencil(e, eps, ap).gamma_for_alphas(grid.alpha_count)
+        for alpha, g in zip(alphas, sweep):
+            sp = _root(re_part(g[:n, :n]), "T1", eps, alpha)
+            sq = _root(re_part(g[n:, n:]), "T2", eps, alpha)
+            r = spec.x @ g[:n, n:] / 2.0
             fr = factor_through(sp, sq, r)
             recon = None
             if fr.passes():
@@ -438,31 +458,16 @@ def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -
     """Equivalence data for the same-diagonal block [[T, X], [0, T]].
 
     Point factorization: P^{1/2} K P^{1/2} = X Gamma'(alpha T)/2 with
-    P = Re Gamma(alpha T).
+    P = Re Gamma(alpha T), read off the sweep of the unit block [[T, I], [0, T]].
     """
-    spec = BlockSpec("tx", t, x)
-
-    def point_terms(eps, m):
-        mp = MatrixPencil(spec.t1, eps, ap)
-        for g, d in zip(mp.gamma_for_alphas(m), mp.derivative_for_alphas(m)):
-            p = re_part(g)
-            yield p, p, spec.x @ d / 2.0
-
-    return _check_thm(spec, point_terms, ap, grid)
+    return _check_thm(BlockSpec("tx", t, x), ap, grid)
 
 
 def check_thm_block2(t1, t2, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> ThmReport:
     """Equivalence data for the block [[T1, X(T1 - T2)], [0, T2]].
 
     Point factorization: Re Gamma(alpha T1)^{1/2} K Re Gamma(alpha T2)^{1/2}
-    equals X (Gamma(alpha T1) - Gamma(alpha T2)) / 2.
+    equals X (Gamma(alpha T1) - Gamma(alpha T2)) / 2, read off the sweep of the
+    unit block [[T1, T1 - T2], [0, T2]].
     """
-    spec = BlockSpec("hat", t1, x, t2)
-
-    def point_terms(eps, m):
-        g1 = MatrixPencil(spec.t1, eps, ap).gamma_for_alphas(m)
-        g2 = MatrixPencil(spec.t2, eps, ap).gamma_for_alphas(m)
-        for a, b in zip(g1, g2):
-            yield re_part(a), re_part(b), spec.x @ (a - b) / 2.0
-
-    return _check_thm(spec, point_terms, ap, grid)
+    return _check_thm(BlockSpec("hat", t1, x, t2), ap, grid)

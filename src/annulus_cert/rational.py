@@ -84,13 +84,6 @@ def polyval(c: np.ndarray, z):
     return acc
 
 
-def polyder(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    if c.size <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, c.size)
-
-
 def polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
@@ -133,16 +126,6 @@ def eval_matrix(f: RationalFunction, t) -> np.ndarray:
     except SingularityError as exc:
         raise SingularityError(f"q(T) is singular: {exc}") from exc
     return polyval_matrix(f.p, tm) @ qinv
-
-
-def derivative(f: RationalFunction) -> RationalFunction:
-    """(p' q - p q') / q**2."""
-    num = polymul(polyder(f.p), f.q)
-    sub = polymul(f.p, polyder(f.q))
-    n = max(num.size, sub.size)
-    num = np.pad(num, (0, n - num.size))
-    sub = np.pad(sub, (0, n - sub.size))
-    return RationalFunction(num - sub, polymul(f.q, f.q))
 
 
 def _stack(coeffs) -> np.ndarray:

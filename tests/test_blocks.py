@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from annulus_cert.blocks import BlockSpec, assemble, fcalc
+from annulus_cert.blocks import BlockSpec, assemble, fcalc, unit_block
 from annulus_cert.errors import ContractViolationError, DomainError
-from annulus_cert.generators import random_normal_annulus
+from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.numerics import eigenvalues, inverse, operator_norm
-from annulus_cert.pencil import AnnulusParams
+from annulus_cert.pencil import AnnulusParams, MatrixPencil
 from annulus_cert.rational import RationalFunction, eval_matrix
 
 from conftest import eig_match_max, interior_commuting_triple, random_poles_off_rational
@@ -154,3 +154,53 @@ class TestGeneralReduction:
         general = assemble(BlockSpec("general", t1, y, t2))
         hat = assemble(BlockSpec("hat", t1, y @ inverse(t1 - t2), t2))
         assert operator_norm(general - hat) <= 1e-10 * operator_norm(general)
+
+
+def non_commuting_pair():
+    """Non-normal T1, T2 with spectra inside the annulus r = 0.5 that do not commute."""
+    t1 = np.array([[0.7, 0.3, 0.0], [0.0, 0.6j, 0.2], [0.0, 0.0, -0.8]])
+    u = haar_unitary(3, np.random.default_rng(21))
+    t2 = u @ np.array([[0.55, 0.4, 0.1], [0.0, -0.9j, 0.3], [0.0, 0.0, 0.75 + 0.3j]]) @ u.conj().T
+    assert operator_norm(t1 @ t2 - t2 @ t1) > 0.1
+    return t1, t2
+
+
+class TestUnitBlock:
+    """f([[T1, T1 - T2], [0, T2]]) has corner f(T1) - f(T2) with no commutation of T1 and T2."""
+
+    def test_kinds(self):
+        t = random_normal_annulus(2, AP5, seed=15)
+        e = unit_block(BlockSpec("tx", t, np.eye(2)))
+        assert np.array_equal(e, np.block([[t, np.eye(2)], [np.zeros((2, 2)), t]]))
+        t1, t2 = non_commuting_pair()
+        e = unit_block(BlockSpec("hat", t1, np.eye(3), t2))
+        assert np.array_equal(e, np.block([[t1, t1 - t2], [np.zeros((3, 3)), t2]]))
+        with pytest.raises(DomainError, match="general"):
+            unit_block(BlockSpec("general", t1, np.eye(3), t2))
+
+    @pytest.mark.parametrize("eps", [0.5, 0.05])
+    def test_sweep_corner_is_difference_of_pencils(self, eps):
+        t1, t2 = non_commuting_pair()
+        m = 16
+        e = unit_block(BlockSpec("hat", t1, np.eye(3), t2))
+        sweep = MatrixPencil(e, eps, AP5).gamma_for_alphas(m)
+        g1 = MatrixPencil(t1, eps, AP5).gamma_for_alphas(m)
+        g2 = MatrixPencil(t2, eps, AP5).gamma_for_alphas(m)
+        tol = 1e-12 * np.abs(sweep).max()
+        assert np.abs(sweep[:, :3, 3:] - (g1 - g2)).max() <= tol
+        assert np.abs(sweep[:, :3, :3] - g1).max() <= tol
+        assert np.abs(sweep[:, 3:, 3:] - g2).max() <= tol
+        assert np.abs(sweep[:, 3:, :3]).max() <= tol
+
+    def test_fcalc_hat_corner_without_commutation(self, rng):
+        t1, t2 = non_commuting_pair()
+        x = 0.3 * np.eye(3)
+        spec = BlockSpec("hat", t1, x, t2)
+        fs = [RationalFunction([1.0], [0.0, 1.0]), *(random_poles_off_rational(rng, AP5) for _ in range(5))]
+        for f in fs:
+            f1, f2 = eval_matrix(f, t1), eval_matrix(f, t2)
+            out = fcalc(spec, f, AP5)
+            scale = 1.0 + max(operator_norm(f1), operator_norm(f2))
+            assert operator_norm(out[:3, 3:] - x @ (f1 - f2)) <= 1e-10 * scale
+            assert operator_norm(out[:3, :3] - f1) <= 1e-10 * scale
+            assert operator_norm(out[3:, 3:] - f2) <= 1e-10 * scale

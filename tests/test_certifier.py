@@ -15,7 +15,7 @@ from annulus_cert.errors import DomainError
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.numerics import operator_norm
-from annulus_cert.pencil import AnnulusParams
+from annulus_cert.pencil import AnnulusParams, MatrixPencil
 from annulus_cert.rational import RationalFunction, eval_matrix, sup_on_annulus
 
 from conftest import interior_commuting_triple
@@ -316,3 +316,42 @@ class TestThmBlock2:
         assert small.agree and small.factor_verdict
         large = check_thm_block2(t1, t2, 10.0 * x, AP5)
         assert large.agree and not large.factor_verdict
+
+
+# T = [[0.7, 0.5], [0, 0.7]] has norm 1.1: not an annulus contraction at r = 0.5
+NOT_CONTRACTION = np.array([[0.7, 0.5], [0.0, 0.7]])
+
+
+class TestUnitBlockSweep:
+    @pytest.mark.parametrize("which", ["block1", "block2"])
+    def test_two_pencils_per_eps(self, monkeypatch, which):
+        # the unit block's sweep on the factor side, the assembled block's in the certificate
+        builds = []
+        init = MatrixPencil.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args[0].shape)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixPencil, "__init__", counting)
+        t1, t2, x = interior_commuting_triple(2, AP5, seed=7)
+        grid = PencilGrid((0.5, 0.1, 0.01), 8)
+        if which == "block1":
+            rep = check_thm_block1(t1, 0.05 * x, AP5, grid)
+        else:
+            rep = check_thm_block2(t1, t2, 0.05 * x, AP5, grid)
+        assert rep.agree
+        assert builds == [(4, 4)] * (2 * len(grid.eps_values))
+
+    @pytest.mark.parametrize("which", ["T1", "T2"])
+    def test_indefinite_diagonal_named(self, which):
+        # the theorems assume annulus-contraction diagonals; the certificate
+        # of the assembled block refutes, the factor side names the culprit
+        good = 0.7 * np.eye(2)
+        grid = PencilGrid((0.5, 0.01), 8)
+        with pytest.raises(DomainError, match=f"{which} is not an annulus contraction"):
+            if which == "T1":
+                check_thm_block1(NOT_CONTRACTION, 0.01 * np.eye(2), AP5, grid)
+            else:
+                check_thm_block2(good, NOT_CONTRACTION, 0.01 * np.eye(2), AP5, grid)
+        assert certify_ar(NOT_CONTRACTION, AP5, grid).verdict == "refuted"

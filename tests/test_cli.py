@@ -419,6 +419,18 @@ def _near_circles(n):
                      modulus, st.sampled_from([0.0, 0.7, np.pi]), st.sampled_from([1e-3, 0.1, 1.0]))
 
 
+def _on_circles(n):
+    """Diagonal T with every eigenvalue on the outer or the inner circle of r = 0.5."""
+    point = st.tuples(st.sampled_from([1.0, 0.5]), st.sampled_from([0.0, 0.7, np.pi]))
+    return st.lists(point, min_size=n, max_size=n).map(
+        lambda pts: np.diag([mod * np.exp(1j * angle) for mod, angle in pts]))
+
+
+def _huge_entries(n):
+    """Chains inside the annulus with superdiagonal entries up to 1e300."""
+    return st.sampled_from([1e100, 1e200, 1e300]).map(lambda h: _chain(n, 0.7, h))
+
+
 def _near_singular(n):
     """T whose smallest singular value is tiny against its largest: a strong
     chain inside the annulus, or an eigenvalue near 0."""
@@ -451,6 +463,42 @@ class TestHostileInputs:
         assert code in {0, 1, 2, 64, 65}
         assert "Traceback" not in err.getvalue()
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(cmd=st.sampled_from(["certify", "vn"]), n=st.integers(1, 3), data=st.data())
+    def test_hostile_certify_and_vn_inputs_end_in_a_documented_exit_code(self, cmd, n, data):
+        matrices = _near_circles(n) | _on_circles(n) | _near_singular(n) | _huge_entries(n)
+        t = data.draw(matrices, label="t")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "t.json")
+            save_matrix(t, path)
+            flags = {"certify": ["--eps", "0.5,0.01", "--alphas", "8"],
+                     "vn": ["--count", "5", "--m", "64"]}[cmd]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([cmd, "--matrix", path, "--r", "0.5", *flags])
+        assert code in {0, 1, 2, 64, 65}
+        assert "Traceback" not in err.getvalue()
+
+    def test_vn_intermediate_overflow_exits_65(self, tmp_path):
+        # finite entries of 1e300 overflow inside f(T): the open case of
+        # ROADMAP item 6, recorded here until it gets its own exit code
+        path = tmp_path / "t.json"
+        save_matrix(_chain(3, 0.7, 1e300), path)
+        proc = run_cli("vn", "--matrix", str(path), "--r", "0.5", "--count", "5", "--m", "64")
+        assert proc.returncode == 65
+        assert "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_thm_diagonal_not_a_contraction_usage_error(self, tmp_path):
+        # the block theorems assume annulus-contraction diagonals; certify refutes this T
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("t", "x")}
+        save_matrix(np.array([[0.7, 0.5], [0.0, 0.7]]), paths["t"])
+        save_matrix(0.01 * np.eye(2), paths["x"])
+        proc = run_cli("thm", "--which", "block1", "--t1", paths["t"], "--x", paths["x"], *THM_GRID)
+        assert proc.returncode == 64
+        assert "T1 is not an annulus contraction" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert run_cli("certify", "--matrix", paths["t"], *THM_GRID).returncode == 1
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(doc=MATRIX_DOCUMENTS)

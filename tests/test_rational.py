@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_cert import rational
+from annulus_cert.blocks import BlockSpec, fcalc
 from annulus_cert.certifier import _blaschke_pair, _plain_rational
 from annulus_cert.errors import DomainError, SingularityError
-from annulus_cert.generators import random_normal_annulus
+from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.numerics import operator_norm
 from annulus_cert.pencil import AnnulusParams
 from annulus_cert.rational import (
     RationalFunction,
-    derivative,
     eval_matrix,
     poles_off_annulus,
     polymul,
@@ -89,28 +89,44 @@ class TestEvalMatrix:
             assert operator_norm(lhs - rhs) < 1e-10 * (1 + operator_norm(rhs))
 
 
+# 1 x 1 and 3 x 3 spectra inside the closed annulus r = 0.5
+DERIV_SPECTRA = [[0.6], [0.7 + 0.5j], [-0.95j], [0.6, -0.8j, 0.55 + 0.55j]]
+
+
+def tx_derivative(f, lam, x=0.25):
+    """f'(T) read off fcalc as the tx corner over X = x I, for the normal
+    T = U diag(lam) U*; returns it with the map d -> U diag(d) U*."""
+    n = len(lam)
+    u = haar_unitary(n, np.random.default_rng(0))
+    normal = lambda d: (u * np.asarray(d)) @ u.conj().T
+    out = fcalc(BlockSpec("tx", normal(lam), x * np.eye(n)), f, AP5)
+    return out[:n, n:] / x, normal
+
+
 class TestDerivative:
+    """The tx corner of fcalc divided by X is f'(T)."""
+
     def test_square(self):
         f = RationalFunction([0.0, 0.0, 1.0], [1.0])
-        df = derivative(f)
-        zs = np.array([0.3, 1.0 + 1j, -2.0])
-        assert np.allclose(df(zs), 2 * zs)
+        for lam in DERIV_SPECTRA:
+            df, normal = tx_derivative(f, lam)
+            assert np.allclose(df, normal(2.0 * np.asarray(lam)), atol=1e-12)
 
     def test_reciprocal(self):
         f = RationalFunction([1.0], [0.0, 1.0])
-        df = derivative(f)
-        zs = np.array([0.5, 2.0 - 1j])
-        assert np.allclose(df(zs), -1.0 / zs**2)
+        for lam in DERIV_SPECTRA:
+            df, normal = tx_derivative(f, lam)
+            assert np.allclose(df, normal(-1.0 / np.asarray(lam) ** 2), atol=1e-12)
 
     def test_finite_difference(self, rng):
         step = 1e-5
         for _ in range(5):
             f = random_poles_off_rational(rng, AP5)
-            df = derivative(f)
-            for _ in range(10):
-                z = (0.6 + 0.35 * rng.random()) * np.exp(2j * np.pi * rng.random())
-                fd = (f(z + step) - f(z - step)) / (2 * step)
-                assert abs(df(z) - fd) <= 1e-6 * max(1.0, abs(df(z)))
+            for n in (1, 3):
+                lam = (0.6 + 0.35 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+                df, normal = tx_derivative(f, lam)
+                fd = normal((f(lam + step) - f(lam - step)) / (2 * step))
+                assert operator_norm(df - fd) <= 1e-6 * max(1.0, operator_norm(df))
 
 
 class TestSupOnAnnulus:
