@@ -11,7 +11,10 @@ That error, like a spectrum on a band edge where the series diverges, makes
 the eps rung inconclusive rather than refuted.
 
 The theorem checks read their point factorizations off one sweep per eps of
-the unit block of ``blocks`` and compare them with the assembled block's certificate.
+the unit block of ``blocks``, factor the whole alpha grid of a rung as one
+stack (the kernels of ``numerics`` and ``factorization`` take stacks, a 2-D
+matrix being the stack of one), and only once every diagonal root exists
+compare the result with the assembled block's certificate.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .factorization import (
 )
 from .numerics import (
     PSD_TOL,
+    _norm2,
     as_matrix,
     eigenvalues,
     operator_norm,
@@ -404,52 +408,53 @@ class ThmReport:
         }
 
 
-def _root(h: np.ndarray, name: str, eps: float, alpha: complex) -> np.ndarray:
-    """sqrt_psd of Re Gamma(alpha T) for the diagonal block ``name``, or DomainError naming it."""
-    try:
-        return sqrt_psd(h)
-    except DomainError as exc:
-        raise DomainError(
-            f"{name} is not an annulus contraction, which the block theorems assume: "
-            f"Re Gamma(alpha {name}) at eps = {eps}, alpha = {alpha:.6g}: {exc}"
-        ) from exc
-
-
 def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmReport:
     """Douglas extraction plus Halmos reconstruction at each grid point.
 
     Per eps, one sweep of the unit block E (``blocks``) gives
     Gamma(alpha E) = [[G11, G12], [0, G22]] at every alpha, and P^{1/2} K Q^{1/2}
-    = R is solved with P = Re G11, Q = Re G22 and R = X G12 / 2.  The
-    all-points verdict is compared with the certificate of the assembled
-    block, which carries X inside the sweep instead of multiplying it in.
+    = R is solved with P = Re G11, Q = Re G22 and R = X G12 / 2.  The kernels
+    take the whole alpha grid as one stack: one ``sqrt_psd`` call on the
+    interleaved diagonals [P(alpha_0), Q(alpha_0), P(alpha_1), ...], one
+    ``factor_through`` call and one ``halmos_unitary`` call on the passing
+    points, each bit for bit what the points give one at a time.  Once every
+    diagonal root exists, the all-points verdict is compared with the
+    certificate of the assembled block, which carries X inside the sweep
+    instead of multiplying it in.
     """
-    cert = certify_ar(assemble(spec), ap, grid)
     e = unit_block(spec)
     n = spec.t1.shape[0]
     alphas = grid.alphas()
     points = []
-    max_k = 0.0
-    max_recon = None
-    all_pass = True
     for eps in grid.eps_values:
         sweep = MatrixPencil(e, eps, ap).gamma_for_alphas(grid.alpha_count)
-        for alpha, g in zip(alphas, sweep):
-            sp = _root(re_part(g[:n, :n]), "T1", eps, alpha)
-            sq = _root(re_part(g[n:, n:]), "T2", eps, alpha)
-            r = spec.x @ g[:n, n:] / 2.0
-            fr = factor_through(sp, sq, r)
-            recon = None
-            if fr.passes():
-                u = halmos_unitary(fr.k)
-                recon = float(
-                    operator_norm(compress_through(u, sp, sq) - r) / (1.0 + operator_norm(r))
-                )
-                max_recon = recon if max_recon is None else max(max_recon, recon)
-            else:
-                all_pass = False
-            max_k = max(max_k, fr.k_norm)
-            points.append(ThmPointRecord(eps, complex(alpha), fr, recon))
+        try:
+            roots = sqrt_psd(re_part(np.stack([sweep[:, :n, :n], sweep[:, n:, n:]], axis=1)))
+        except DomainError as exc:
+            j, side = exc.index
+            name = ("T1", "T2")[side]
+            raise DomainError(
+                f"{name} is not an annulus contraction, which the block theorems assume: "
+                f"Re Gamma(alpha {name}) at eps = {eps}, alpha = {alphas[j]:.6g}: {exc}"
+            ) from exc
+        sp, sq = roots[:, 0], roots[:, 1]
+        r = spec.x @ sweep[:, :n, n:] / 2.0
+        fr = factor_through(sp, sq, r)
+        rung = [FactorResult(fr.k[j], float(fr.k_norm[j]), float(fr.residual[j]),
+                             float(fr.range_defect[j])) for j in range(alphas.size)]
+        recon = [None] * alphas.size
+        ok = np.flatnonzero([f.passes() for f in rung])
+        if ok.size:
+            u = halmos_unitary(fr.k[ok])
+            res = _norm2(compress_through(u, sp[ok], sq[ok]) - r[ok]) / (1.0 + _norm2(r[ok]))
+            for j, v in zip(ok, res):
+                recon[j] = float(v)
+        points += [ThmPointRecord(eps, complex(a), f, rc) for a, f, rc in zip(alphas, rung, recon)]
+    max_k = max([0.0] + [p.factor.k_norm for p in points])
+    recons = [p.recon_residual for p in points if p.recon_residual is not None]
+    max_recon = max(recons) if recons else None
+    all_pass = all(p.factor.passes() for p in points)
+    cert = certify_ar(assemble(spec), ap, grid)
     agree = all_pass == cert.certified
     return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)
 

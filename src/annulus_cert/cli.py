@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -94,12 +95,27 @@ def _load(path):
         raise DomainError(str(exc)) from exc
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout.
+
+    A reader that closes stdout early (``| head``) ends the output, not the
+    command: stdout is pointed at os.devnull, so the shutdown flush stays
+    quiet, and the command still returns its verdict's exit code.
+    """
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+        Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _cert_exit(cert: Certificate) -> int:
@@ -145,7 +161,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_misra(args) -> int:
     th = misra_threshold(_parse_complex(args.w), args.r)
-    print(f"{th:.17g}")
+    _write(f"{th:.17g}\n", None)
     return EXIT_OK
 
 
@@ -155,11 +171,7 @@ def _cmd_sweep(args) -> int:
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(f"{row[c]:.17g}" for c in cols))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -5,6 +5,11 @@ S1, S2 positive semidefinite, using rank-truncated pseudo-inverses and
 reporting how much of R lives outside the attainable ranges.  The block
 [[P, R], [R*, Q]] is positive exactly when that K is a contraction and R is
 range-compatible, which the library exploits as a two-sided consistency check.
+
+``factor_through``, ``defects``, ``halmos_unitary`` and ``compress_through``
+take stacks (..., n, n) and apply every check to each matrix; a 2-D argument
+is the stack of one.  A stacked ``FactorResult`` holds arrays over the stack,
+and its ``passes()`` is true when every matrix passes.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from .errors import ContractViolationError, DomainError
 from .numerics import (
     EQ_TOL,
     PSD_TOL,
+    _adjoint,
+    _as_stack,
+    _first,
+    _norm2,
     as_matrix,
     hermitian_min_eig,
     identity_like,
@@ -29,19 +38,23 @@ from .numerics import (
 
 @dataclass(frozen=True, eq=False)
 class FactorResult:
-    """Middle factor of R = S1 K S2 with its quality metrics."""
+    """Middle factor of R = S1 K S2 with its quality metrics.
+
+    The metrics are floats for one matrix and arrays over a stack.
+    """
 
     k: np.ndarray
-    k_norm: float
-    residual: float
-    range_defect: float
+    k_norm: float | np.ndarray
+    residual: float | np.ndarray
+    range_defect: float | np.ndarray
 
     def passes(self) -> bool:
-        return (
-            self.k_norm <= 1.0 + PSD_TOL
-            and self.residual <= EQ_TOL
-            and self.range_defect <= EQ_TOL
-        )
+        """True when every matrix of the stack passes."""
+        return bool(np.all(
+            (self.k_norm <= 1.0 + PSD_TOL)
+            & (self.residual <= EQ_TOL)
+            & (self.range_defect <= EQ_TOL)
+        ))
 
     def to_dict(self) -> dict:
         from .io import matrix_to_dict
@@ -63,26 +76,31 @@ class DefectPair:
     dstar: np.ndarray
 
 
+def _metric(x: np.ndarray) -> float | np.ndarray:
+    """A float for one matrix, the array for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
 def factor_through(s1, s2, r) -> FactorResult:
     """K = S1^+ R S2^+ restricted to the ranges, for PSD square roots S1, S2.
 
     S1 and S2 must be exactly Hermitian, as ``sqrt_psd`` returns them; one
     eigendecomposition of each gives its pseudo-inverse and range projector.
+    All three may be stacks (..., n, n), factored matrix by matrix.
     """
-    s1m = as_matrix(s1)
-    s2m = as_matrix(s2)
-    rm = as_matrix(r)
+    s1m = _as_stack(s1)
+    s2m = _as_stack(s2)
+    rm = _as_stack(r)
     pinv1, p1 = psd_pinv(s1m)
     pinv2, p2 = psd_pinv(s2m)
     # S1^+ (S2^+ R*)*, in this association order
-    k = pinv1(pinv2(rm.conj().T).conj().T)
-    scale = 1.0 + operator_norm(rm)
-    residual = operator_norm(s1m @ k @ s2m - rm) / scale
-    eye = identity_like(rm)
-    range_defect = (
-        operator_norm((eye - p1) @ rm) + operator_norm(rm @ (eye - p2))
-    ) / scale
-    return FactorResult(k=k, k_norm=operator_norm(k), residual=residual, range_defect=range_defect)
+    k = pinv1(_adjoint(pinv2(_adjoint(rm))))
+    scale = 1.0 + _norm2(rm)
+    residual = _norm2(s1m @ k @ s2m - rm) / scale
+    eye = np.eye(rm.shape[-1], dtype=complex)
+    range_defect = (_norm2((eye - p1) @ rm) + _norm2(rm @ (eye - p2))) / scale
+    return FactorResult(k=k, k_norm=_metric(_norm2(k)), residual=_metric(residual),
+                        range_defect=_metric(range_defect))
 
 
 def _pqr(p, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,28 +137,30 @@ def block_psd_check(p, q, r) -> tuple[bool, float]:
 
 
 def defects(k) -> DefectPair:
-    """Defect operators of a contraction."""
-    km = as_matrix(k)
-    nrm = operator_norm(km)
-    if nrm > 1.0 + PSD_TOL:
-        raise DomainError(f"not a contraction within slack (norm {nrm:.6g})")
-    eye = identity_like(km)
-    d = sqrt_psd(eye - km.conj().T @ km)
-    dstar = sqrt_psd(eye - km @ km.conj().T)
+    """Defect operators of a contraction, or of each contraction of a stack."""
+    km = _as_stack(k)
+    nrm = _norm2(km)
+    i = _first(nrm > 1.0 + PSD_TOL)
+    if i is not None:
+        raise DomainError(f"not a contraction within slack (norm {nrm[i]:.6g})")
+    eye = np.eye(km.shape[-1], dtype=complex)
+    kh = _adjoint(km)
+    d = sqrt_psd(eye - kh @ km)
+    dstar = sqrt_psd(eye - km @ kh)
     return DefectPair(d=d, dstar=dstar)
 
 
 def halmos_unitary(k) -> np.ndarray:
-    """The unitary [[K, Dstar], [D, -K*]] on the doubled space."""
-    km = as_matrix(k)
+    """The unitary [[K, Dstar], [D, -K*]] on the doubled space, per matrix of a stack."""
+    km = _as_stack(k)
     pair = defects(km)
-    return np.block([[km, pair.dstar], [pair.d, -km.conj().T]])
+    return np.block([[km, pair.dstar], [pair.d, -_adjoint(km)]])
 
 
 def compress_through(u: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """[S1 0] U [S2; 0], the top-left compression of U between the factors."""
-    n = s1.shape[0]
-    return s1 @ u[:n, :n] @ s2
+    n = s1.shape[-1]
+    return s1 @ u[..., :n, :n] @ s2
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,11 @@ All operations are pure functions of immutable inputs.  Matrices are square
 ``numpy.ndarray`` blocks of ``complex128``; ``as_matrix`` is the single entry
 point that normalizes and validates operands.  Eigen/SVD work is delegated to
 ``numpy.linalg``; the contracts here fix tolerances and failure modes.
+
+``hermitian_check``, ``sqrt_psd`` and ``psd_pinv`` take a stack (..., n, n)
+of matrices and apply every check to each matrix; a 2-D argument is the
+stack of one.  Stacked eigh and SVD run LAPACK on each matrix in turn, so a
+stack gives bit for bit what its matrices give one at a time.
 """
 
 from __future__ import annotations
@@ -31,16 +36,40 @@ EQ_TOL = 1e-8
 RANK_TOL = 1e-10
 
 
-def as_matrix(a, cap: int | None = None) -> np.ndarray:
-    """Validate and return a square finite complex matrix (copy not forced)."""
+def _as_stack(a, stack: bool = True) -> np.ndarray:
+    """Validate a stack (..., n, n) of nonempty square finite complex matrices,
+    or with ``stack`` false a single one (copy not forced)."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ContractViolationError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ContractViolationError("matrix has non-finite entries")
+    return m
+
+
+def as_matrix(a, cap: int | None = None) -> np.ndarray:
+    """Validate and return a square finite complex matrix (copy not forced)."""
+    m = _as_stack(a, stack=False)
     if cap is not None and m.shape[0] > cap:
         raise ContractViolationError(f"dimension {m.shape[0]} exceeds cap {cap}")
     return m
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _norm2(a) -> np.ndarray:
+    """Largest singular value of every matrix of a stack (0-d for one matrix),
+    after the checks of ``as_matrix``."""
+    return np.linalg.svd(_as_stack(a), compute_uv=False)[..., 0]
+
+
+def _first(bad: np.ndarray) -> tuple | None:
+    """Index of the first true entry of ``bad`` in C order, or None."""
+    hits = np.flatnonzero(bad)
+    return np.unravel_index(int(hits[0]), bad.shape) if hits.size else None
 
 
 def identity_like(a: np.ndarray) -> np.ndarray:
@@ -63,16 +92,20 @@ def eigenvalues(a) -> np.ndarray:
 
 
 def hermitian_check(h) -> np.ndarray:
-    m = as_matrix(h)
-    defect = operator_norm(m - m.conj().T)
-    if defect > EQ_TOL * (1.0 + operator_norm(m)):
-        raise ContractViolationError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
-    return 0.5 * (m + m.conj().T)
+    """(H + H*)/2 for each matrix of a stack, after bounding its Hermitian defect."""
+    m = _as_stack(h)
+    mh = _adjoint(m)
+    defect = _norm2(m - mh)
+    i = _first(defect > EQ_TOL * (1.0 + _norm2(m)))
+    if i is not None:
+        raise ContractViolationError(
+            f"matrix is not Hermitian within tolerance (defect {defect[i]:.3e})")
+    return 0.5 * (m + mh)
 
 
 def hermitian_min_eig(h) -> float:
     """Smallest eigenvalue of the Hermitian part (H + H*)/2."""
-    m = hermitian_check(h)
+    m = hermitian_check(as_matrix(h))
     try:
         return float(np.linalg.eigvalsh(m)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -80,15 +113,23 @@ def hermitian_min_eig(h) -> float:
 
 
 def sqrt_psd(h) -> np.ndarray:
-    """Positive square root of a PSD matrix; slightly negative eigenvalues are clamped."""
+    """Positive square root of each PSD matrix of a stack; slightly negative
+    eigenvalues are clamped.
+
+    The first matrix (in C order) below the PSD floor raises DomainError with
+    the text that matrix alone gives, and its stack index as ``index``.
+    """
     m = hermitian_check(h)
     lam, v = np.linalg.eigh(m)
-    floor = -PSD_TOL * (1.0 + float(np.max(np.abs(lam)) if lam.size else 0.0))
-    if lam[0] < floor:
-        raise DomainError(f"matrix is indefinite beyond PSD slack (min eig {lam[0]:.3e})")
+    floor = -PSD_TOL * (1.0 + np.max(np.abs(lam), axis=-1))
+    i = _first(lam[..., 0] < floor)
+    if i is not None:
+        exc = DomainError(f"matrix is indefinite beyond PSD slack (min eig {lam[i][0]:.3e})")
+        exc.index = i
+        raise exc
     lam = np.clip(lam, 0.0, None)
-    root = (v * np.sqrt(lam)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    root = (v * np.sqrt(lam)[..., None, :]) @ _adjoint(v)
+    return 0.5 * (root + _adjoint(root))
 
 
 def inverse(a) -> np.ndarray:
@@ -101,14 +142,21 @@ def inverse(a) -> np.ndarray:
 
 
 def psd_pinv(s):
-    """(B -> S^+ B, range projector) for an exactly Hermitian PSD S, from one eigh.
+    """(B -> S^+ B, range projector) for each exactly Hermitian PSD S of a
+    stack, from one stacked eigh; ranks may differ across the stack.
 
     The rank rule is written here only: eigenvalues at or below RANK_TOL times
-    the largest modulus count as zero.
+    the largest modulus count as zero.  The kept eigenvalues are the top
+    ``rank`` of the ascending ones, so the projector is V_r V_r* with V_r the
+    last ``rank`` eigenvectors, formed once per distinct rank of the stack.
     """
     lam, v = np.linalg.eigh(s)
-    keep = lam > RANK_TOL * max(float(np.max(np.abs(lam))), 1e-300)
+    keep = lam > RANK_TOL * np.maximum(np.max(np.abs(lam), axis=-1, keepdims=True), 1e-300)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
-    vr = v[:, keep]
-    return (lambda b: (v * inv) @ (v.conj().T @ b)), vr @ vr.conj().T
+    rank = np.count_nonzero(keep, axis=-1)
+    proj = np.zeros_like(v)
+    for k in set(rank.flat):  # np.unique would import numpy.ma, a megabyte of heap
+        vr = v[rank == k][..., v.shape[-1] - k:]
+        proj[rank == k] = vr @ _adjoint(vr)
+    return (lambda b: (v * inv[..., None, :]) @ (_adjoint(v) @ b)), proj

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .numerics import PSD_TOL, as_matrix, eigenvalues, inverse
+from .numerics import PSD_TOL, _adjoint, _as_stack, as_matrix, eigenvalues, inverse
 
 # Closed-form sums: remainder bound and term cap (r within ~1e-4 of 1).
 SCALAR_TOL = 1e-16
@@ -90,9 +90,9 @@ class PencilPoint:
 
 
 def re_part(a) -> np.ndarray:
-    """Hermitian real part (A + A*)/2."""
-    m = as_matrix(a)
-    return 0.5 * (m + m.conj().T)
+    """Hermitian real part (A + A*)/2 of a matrix, or of each matrix of a stack."""
+    m = _as_stack(a)
+    return 0.5 * (m + _adjoint(m))
 
 
 def _check_band(mods: np.ndarray, eps: float, r: float) -> None:

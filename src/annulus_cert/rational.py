@@ -118,14 +118,20 @@ def polyval_matrix(c: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def eval_matrix(f: RationalFunction, t) -> np.ndarray:
-    """f(T) = p(T) q(T)^{-1}."""
+    """f(T) = p(T) q(T)^{-1}.
+
+    Finite T can overflow inside the Horner steps; numpy's overflow warnings
+    are silenced, and the non-finite result is left to the callers' checks
+    (``inverse`` or ``operator_norm`` raise ContractViolationError).
+    """
     tm = as_matrix(t)
-    qt = polyval_matrix(f.q, tm)
-    try:
-        qinv = inverse(qt)
-    except SingularityError as exc:
-        raise SingularityError(f"q(T) is singular: {exc}") from exc
-    return polyval_matrix(f.p, tm) @ qinv
+    with np.errstate(over="ignore", invalid="ignore"):
+        qt = polyval_matrix(f.q, tm)
+        try:
+            qinv = inverse(qt)
+        except SingularityError as exc:
+            raise SingularityError(f"q(T) is singular: {exc}") from exc
+        return polyval_matrix(f.p, tm) @ qinv
 
 
 def _stack(coeffs) -> np.ndarray:

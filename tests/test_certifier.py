@@ -11,11 +11,12 @@ from annulus_cert.certifier import (
     spectrum_in_annulus,
     vn_sample,
 )
+from annulus_cert.blocks import BlockSpec, unit_block
 from annulus_cert.errors import DomainError
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
-from annulus_cert.numerics import operator_norm
-from annulus_cert.pencil import AnnulusParams, MatrixPencil
+from annulus_cert.numerics import operator_norm, sqrt_psd
+from annulus_cert.pencil import AnnulusParams, MatrixPencil, re_part
 from annulus_cert.rational import RationalFunction, eval_matrix, sup_on_annulus
 
 from conftest import interior_commuting_triple
@@ -342,6 +343,55 @@ class TestUnitBlockSweep:
             rep = check_thm_block2(t1, t2, 0.05 * x, AP5, grid)
         assert rep.agree
         assert builds == [(4, 4)] * (2 * len(grid.eps_values))
+
+    @pytest.mark.parametrize("which", ["block1", "block2"])
+    def test_one_stacked_kernel_call_per_eps(self, monkeypatch, which):
+        # the parent made one factor_through call per grid point
+        calls = {"sqrt_psd": [], "factor_through": [], "halmos_unitary": []}
+        for name, log in calls.items():
+            def counting(arg, *rest, _fn=getattr(certifier, name), _log=log):
+                _log.append(np.shape(arg))
+                return _fn(arg, *rest)
+            monkeypatch.setattr(certifier, name, counting)
+        t1, t2, x = interior_commuting_triple(2, AP5, seed=7)
+        grid = PencilGrid((0.5, 0.1, 0.01), 8)
+        if which == "block1":
+            rep = check_thm_block1(t1, 0.05 * x, AP5, grid)
+        else:
+            rep = check_thm_block2(t1, t2, 0.05 * x, AP5, grid)
+        assert rep.agree
+        rungs = len(grid.eps_values)
+        assert calls["sqrt_psd"] == [(8, 2, 2, 2)] * rungs
+        assert calls["factor_through"] == [(8, 2, 2)] * rungs
+        # at most one Halmos call per eps, on that rung's passing points
+        assert 0 < len(calls["halmos_unitary"]) <= rungs
+        assert sum(shape[0] for shape in calls["halmos_unitary"]) == sum(
+            p.factor.passes() for p in rep.points)
+        assert len(rep.points) == rungs * 8
+
+    def test_earliest_failing_point_named(self):
+        # T2 is T1 rotated by e^{i pi/4}, so its first indefinite Re Gamma comes
+        # one alpha earlier on the grid; the error names the block and the alpha
+        # that a loop over the points (T1 before T2 at each alpha) meets first
+        grid = PencilGrid((0.5, 0.01), 8)
+        t1, t2 = NOT_CONTRACTION, np.exp(0.25j * np.pi) * NOT_CONTRACTION
+        spec = BlockSpec("hat", t1, 0.01 * np.eye(2), t2)
+        first = None
+        for eps in grid.eps_values:
+            sweep = MatrixPencil(unit_block(spec), eps, AP5).gamma_for_alphas(8)
+            for alpha, g in zip(grid.alphas(), sweep):
+                for name, block in (("T1", g[:2, :2]), ("T2", g[2:, 2:])):
+                    try:
+                        sqrt_psd(re_part(block))
+                    except DomainError as exc:
+                        first = first or (name, eps, alpha, str(exc))
+        name, eps, alpha, text = first
+        assert name == "T2"
+        with pytest.raises(DomainError) as caught:
+            check_thm_block2(t1, t2, 0.01 * np.eye(2), AP5, grid)
+        assert str(caught.value) == (
+            f"T2 is not an annulus contraction, which the block theorems assume: "
+            f"Re Gamma(alpha T2) at eps = {eps}, alpha = {alpha:.6g}: {text}")
 
     @pytest.mark.parametrize("which", ["T1", "T2"])
     def test_indefinite_diagonal_named(self, which):

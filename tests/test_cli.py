@@ -342,13 +342,18 @@ class TestThmGolden:
         assert rep.to_dict() == {k: v for k, v in doc.items() if k != "which"}
 
 
-def run_cli(*argv):
-    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+def _cli_process(*argv):
+    """Command line and environment that run the CLI of this checkout in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "annulus_cert.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return [sys.executable, "-m", "annulus_cert.cli", *argv], env
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    cmd, env = _cli_process(*argv)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def _json_containers(inner):
@@ -488,6 +493,22 @@ class TestHostileInputs:
         assert proc.returncode == 65
         assert "non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("matrix, code", [(np.diag([0.7, 0.6]), 0), (np.array([[0.7, 0.5], [0.0, 0.7]]), 1)])
+    def test_closed_stdout_keeps_the_verdict_exit_code(self, tmp_path, matrix, code):
+        # the reader goes away before anything is written, as `certify ... | head -c 10`
+        # does once the certificate outgrows the pipe buffer
+        path = tmp_path / "t.json"
+        save_matrix(matrix, path)
+        cmd, env = _cli_process("certify", "--matrix", str(path), "--r", "0.5")
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == code
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
     def test_thm_diagonal_not_a_contraction_usage_error(self, tmp_path):
         # the block theorems assume annulus-contraction diagonals; certify refutes this T

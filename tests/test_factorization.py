@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus_cert.errors import ContractViolationError, DomainError
 from annulus_cert.factorization import (
@@ -8,6 +9,7 @@ from annulus_cert.factorization import (
     defects,
     disk_block_check,
     douglas_factor,
+    factor_through,
     halmos_unitary,
 )
 from annulus_cert.generators import ginibre, random_contraction, random_psd
@@ -183,3 +185,80 @@ class TestDiskBlockCheck:
                 continue  # skip knife-edge instances; both sides share the slack there
             checked += 1
             assert res.verdict == res.direct_verdict, f"seed {seed}"
+
+
+def _psd_stack(n, zeros, rng):
+    """One PSD matrix per entry of ``zeros``, with that many eigenvalues set to 0,
+    so the ranks differ across the stack."""
+    out = []
+    for z in zeros:
+        u = np.linalg.qr(ginibre(n, rng))[0]
+        lam = rng.random(n) + 0.1
+        lam[:z] = 0.0
+        out.append((u * lam) @ u.conj().T)
+    return np.array(out)
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestStackedKernels:
+    """A stack gives bit for bit what a loop over its 2-D slices gives."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 4), size=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_stack_equals_loop_of_slices(self, n, size, seed, data):
+        rng = np.random.default_rng(seed)
+        rank_drops = st.lists(st.integers(0, n), min_size=size, max_size=size)
+        p = _psd_stack(n, data.draw(rank_drops), rng)
+        q = _psd_stack(n, data.draw(rank_drops), rng)
+        r = np.array([ginibre(n, rng) for _ in range(size)])
+
+        sp, sq = sqrt_psd(p), sqrt_psd(q)
+        assert _bits(sp) == _bits([sqrt_psd(m) for m in p])
+        assert _bits(sq) == _bits([sqrt_psd(m) for m in q])
+
+        stacked = factor_through(sp, sq, r)
+        looped = [factor_through(a, b, c) for a, b, c in zip(sp, sq, r)]
+        assert _bits(stacked.k) == _bits([f.k for f in looped])
+        for field in ("k_norm", "residual", "range_defect"):
+            assert _bits(getattr(stacked, field)) == _bits([getattr(f, field) for f in looped])
+        assert stacked.passes() == all(f.passes() for f in looped)
+
+        # contractions with norm up to one, so both defects may lose rank
+        k = np.array([m / max(1.0, operator_norm(m)) for m in r])
+        assert _bits(halmos_unitary(k)) == _bits([halmos_unitary(m) for m in k])
+        u = halmos_unitary(k)
+        assert _bits(compress_through(u, sp, sq)) == _bits(
+            [compress_through(a, b, c) for a, b, c in zip(u, sp, sq)])
+
+    def test_two_d_input_keeps_float_metrics(self):
+        p, q, r, _ = scaled_middle_instance(3, 5, 0.5)
+        fr = douglas_factor(p, q, r)
+        assert all(type(v) is float for v in (fr.k_norm, fr.residual, fr.range_defect))
+
+    def test_stacked_passes_means_every_point(self):
+        p, q, r, _ = scaled_middle_instance(3, 7, 0.5)
+        sp, sq = sqrt_psd(np.array([p, p])), sqrt_psd(np.array([q, q]))
+        assert factor_through(sp, sq, np.array([r, r])).passes()
+        # the second point needs a K of norm 4
+        assert not factor_through(sp, sq, np.array([r, 8.0 * r])).passes()
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_indefinite_slice_raises_its_own_text(self, where):
+        stack = np.array([np.eye(2), np.diag([2.0, 1.0]), np.diag([1.0, 3.0]), np.eye(2)])
+        bad = np.diag([1.0, -0.25 * (where + 1)])
+        stack[where] = bad
+        stack[-1] = np.diag([1.0, -9.0])  # a later failure is not the one reported
+        with pytest.raises(DomainError) as alone:
+            sqrt_psd(bad)
+        with pytest.raises(DomainError) as stacked:
+            sqrt_psd(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.index == (where,)
+
+    def test_non_contraction_slice_named_by_its_norm(self):
+        with pytest.raises(DomainError, match=r"norm 2\)"):
+            defects(np.array([0.5 * np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]))

@@ -4,6 +4,7 @@ import pytest
 from annulus_cert.errors import ContractViolationError, DomainError, SingularityError
 from annulus_cert.numerics import (
     EQ_TOL,
+    RANK_TOL,
     as_matrix,
     eigenvalues,
     hermitian_min_eig,
@@ -135,6 +136,25 @@ class TestPinvApply:
         s = np.diag([1.0, 0.0])
         _, p = psd_pinv(s)
         assert operator_norm(p - np.diag([1.0, 0.0])) < 1e-14
+
+    def test_stacked_projector_is_the_kept_eigenvectors_product(self):
+        # ranks differ across the stack; each projector is V_r V_r* over the
+        # kept eigenvectors alone, bit for bit, not a product padded with zeros
+        rng = np.random.default_rng(17)
+        for n in range(1, 5):
+            stack = []
+            for drop in range(n + 1):
+                u = np.linalg.qr(ginibre(n, rng))[0]
+                lam = rng.random(n) + 0.1
+                lam[:drop] = 0.0
+                stack.append((u * lam) @ u.conj().T)
+            stack = np.array(stack)
+            stack = 0.5 * (stack + np.swapaxes(stack.conj(), -1, -2))
+            _, proj = psd_pinv(stack)
+            for s, p in zip(stack, proj):
+                lam, v = np.linalg.eigh(s)
+                vr = v[:, lam > RANK_TOL * max(np.max(np.abs(lam)), 1e-300)]
+                assert p.tobytes() == (vr @ vr.conj().T).tobytes()
 
 
 class TestBlockSpectrum:
