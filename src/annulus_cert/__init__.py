@@ -21,6 +21,7 @@ from .numerics import (
     hermitian_min_eig,
     inverse,
     operator_norm,
+    re_part,
     sqrt_psd,
 )
 from .pencil import (
@@ -29,7 +30,6 @@ from .pencil import (
     gamma_derivative_matrix,
     gamma_matrix,
     gamma_scalar_batch,
-    re_part,
     spectrum_in_annulus,
 )
 from .rational import (

@@ -39,13 +39,13 @@ from .numerics import (
     as_matrix,
     eigenvalues,
     operator_norm,
+    re_part,
     sqrt_psd,
 )
 from .pencil import (
     AnnulusParams,
     MatrixPencil,
     PencilPoint,
-    re_part,
     spectrum_in_annulus,
 )
 from .rational import (
@@ -146,9 +146,8 @@ def _eps_records(t, eps, alphas, ap):
     mp = MatrixPencil(t, eps, ap)
     gam = mp.gamma_for_alphas(alphas.size)
     n_pos, n_neg = mp.gamma_indices()
-    herm = 0.5 * (gam + np.conj(np.swapaxes(gam, 1, 2)))
-    lam_min = np.linalg.eigvalsh(herm)[:, 0]
-    scales = 1.0 + np.linalg.svd(gam, compute_uv=False)[:, 0]
+    lam_min = np.linalg.eigvalsh(re_part(gam))[:, 0]
+    scales = 1.0 + _norm2(gam)
     trunc = max(n_pos, n_neg)
     return [
         PointRecord(eps=eps, alpha=complex(a), lambda_min=float(lm), trunc_n=trunc,

@@ -5,7 +5,8 @@ Exit codes, used consistently by every subcommand:
     0   certified / verdicts agree / no violation found / plain success
     1   refuted / verdicts disagree / violation or factorization failure
     2   inconclusive (truncation or diagnostic failure)
-    64  usage error: bad flags, malformed or out-of-domain inputs
+    64  usage error: bad flags, unreadable or malformed matrix files,
+        out-of-domain inputs
     65  contract violation: structurally valid inputs that break a precondition
         (commutation, dimension mismatch, hermiticity)
 
@@ -87,14 +88,6 @@ def _grid_from_args(args) -> PencilGrid:
     return PencilGrid(eps_values=tuple(eps), alpha_count=alphas)
 
 
-def _load(path):
-    """Matrix file loading; malformed documents are usage errors, not contract ones."""
-    try:
-        return load_matrix(path)
-    except ContractViolationError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout.
 
@@ -125,7 +118,7 @@ def _cert_exit(cert: Certificate) -> int:
 
 
 def _cmd_certify(args) -> int:
-    t = _load(args.matrix)
+    t = load_matrix(args.matrix)
     grid = _grid_from_args(args)
     cert = certify_ar(t, AnnulusParams(args.r), grid, threads=args.threads)
     _emit(cert.to_dict(), args.out)
@@ -133,9 +126,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    t1 = _load(args.t1)
-    t2 = _load(args.t2) if args.t2 else None
-    x = _load(args.x)
+    t1 = load_matrix(args.t1)
+    t2 = load_matrix(args.t2) if args.t2 else None
+    x = load_matrix(args.x)
     spec = BlockSpec(args.kind, t1, x, t2)
     if args.kind == "general":
         try:
@@ -151,9 +144,9 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    p = _load(args.p)
-    q = _load(args.q)
-    r = _load(args.rmat)
+    p = load_matrix(args.p)
+    q = load_matrix(args.q)
+    r = load_matrix(args.rmat)
     result = douglas_factor(p, q, r)
     _emit(result.to_dict(), args.out)
     return EXIT_OK if result.passes() else EXIT_REFUTED
@@ -176,15 +169,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_vn(args) -> int:
-    t = _load(args.matrix)
+    t = load_matrix(args.matrix)
     report = vn_sample(t, AnnulusParams(args.r), count=args.count, seed=args.seed, m=args.m)
     _emit(report.to_dict(), args.out)
     return EXIT_REFUTED if report.violation else EXIT_OK
 
 
 def _cmd_thm(args) -> int:
-    t1 = _load(args.t1)
-    x = _load(args.x)
+    t1 = load_matrix(args.t1)
+    x = load_matrix(args.x)
     grid = _grid_from_args(args)
     ap = AnnulusParams(args.r)
     if args.which == "block1":
@@ -192,7 +185,7 @@ def _cmd_thm(args) -> int:
     else:
         if not args.t2:
             raise DomainError("--t2 is required for block2")
-        report = check_thm_block2(t1, _load(args.t2), x, ap, grid)
+        report = check_thm_block2(t1, load_matrix(args.t2), x, ap, grid)
     _emit({"which": args.which, **report.to_dict()}, args.out)
     return EXIT_OK if report.agree else EXIT_REFUTED
 
@@ -273,7 +266,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ContractViolationError as exc:

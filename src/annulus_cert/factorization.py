@@ -29,7 +29,6 @@ from .numerics import (
     _norm2,
     as_matrix,
     hermitian_min_eig,
-    identity_like,
     operator_norm,
     psd_pinv,
     sqrt_psd,
@@ -120,8 +119,7 @@ def douglas_factor(p, q, r) -> FactorResult:
     """
     pm, qm, rm = _pqr(p, q, r)
     try:
-        sp = sqrt_psd(pm)
-        sq = sqrt_psd(qm)
+        sp, sq = sqrt_psd(np.stack([pm, qm]))
     except DomainError as exc:
         raise DomainError(f"P and Q must be PSD within slack: {exc}") from exc
     return factor_through(sp, sq, rm)
@@ -145,8 +143,7 @@ def defects(k) -> DefectPair:
         raise DomainError(f"not a contraction within slack (norm {nrm[i]:.6g})")
     eye = np.eye(km.shape[-1], dtype=complex)
     kh = _adjoint(km)
-    d = sqrt_psd(eye - kh @ km)
-    dstar = sqrt_psd(eye - km @ kh)
+    d, dstar = sqrt_psd(np.stack([eye - kh @ km, eye - km @ kh]))
     return DefectPair(d=d, dstar=dstar)
 
 
@@ -194,9 +191,7 @@ def disk_block_check(t1, t2, x) -> DiskBlockResult:
         zero = np.zeros_like(xm)
         return DiskBlockResult(False, zero, float("inf"), float("inf"), float("inf"),
                                n1, n2, direct, direct_verdict)
-    eye = identity_like(t1m)
-    d1s = sqrt_psd(eye - t1m @ t1m.conj().T)   # defect of T1*
-    d2 = sqrt_psd(eye - t2m.conj().T @ t2m)    # defect of T2
-    fr = factor_through(d1s, d2, xm)
+    pair = defects(np.stack([t1m, t2m]))
+    fr = factor_through(pair.dstar[0], pair.d[1], xm)
     return DiskBlockResult(fr.passes(), fr.k, fr.k_norm, fr.residual, fr.range_defect,
                            n1, n2, direct, direct_verdict)

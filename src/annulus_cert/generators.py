@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .numerics import MAX_DIM
+from .numerics import MAX_DIM, operator_norm, re_part
 from .pencil import AnnulusParams
 
 
@@ -58,17 +58,15 @@ def random_contraction(n: int, seed: int = 0) -> np.ndarray:
     """Ginibre sample scaled to operator norm strictly below one."""
     _check_dim(n)
     g = ginibre(n, _rng(seed))
-    smax = float(np.linalg.svd(g, compute_uv=False)[0])
-    return g / (smax + 1e-3)
+    return g / (operator_norm(g) + 1e-3)
 
 
 def random_psd(n: int, seed: int = 0) -> np.ndarray:
     """Gram matrix of a Ginibre sample, normalized to unit operator norm."""
     _check_dim(n)
     g = ginibre(n, _rng(seed))
-    h = g.conj().T @ g
-    h = 0.5 * (h + h.conj().T)
-    return h / float(np.linalg.svd(h, compute_uv=False)[0])
+    h = re_part(g.conj().T @ g)
+    return h / operator_norm(h)
 
 
 def random_commuting_pair(n: int, ap: AnnulusParams, seed: int = 0):

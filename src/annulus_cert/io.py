@@ -2,18 +2,19 @@
 
 A matrix document is ``{"n": int, "data": [[re, im], ...]}`` with the n*n
 entries row-major.  Complex numbers are [re, im] pairs everywhere; no string
-forms are accepted, so round-trips are bit-exact.
+forms are accepted, so round-trips are bit-exact.  A file that is not such a
+document, for any reason, raises DomainError: a usage error.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import DomainError
 from .numerics import MAX_DIM, as_matrix
 
 # Largest dimension a matrix file may hold: saved block operators reach 2 * MAX_DIM.
@@ -29,32 +30,36 @@ def matrix_to_dict(a) -> dict:
 
 def matrix_from_dict(doc: dict) -> np.ndarray:
     if not isinstance(doc, dict) or "n" not in doc or "data" not in doc:
-        raise ContractViolationError("matrix document must have 'n' and 'data' fields")
+        raise DomainError("matrix document must have 'n' and 'data' fields")
     n = doc["n"]
     data = doc["data"]
     if type(n) is not int or n < 1:  # JSON true parses to bool, an int subclass
-        raise ContractViolationError(f"'n' must be a positive integer, got {n!r}")
+        raise DomainError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(data, list) or len(data) != n * n:
-        raise ContractViolationError(
+        raise DomainError(
             f"'data' must hold exactly n*n = {n * n} entries, got {len(data) if isinstance(data, list) else type(data)}"
         )
     out = np.empty(n * n, dtype=complex)
     for i, pair in enumerate(data):
         if (not isinstance(pair, list)) or len(pair) != 2:
-            raise ContractViolationError(f"entry {i} is not an [re, im] pair")
+            raise DomainError(f"entry {i} is not an [re, im] pair")
         re, im = pair
-        if not all(type(v) in (int, float) and math.isfinite(v) for v in (re, im)):
-            raise ContractViolationError(f"entry {i} has non-finite or non-numeric parts")
+        # finite as a float, compared exactly, so huge JSON integers cannot overflow
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (re, im)):
+            raise DomainError(f"entry {i} has non-finite or non-numeric parts")
         out[i] = complex(re, im)
-    return as_matrix(out.reshape(n, n), cap=MAX_FILE_DIM)
+    if n > MAX_FILE_DIM:
+        raise DomainError(f"dimension {n} exceeds cap {MAX_FILE_DIM}")
+    return as_matrix(out.reshape(n, n))
 
 
 def load_matrix(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ContractViolationError(f"{path}: invalid JSON: {exc}") from exc
+        # ValueError covers bad JSON, bad UTF-8 and integers beyond Python's digit
+        # limit; RecursionError covers arrays nested too deep for the decoder
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"{path}: invalid JSON: {exc}") from exc
     return matrix_from_dict(doc)
 
 

@@ -66,6 +66,13 @@ def _norm2(a) -> np.ndarray:
     return np.linalg.svd(_as_stack(a), compute_uv=False)[..., 0]
 
 
+def re_part(a) -> np.ndarray:
+    """Hermitian part (A + A*)/2 of a matrix, or of each matrix of a stack."""
+    m = _as_stack(a)
+    # A* as a fresh C-ordered array, so numpy sums into it instead of a third array
+    return 0.5 * (m + np.conjugate(np.swapaxes(m, -1, -2), order="C"))
+
+
 def _first(bad: np.ndarray) -> tuple | None:
     """Index of the first true entry of ``bad`` in C order, or None."""
     hits = np.flatnonzero(bad)
@@ -78,8 +85,7 @@ def identity_like(a: np.ndarray) -> np.ndarray:
 
 def operator_norm(a) -> float:
     """Largest singular value."""
-    m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_norm2(as_matrix(a)))
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -92,15 +98,17 @@ def eigenvalues(a) -> np.ndarray:
 
 
 def hermitian_check(h) -> np.ndarray:
-    """(H + H*)/2 for each matrix of a stack, after bounding its Hermitian defect."""
+    """(H + H*)/2 for each matrix of a stack, after bounding its Hermitian
+    defect; a stack equal to its adjoint has defect 0 and skips the bound."""
     m = _as_stack(h)
     mh = _adjoint(m)
-    defect = _norm2(m - mh)
-    i = _first(defect > EQ_TOL * (1.0 + _norm2(m)))
-    if i is not None:
-        raise ContractViolationError(
-            f"matrix is not Hermitian within tolerance (defect {defect[i]:.3e})")
-    return 0.5 * (m + mh)
+    if not np.array_equal(m, mh):
+        defect = _norm2(m - mh)
+        i = _first(defect > EQ_TOL * (1.0 + _norm2(m)))
+        if i is not None:
+            raise ContractViolationError(
+                f"matrix is not Hermitian within tolerance (defect {defect[i]:.3e})")
+    return re_part(m)
 
 
 def hermitian_min_eig(h) -> float:
@@ -116,20 +124,23 @@ def sqrt_psd(h) -> np.ndarray:
     """Positive square root of each PSD matrix of a stack; slightly negative
     eigenvalues are clamped.
 
-    The first matrix (in C order) below the PSD floor raises DomainError with
-    the text that matrix alone gives, and its stack index as ``index``.
+    The first matrix (in C order) that fails raises what that matrix alone
+    raises: ContractViolationError if it is not Hermitian, else DomainError
+    below the PSD floor, with its stack index as ``index``.
     """
-    m = hermitian_check(h)
-    lam, v = np.linalg.eigh(m)
+    m = _as_stack(h)
+    lam, v = np.linalg.eigh(re_part(m))
     floor = -PSD_TOL * (1.0 + np.max(np.abs(lam), axis=-1))
     i = _first(lam[..., 0] < floor)
+    # the Hermitian bound on every matrix up to the first indefinite one
+    stop = None if i is None else np.ravel_multi_index(i, floor.shape) + 1
+    hermitian_check(m.reshape(-1, *m.shape[-2:])[:stop])
     if i is not None:
         exc = DomainError(f"matrix is indefinite beyond PSD slack (min eig {lam[i][0]:.3e})")
         exc.index = i
         raise exc
     lam = np.clip(lam, 0.0, None)
-    root = (v * np.sqrt(lam)[..., None, :]) @ _adjoint(v)
-    return 0.5 * (root + _adjoint(root))
+    return re_part((v * np.sqrt(lam)[..., None, :]) @ _adjoint(v))
 
 
 def inverse(a) -> np.ndarray:

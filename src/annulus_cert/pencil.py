@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .numerics import PSD_TOL, _adjoint, _as_stack, as_matrix, eigenvalues, inverse
+from .numerics import PSD_TOL, as_matrix, eigenvalues, inverse
 
 # Closed-form sums: remainder bound and term cap (r within ~1e-4 of 1).
 SCALAR_TOL = 1e-16
@@ -87,12 +87,6 @@ class PencilPoint:
             raise DomainError(f"eps must lie in (0, 1), got {self.eps}")
         if abs(abs(self.alpha) - 1.0) > 1e-12:
             raise DomainError(f"alpha must be unimodular, got |alpha| = {abs(self.alpha)}")
-
-
-def re_part(a) -> np.ndarray:
-    """Hermitian real part (A + A*)/2 of a matrix, or of each matrix of a stack."""
-    m = _as_stack(a)
-    return 0.5 * (m + _adjoint(m))
 
 
 def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
@@ -258,9 +252,7 @@ class MatrixPencil:
 
     def gamma_for_alphas(self, m: int) -> np.ndarray:
         """Gamma(alpha_k T) at alpha_k = exp(2 pi i k / m), k = 0..m-1, in one pass."""
-        values = self._sweep(m)
-        self.gamma_indices()  # a lookup now; the index methods report the truncation
-        return values
+        return self._sweep(m)
 
     def derivative_for_alphas(self, m: int) -> np.ndarray:
         """z-derivative of z -> Gamma(alpha_k z) at T, at the same alphas: the

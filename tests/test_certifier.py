@@ -15,8 +15,8 @@ from annulus_cert.blocks import BlockSpec, unit_block
 from annulus_cert.errors import DomainError
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
-from annulus_cert.numerics import operator_norm, sqrt_psd
-from annulus_cert.pencil import AnnulusParams, MatrixPencil, re_part
+from annulus_cert.numerics import operator_norm, re_part, sqrt_psd
+from annulus_cert.pencil import AnnulusParams, MatrixPencil
 from annulus_cert.rational import RationalFunction, eval_matrix, sup_on_annulus
 
 from conftest import interior_commuting_triple

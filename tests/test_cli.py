@@ -21,7 +21,7 @@ from annulus_cert.certifier import (
 )
 from annulus_cert.cli import main
 from annulus_cert.io import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
-from annulus_cert.errors import ContractViolationError
+from annulus_cert.errors import DomainError
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.pencil import AnnulusParams
@@ -77,15 +77,15 @@ class TestMatrixFiles:
         assert np.array_equal(t, again)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError):
             matrix_from_dict({"n": 2, "data": [[1.0, 0.0]] * 3})
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError):
             matrix_from_dict({"n": 1, "data": [[float("inf"), 0.0]]})
 
     def test_string_forms_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError):
             matrix_from_dict({"n": 1, "data": [["1+2j", 0.0]]})
 
     def test_dict_round_trip(self):
@@ -528,7 +528,7 @@ class TestHostileInputs:
         try:
             matrix_from_dict(json.loads(text))
             allowed = {0, 1, 2, 65}
-        except ContractViolationError:
+        except DomainError:
             allowed = {64}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.json"
@@ -544,6 +544,31 @@ class TestHostileInputs:
         bad.write_text(doc)
         proc = run_cli("certify", "--matrix", str(bad), "--r", "0.5")
         assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case", ["non_utf8", "directory", "huge_integer", "long_integer",
+                                      "deep_nesting"])
+    def test_unreadable_matrix_file_usage_error(self, tmp_path, case):
+        path = tmp_path / "m.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "non_utf8":
+            path.write_bytes(b'\xff\xfe{"n": 1, "data": [[0.7, 0.0]]}')
+        elif case == "deep_nesting":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            digits = {"huge_integer": 400, "long_integer": 5000}[case]
+            path.write_text('{"n": 1, "data": [[1' + "0" * digits + ', 0.0]]}')
+        proc = run_cli("certify", "--matrix", str(path), "--r", "0.5")
+        assert proc.returncode == 64
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_directory_as_out_usage_error(self, tmp_path, files):
+        proc = run_cli("certify", "--matrix", files["eye"], "--r", "0.5", "--eps", "0.5",
+                       "--alphas", "8", "--out", str(tmp_path))
+        assert proc.returncode == 64
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
     def test_empty_eps_list_usage_error(self, files):

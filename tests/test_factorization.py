@@ -262,3 +262,59 @@ class TestStackedKernels:
     def test_non_contraction_slice_named_by_its_norm(self):
         with pytest.raises(DomainError, match=r"norm 2\)"):
             defects(np.array([0.5 * np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]))
+
+
+class TestPairedRoots:
+    """Each kernel takes its two PSD roots from one stacked ``sqrt_psd`` call,
+    bit for bit the two calls written out."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import annulus_cert.factorization as fac
+
+        seen = []
+
+        def counted(h):
+            seen.append(np.shape(h))
+            return sqrt_psd(h)
+
+        monkeypatch.setattr(fac, "sqrt_psd", counted)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_douglas_factor(self, calls, seed):
+        p, q, r, _ = scaled_middle_instance(3, seed, 0.5 + 0.25 * seed)
+        fr = douglas_factor(p, q, r)
+        assert len(calls) == 1
+        expect = factor_through(sqrt_psd(p), sqrt_psd(q), r)
+        for field in ("k", "k_norm", "residual", "range_defect"):
+            assert _bits(getattr(fr, field)) == _bits(getattr(expect, field))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_defects(self, calls, seed):
+        k = random_contraction(3, seed=seed)
+        pair = defects(k)
+        assert len(calls) == 1
+        eye = np.eye(3, dtype=complex)
+        assert _bits(pair.d) == _bits(sqrt_psd(eye - k.conj().T @ k))
+        assert _bits(pair.dstar) == _bits(sqrt_psd(eye - k @ k.conj().T))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_disk_block_check(self, calls, seed):
+        t1 = 0.9 * random_contraction(3, seed=seed)
+        t2 = 0.8 * random_contraction(3, seed=seed + 100)
+        x = 0.3 * random_contraction(3, seed=seed + 200)
+        res = disk_block_check(t1, t2, x)
+        assert len(calls) == 1
+        eye = np.eye(3, dtype=complex)
+        expect = factor_through(sqrt_psd(eye - t1 @ t1.conj().T), sqrt_psd(eye - t2.conj().T @ t2), x)
+        assert _bits(res.c) == _bits(expect.k)
+        assert (res.c_norm, res.residual, res.range_defect) == (
+            expect.k_norm, expect.residual, expect.range_defect)
+
+    def test_douglas_factor_names_p_before_q(self):
+        # P indefinite and Q not Hermitian: the check of P alone comes first
+        with pytest.raises(DomainError, match="P and Q must be PSD"):
+            douglas_factor(np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            douglas_factor(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))

@@ -7,6 +7,7 @@ from annulus_cert.numerics import (
     RANK_TOL,
     as_matrix,
     eigenvalues,
+    hermitian_check,
     hermitian_min_eig,
     inverse,
     operator_norm,
@@ -101,6 +102,30 @@ class TestSqrtPsd:
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
             sqrt_psd(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("order", ["indefinite_first", "non_hermitian_first"])
+    def test_stack_raises_what_its_first_failing_matrix_raises(self, order):
+        indefinite, skew = np.diag([1.0, -0.5]), np.array([[1.0, 1.0], [0.0, 1.0]])
+        stack = np.array([np.eye(2), indefinite, skew] if order == "indefinite_first"
+                         else [np.eye(2), skew, indefinite])
+        expect = DomainError if order == "indefinite_first" else ContractViolationError
+        with pytest.raises(expect) as exc:
+            sqrt_psd(stack)
+        if expect is DomainError:
+            assert exc.value.index == (1,)
+
+
+class TestHermitianCheck:
+    def test_exactly_hermitian_stack_skips_the_defect_bound(self, monkeypatch):
+        import annulus_cert.numerics as num
+
+        h = np.array([random_psd(3, seed=s) for s in range(4)])
+        monkeypatch.setattr(num, "_norm2", lambda a: pytest.fail("defect SVD on Hermitian input"))
+        assert np.array_equal(hermitian_check(h), 0.5 * (h + np.swapaxes(h.conj(), -1, -2)))
+
+    def test_non_hermitian_text(self):
+        with pytest.raises(ContractViolationError, match=r"not Hermitian within tolerance \(defect 1.000e\+00\)"):
+            hermitian_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestNormInversePowers:

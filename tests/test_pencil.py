@@ -7,7 +7,7 @@ from annulus_cert.blocks import BlockSpec, assemble
 from annulus_cert.errors import DomainError, TruncationError
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block
-from annulus_cert.numerics import operator_norm
+from annulus_cert.numerics import operator_norm, re_part
 from annulus_cert.pencil import (
     AnnulusParams,
     MatrixPencil,
@@ -15,7 +15,6 @@ from annulus_cert.pencil import (
     gamma_derivative_matrix,
     gamma_matrix,
     gamma_scalar_batch,
-    re_part,
     scalar_terms,
 )
 
