@@ -94,6 +94,15 @@ DEFAULT_GRID = PencilGrid()
 
 @dataclass(frozen=True)
 class PointRecord:
+    """One grid point of a certificate.
+
+    ``scale`` is 1 + ||Gamma(alpha T)||, the factor of the refutation slack
+    PSD_TOL * scale.  It is exact at every point whose slack could be the
+    least of its eps rung, and elsewhere an upper bound (1 + ||Gamma||_F,
+    widened past rounding), which cannot make the point the worst or refute.
+    It is not serialized.
+    """
+
     eps: float
     alpha: complex
     lambda_min: float
@@ -142,12 +151,25 @@ class Certificate:
 
 
 def _eps_records(t, eps, alphas, ap):
-    """Margins of Re Gamma(alpha T) for all alphas at one eps."""
+    """Margins of Re Gamma(alpha T) for all alphas at one eps.
+
+    The scale 1 + ||Gamma|| only matters where the slack lambda_min +
+    PSD_TOL * scale could be the rung's least, so it is bracketed by
+    ||Re Gamma|| <= ||Gamma|| <= ||Gamma||_F, each widened by 1e-12 past the
+    rounding of eigvalsh and the SVD.  Only the points whose lower slack
+    reaches the least upper slack get the exact norm; the rest keep the
+    upper bound, which leaves their slack strictly above the rung's least.
+    The sweep guard keeps ||Gamma||_F below 1e6, so the norm cannot overflow.
+    """
     mp = MatrixPencil(t, eps, ap)
     gam = mp.gamma_for_alphas(alphas.size)
     n_pos, n_neg = mp.gamma_indices()
-    lam_min = np.linalg.eigvalsh(re_part(gam))[:, 0]
-    scales = 1.0 + _norm2(gam)
+    lam = np.linalg.eigvalsh(re_part(gam))
+    lam_min = lam[:, 0]
+    lo = (1.0 + np.maximum(-lam_min, lam[:, -1])) * (1.0 - 1e-12)
+    scales = (1.0 + np.linalg.norm(gam, axis=(1, 2))) * (1.0 + 1e-12)
+    cand = lam_min + PSD_TOL * lo <= np.min(lam_min + PSD_TOL * scales)
+    scales[cand] = 1.0 + _norm2(gam[cand])
     trunc = max(n_pos, n_neg)
     return [
         PointRecord(eps=eps, alpha=complex(a), lambda_min=float(lm), trunc_n=trunc,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus_cert import certifier
 from annulus_cert.certifier import (
@@ -15,7 +16,7 @@ from annulus_cert.blocks import BlockSpec, unit_block
 from annulus_cert.errors import DomainError
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
-from annulus_cert.numerics import operator_norm, re_part, sqrt_psd
+from annulus_cert.numerics import PSD_TOL, _norm2, operator_norm, re_part, sqrt_psd
 from annulus_cert.pencil import AnnulusParams, MatrixPencil
 from annulus_cert.rational import RationalFunction, eval_matrix, sup_on_annulus
 
@@ -141,6 +142,106 @@ class TestCertifyAr:
         assert len(doc["records"]) == 16
         rec = doc["records"][0]
         assert set(rec) == {"eps", "alpha", "lambda_min", "trunc_n"}
+
+
+def _exact_scale_records(t, eps, alphas, ap):
+    """``_eps_records`` with the exact 1 + ||Gamma|| at every point."""
+    mp = MatrixPencil(t, eps, ap)
+    gam = mp.gamma_for_alphas(alphas.size)
+    lam_min = np.linalg.eigvalsh(re_part(gam))[:, 0]
+    scales = 1.0 + _norm2(gam)
+    trunc = max(mp.gamma_indices())
+    return [certifier.PointRecord(eps, complex(a), float(lm), trunc, float(sc))
+            for a, lm, sc in zip(alphas, lam_min, scales)]
+
+
+def _assert_same_as_exact_scales(t, ap, grid=DEFAULT_GRID):
+    """certify_ar with bracketed scales against the exact-scale certificate."""
+    cert = certify_ar(t, ap, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certifier, "_eps_records", _exact_scale_records)
+        ref = certify_ar(t, ap, grid)
+    # verdict, min_margin, worst point and every record
+    assert cert.to_dict() == ref.to_dict()
+    # the bracket only ever raises a scale, and never at the worst point
+    assert all(c.scale >= e.scale for c, e in zip(cert.records, ref.records))
+    if ref.records:
+        slack = [rec.lambda_min + PSD_TOL * rec.scale for rec in cert.records]
+        ref_slack = [rec.lambda_min + PSD_TOL * rec.scale for rec in ref.records]
+        assert min(slack) == min(ref_slack)
+    return cert, ref
+
+
+_RADII = st.sampled_from([0.3, 0.5, 0.7])
+
+
+class TestScaleBracket:
+    """The refutation scale is exact only where it can decide; nothing observable moves."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 8), r=_RADII, seed=st.integers(0, 2**31 - 1))
+    def test_normal_matches_exact_scales(self, n, r, seed):
+        ap = AnnulusParams(r)
+        _assert_same_as_exact_scales(random_normal_annulus(n, ap, seed), ap)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 6), r=_RADII, seed=st.integers(0, 2**31 - 1),
+           h=st.sampled_from([0.01, 0.1, 0.3, 1.0]))
+    def test_non_normal_matches_exact_scales(self, n, r, seed, h):
+        # triangular, so the spectrum is the diagonal, inside the annulus
+        ap = AnnulusParams(r)
+        rng = np.random.default_rng(seed)
+        d = (r + (1.0 - r) * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        off = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        _assert_same_as_exact_scales(np.diag(d) + h * off, ap)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(r=st.sampled_from([0.3, 0.5]), frac=st.floats(0.05, 0.95),
+           angle=st.floats(0.0, 2.0 * np.pi), rel=st.floats(-1e-6, 1e-6))
+    def test_jordan_at_threshold_matches_exact_scales(self, r, frac, angle, rel):
+        w = (r + (1.0 - r) * frac) * np.exp(1j * angle)
+        h = misra_threshold(abs(w), r) * (1.0 + rel)
+        _assert_same_as_exact_scales(jordan_block(w, h), AnnulusParams(r))
+
+    def test_tie_keeps_first_alpha(self):
+        # a spectrum invariant under rotation by 2 pi / 64 gives Re Gamma the
+        # same eigenvalues at every alpha, so rounding leaves exact ties
+        t = np.diag(0.6 * np.exp(2j * np.pi * np.arange(64) / 64))
+        cert, _ = _assert_same_as_exact_scales(t, AP5)
+        slack = np.array([rec.lambda_min + PSD_TOL * rec.scale for rec in cert.records])
+        ties = np.flatnonzero(slack == slack.min())
+        assert ties.size >= 2
+        worst = cert.records[ties[0]]
+        assert cert.worst_point.eps == worst.eps and cert.worst_point.alpha == worst.alpha
+
+    def test_exact_scale_decides_certification(self):
+        # h puts lambda_min between -PSD_TOL * (1 + ||Gamma||) and
+        # -PSD_TOL * (1 + ||Re Gamma||): only the exact scale certifies
+        grid = PencilGrid((0.1,), 64)
+        t = np.array([[0.99, 0.0868740215435], [0.0, 0.6j]])
+        cert, _ = _assert_same_as_exact_scales(t, AP5, grid)
+        assert cert.verdict == "certified"
+        j = int(np.argmin([rec.lambda_min for rec in cert.records]))
+        worst = cert.records[j]
+        g = MatrixPencil(t, 0.1, AP5).gamma_for_alphas(64)[j]
+        lam = np.linalg.eigvalsh(re_part(g))
+        assert -PSD_TOL * worst.scale < worst.lambda_min < -PSD_TOL * (1.0 + max(-lam[0], lam[-1]))
+        assert worst.scale == 1.0 + float(_norm2(g))
+
+    def test_exact_norms_only_on_candidates(self, monkeypatch):
+        # at most 4 of the 64 points per rung reach the SVD, against all 64
+        # when every point took the exact norm
+        sizes = []
+
+        def counting(a):
+            sizes.append(np.asarray(a).shape[0])
+            return _norm2(a)
+
+        monkeypatch.setattr(certifier, "_norm2", counting)
+        cert = certify_ar(random_normal_annulus(32, AP5, seed=11), AP5)
+        assert cert.verdict == "certified"
+        assert len(sizes) == len(DEFAULT_GRID.eps_values)
+        assert max(sizes) <= 4
 
 
 class TestVnSample:
