@@ -2,17 +2,19 @@
 
     python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --out BENCH_18.json
 
-Exports ``--base`` with ``git archive`` into a temporary directory, then runs
-``python3 bench/run.py --workload W --seed SEED --seconds SECONDS --trace 0``
-once on each side per pair and workload, from the base export and from this
-checkout as it is, uncommitted edits included.  The side that runs first
-alternates from pair to pair, so slow drift of the host falls on both sides
-alike.  Each run's last JSON line gives its end-to-end metrics and its report
-line the machine and the hash of the source it ran.  The output file holds,
-per workload, the per-pair values and the medians and quartiles of the four
-end-to-end metrics on both sides, how many pairs the head side won, and the
-machine (nproc, Python, numpy, BLAS and its thread count) from the runs'
-provenance.
+Exports ``--base`` and this checkout's tracked files, uncommitted edits
+included, with ``git archive`` into one temporary directory, so both sides
+import from fresh trees on the same file system.  It then runs
+``python3 bench/run.py --workload W --seed SEED --seconds S --trace 0`` once on
+each side per pair and workload, where S is ``run_seconds`` of BENCHMARK.json
+and the workloads default to its list.  The side that runs first alternates
+from pair to pair, so slow drift of the host falls on both sides alike.  Each
+run's last JSON line gives its end-to-end metrics and its report line the
+machine and the hash of the source it ran.  The output file holds, per
+workload, the per-pair values and the medians and quartiles of BENCHMARK.json's
+end-to-end metrics on both sides, how many pairs the head side won by each
+metric's ``better`` direction, and the machine (nproc, Python, numpy, BLAS and
+its thread count) from the runs' provenance.
 """
 
 from __future__ import annotations
@@ -26,18 +28,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("certify_large", "threshold_small", "block_factor", "vn_oracle")
-METRICS = ("setup_s", "wall_ref", "op_p50_ref", "peak_rss_mb")  # all lower-is-better
+
+
+def git(*args: str, **kw) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, **kw)
 
 
 def export(rev: str, dest: Path) -> str:
-    """Extract the files of ``rev`` into ``dest``; returns the full commit id."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
-                         check=True, capture_output=True, text=True).stdout.strip()
+    """Extract the files of commit ``rev`` into ``dest``; returns the full commit id."""
+    sha = git("rev-parse", "--verify", rev + "^{commit}", text=True).stdout.strip()
     dest.mkdir(parents=True)
-    tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
-                         check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", "--format=tar", sha).stdout,
+                   check=True)
     return sha
 
 
@@ -54,8 +56,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return json.loads(lines[-1]), report
 
 
-def side_summary(runs: list[dict]) -> dict:
-    values = {m: [r["metrics"][m]["value"] for r in runs] for m in METRICS}
+def side_summary(runs: list[dict], metrics: list[str]) -> dict:
+    values = {m: [r["metrics"][m]["value"] for r in runs] for m in metrics}
     return {
         "median": {m: statistics.median(v) for m, v in values.items()},
         "quartiles": {m: statistics.quantiles(v, n=4)[::2] for m, v in values.items()
@@ -67,29 +69,34 @@ def side_summary(runs: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     workloads = [w for w in args.workloads.split(",") if w]
+    seconds = spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"base": Path(tmp) / "base", "head": ROOT}
+        trees = {side: Path(tmp) / side for side in ("base", "head")}
+        # ``git stash create`` commits the working tree's edits to tracked files without
+        # touching the checkout; it prints nothing when there are none.
+        head_rev = git("stash", "create", text=True).stdout.strip() or "HEAD"
         sides = {"base": {"rev": export(args.base, trees["base"])},
-                 "head": {"rev": "working tree"}}
+                 "head": {"rev": export(head_rev, trees["head"])}}
         runs = {w: {"base": [], "head": []} for w in workloads}
         machine = None
         for k in range(args.pairs):
             order = ("base", "head") if k % 2 == 0 else ("head", "base")
             for w in workloads:
                 for side in order:
-                    result, report = run_once(trees[side], w, args.seed, args.seconds)
+                    result, report = run_once(trees[side], w, args.seed, seconds)
                     runs[w][side].append(result)
                     prov = report["provenance"]
                     sides[side]["source_sha256"] = prov["source_sha256"]
@@ -105,19 +112,21 @@ def main(argv=None) -> int:
     doc = {
         "sides": sides,
         "command": f"python3 bench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "pairs": args.pairs,
         "machine": machine,
         "workloads": {},
     }
     for w in workloads:
-        base, head = side_summary(runs[w]["base"]), side_summary(runs[w]["head"])
+        base = side_summary(runs[w]["base"], list(better))
+        head = side_summary(runs[w]["head"], list(better))
         doc["workloads"][w] = {
             "base": base,
             "head": head,
-            "head_over_base": {m: head["median"][m] / base["median"][m] for m in METRICS},
-            "head_wins": {m: sum(h < b for h, b in zip(head["runs"][m], base["runs"][m]))
-                          for m in METRICS},
+            "head_over_base": {m: head["median"][m] / base["median"][m] for m in better},
+            "head_wins": {m: sum(h < b if better[m] == "lower" else h > b
+                                 for h, b in zip(head["runs"][m], base["runs"][m]))
+                          for m in better},
         }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
