@@ -33,6 +33,7 @@ from .factorization import (
     factor_through,
     halmos_unitary,
 )
+from .io import complex_pair
 from .numerics import (
     PSD_TOL,
     _norm2,
@@ -45,7 +46,6 @@ from .numerics import (
 from .pencil import (
     AnnulusParams,
     MatrixPencil,
-    PencilPoint,
     spectrum_in_annulus,
 )
 from .rational import (
@@ -92,6 +92,11 @@ class PencilGrid:
 DEFAULT_GRID = PencilGrid()
 
 
+def _point_dict(eps: float, alpha: complex, **fields) -> dict:
+    """One grid point of a report: eps and alpha first, then ``fields``."""
+    return {"eps": eps, "alpha": complex_pair(alpha), **fields}
+
+
 @dataclass(frozen=True)
 class PointRecord:
     """One grid point of a certificate.
@@ -110,20 +115,17 @@ class PointRecord:
     scale: float
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "lambda_min": self.lambda_min,
-            "trunc_n": self.trunc_n,
-        }
+        return _point_dict(self.eps, self.alpha, lambda_min=self.lambda_min, trunc_n=self.trunc_n)
 
 
 @dataclass(frozen=True)
 class Certificate:
+    """Verdict of ``certify_ar``; ``worst_point`` is the record of least slack."""
+
     verdict: str
     spectrum_ok: bool
     min_margin: float | None
-    worst_point: PencilPoint | None
+    worst_point: PointRecord | None
     records: tuple = ()
     grid: PencilGrid = DEFAULT_GRID
     diagnostics: tuple = ()
@@ -133,17 +135,12 @@ class Certificate:
         return self.verdict == VERDICT_CERTIFIED
 
     def to_dict(self) -> dict:
-        worst = None
-        if self.worst_point is not None:
-            worst = {
-                "eps": self.worst_point.eps,
-                "alpha": [self.worst_point.alpha.real, self.worst_point.alpha.imag],
-            }
+        worst = self.worst_point
         return {
             "verdict": self.verdict,
             "spectrum_ok": self.spectrum_ok,
             "min_margin": self.min_margin,
-            "worst": worst,
+            "worst": None if worst is None else _point_dict(worst.eps, worst.alpha),
             "grid": self.grid.to_dict(),
             "records": [rec.to_dict() for rec in self.records],
             "diagnostics": list(self.diagnostics),
@@ -215,24 +212,15 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
         return Certificate(VERDICT_INCONCLUSIVE, True, None, None, (), grid, diagnostics)
     slack = np.array([rec.lambda_min + PSD_TOL * rec.scale for rec in records])
     worst_idx = int(np.argmin(slack))
-    worst = records[worst_idx]
     min_margin = float(min(rec.lambda_min for rec in records))
-    refuted = slack[worst_idx] < 0.0
-    if refuted:
+    if slack[worst_idx] < 0.0:
         verdict = VERDICT_REFUTED
     elif diagnostics:
         verdict = VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_CERTIFIED
-    return Certificate(
-        verdict,
-        True,
-        min_margin,
-        PencilPoint(worst.eps, worst.alpha),
-        tuple(records),
-        grid,
-        diagnostics,
-    )
+    return Certificate(verdict, True, min_margin, records[worst_idx], tuple(records), grid,
+                       diagnostics)
 
 
 # --- von Neumann sampling -------------------------------------------------
@@ -402,10 +390,9 @@ class ThmReport:
     max_recon_residual: float | None
 
     def to_dict(self) -> dict:
-        # certificate records and factor points share the eps-major, alpha-minor order
-        margins = [rec.lambda_min for rec in self.certificate.records]
-        if len(margins) != len(self.points):
-            margins = [None] * len(self.points)
+        """Each point's ``lambda_min`` is the certificate record at its (eps, alpha),
+        null on a rung the certificate could not evaluate."""
+        margins = {(rec.eps, rec.alpha): rec.lambda_min for rec in self.certificate.records}
         return {
             "factor_verdict": self.factor_verdict,
             "certificate_verdict": self.certificate.verdict,
@@ -414,17 +401,16 @@ class ThmReport:
             "max_recon_residual": self.max_recon_residual,
             "min_margin": self.certificate.min_margin,
             "points": [
-                {
-                    "eps": p.eps,
-                    "alpha": [p.alpha.real, p.alpha.imag],
-                    "k_norm": p.factor.k_norm,
-                    "lambda_min": margin,
-                    "residual": p.factor.residual,
-                    "range_defect": p.factor.range_defect,
-                    "passes": p.factor.passes(),
-                    "recon_residual": p.recon_residual,
-                }
-                for p, margin in zip(self.points, margins)
+                _point_dict(
+                    p.eps, p.alpha,
+                    k_norm=p.factor.k_norm,
+                    lambda_min=margins.get((p.eps, p.alpha)),
+                    residual=p.factor.residual,
+                    range_defect=p.factor.range_defect,
+                    passes=p.factor.passes(),
+                    recon_residual=p.recon_residual,
+                )
+                for p in self.points
             ],
         }
 

@@ -27,6 +27,9 @@ from . import __version__
 from .blocks import BlockSpec, assemble
 from .certifier import (
     DEFAULT_GRID,
+    VERDICT_CERTIFIED,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_REFUTED,
     Certificate,
     PencilGrid,
     certify_ar,
@@ -112,9 +115,8 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _cert_exit(cert: Certificate) -> int:
-    return {"certified": EXIT_OK, "refuted": EXIT_REFUTED, "inconclusive": EXIT_INCONCLUSIVE}[
-        cert.verdict
-    ]
+    return {VERDICT_CERTIFIED: EXIT_OK, VERDICT_REFUTED: EXIT_REFUTED,
+            VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE}[cert.verdict]
 
 
 def _cmd_certify(args) -> int:
@@ -160,10 +162,8 @@ def _cmd_misra(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = sweep_rows(args.r, args.samples, seed=args.seed)
-    cols = ["w_re", "w_im", "r", "threshold_kernel", "threshold_pencil", "rel_gap"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(f"{row[c]:.17g}" for c in cols))
+    lines = [",".join(rows[0])]  # the keys of sweep_rows are the CSV columns
+    lines += [",".join(f"{v:.17g}" for v in row.values()) for row in rows]
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

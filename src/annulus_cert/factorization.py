@@ -20,6 +20,7 @@ import numpy as np
 
 from .blocks import BlockSpec, assemble
 from .errors import ContractViolationError, DomainError
+from .io import matrix_to_dict
 from .numerics import (
     EQ_TOL,
     PSD_TOL,
@@ -56,8 +57,6 @@ class FactorResult:
         ))
 
     def to_dict(self) -> dict:
-        from .io import matrix_to_dict
-
         return {
             "k": matrix_to_dict(self.k),
             "k_norm": self.k_norm,

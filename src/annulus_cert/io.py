@@ -2,8 +2,9 @@
 
 A matrix document is ``{"n": int, "data": [[re, im], ...]}`` with the n*n
 entries row-major.  Complex numbers are [re, im] pairs everywhere; no string
-forms are accepted, so round-trips are bit-exact.  A file that is not such a
-document, for any reason, raises DomainError: a usage error.
+forms are accepted, so round-trips are bit-exact; ``complex_pair`` writes them
+for every report.  A file that is not such a document, for any reason, raises
+DomainError: a usage error.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from .numerics import MAX_DIM, as_matrix
 MAX_FILE_DIM = 2 * MAX_DIM
 
 
+def complex_pair(z) -> list:
+    return [float(z.real), float(z.imag)]
+
+
 def matrix_to_dict(a) -> dict:
     m = as_matrix(a)
-    n = m.shape[0]
-    flat = m.reshape(-1)
-    return {"n": n, "data": [[float(z.real), float(z.imag)] for z in flat]}
+    return {"n": m.shape[0], "data": [complex_pair(z) for z in m.reshape(-1)]}
 
 
 def matrix_from_dict(doc: dict) -> np.ndarray:

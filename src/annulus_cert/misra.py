@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .certifier import PencilGrid, certify_ar
+from .certifier import VERDICT_INCONCLUSIVE, PencilGrid, certify_ar
 from .errors import DiagnosticError, DomainError, TruncationError
 from .pencil import SCALAR_TOL, AnnulusParams, MatrixPencil, scalar_terms
 
@@ -124,7 +124,7 @@ def threshold_via_pencil(w: complex, r: float) -> float:
 
     def certified(h: float) -> bool:
         cert = certify_ar(jordan_block(w, h), ap, MISRA_GRID)
-        if cert.verdict == "inconclusive":
+        if cert.verdict == VERDICT_INCONCLUSIVE:
             raise DiagnosticError(
                 f"certificate inconclusive at h = {h:.6g}: {cert.diagnostics}"
             )

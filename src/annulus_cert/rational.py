@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
+from .io import complex_pair
 from .numerics import as_matrix, eigenvalues, identity_like, inverse
 from .pencil import AnnulusParams
 
@@ -59,10 +60,7 @@ class RationalFunction:
         return polyval(self.p, zs) / polyval(self.q, zs)
 
     def to_dict(self) -> dict:
-        return {
-            "p": [[float(c.real), float(c.imag)] for c in self.p],
-            "q": [[float(c.real), float(c.imag)] for c in self.q],
-        }
+        return {"p": [complex_pair(c) for c in self.p], "q": [complex_pair(c) for c in self.q]}
 
 
 def polyval(c: np.ndarray, z):

@@ -134,6 +134,14 @@ class TestCertifyAr:
         cert = certify_ar(np.array(t), AP5, PencilGrid((0.01, 0.001), 64))
         assert cert.verdict == "certified"
 
+    def test_worst_point_is_the_worst_record(self):
+        cert = certify_ar(jordan_block(0.7, 1.05 * misra_threshold(0.7, 0.5)), AP5)
+        slack = [rec.lambda_min + PSD_TOL * rec.scale for rec in cert.records]
+        assert cert.worst_point is cert.records[int(np.argmin(slack))]
+        worst = cert.worst_point
+        assert cert.to_dict()["worst"] == {"eps": worst.eps,
+                                           "alpha": [worst.alpha.real, worst.alpha.imag]}
+
     def test_certificate_json_schema(self):
         cert = certify_ar(0.7 * np.eye(1), AP5, PencilGrid(eps_values=(0.5, 0.25), alpha_count=8))
         doc = cert.to_dict()
@@ -385,6 +393,21 @@ class TestThmBlock1:
         assert not rep.factor_verdict
         assert rep.certificate.verdict == "refuted"
         assert rep.agree
+
+    def test_margins_join_by_grid_point(self):
+        # X = 3e4 trips the sweep rounding guard on the rungs eps = 0.02 and
+        # 0.01, so the certificate holds records for the other four rungs only
+        rep = check_thm_block1(np.array([[0.7]]), np.array([[3e4]]), AP5)
+        cert = rep.certificate
+        assert [d.split(":")[0] for d in cert.diagnostics] == ["eps=0.02", "eps=0.01"]
+        margins = {(rec.eps, rec.alpha): rec.lambda_min for rec in cert.records}
+        assert len(margins) == 256
+        points = rep.to_dict()["points"]
+        assert len(points) == 384
+        for p in points:
+            assert p["lambda_min"] == margins.get((p["eps"], complex(*p["alpha"])))
+        nulls = [p["eps"] for p in points if p["lambda_min"] is None]
+        assert len(nulls) == 128 and set(nulls) == {0.02, 0.01}
 
 
 class TestEquivalenceProperty:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_cert import cli
+from annulus_cert.blocks import BlockSpec, assemble
 from annulus_cert.certifier import (
     MAX_ALPHAS,
     PencilGrid,
@@ -307,6 +308,21 @@ class TestOtherCommands:
         point = doc["points"][0]
         assert {"eps", "alpha", "k_norm", "lambda_min", "residual"} <= set(point)
         assert point["lambda_min"] is not None
+
+    def test_thm_margins_where_the_certificate_has_records(self, files, capsys):
+        # the certificate of the assembled block evaluates 4 of 6 rungs (see
+        # TestThmBlock1.test_margins_join_by_grid_point); those keep their margins
+        x = files["tmp"] / "x_big.json"
+        save_matrix(np.array([[3e4]]), x)
+        code = main(["thm", "--which", "block1", "--t1", files["t"], "--x", str(x), "--r", "0.5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        cert = certify_ar(assemble(BlockSpec("tx", np.array([[0.7]]), np.array([[3e4]]))), AP5)
+        margins = {(rec.eps, rec.alpha): rec.lambda_min for rec in cert.records}
+        lams = [p["lambda_min"] for p in doc["points"]]
+        assert sum(v is not None for v in lams) == 256 and lams.count(None) == 128
+        for p in doc["points"]:
+            assert p["lambda_min"] == margins.get((p["eps"], complex(*p["alpha"])))
 
     def test_thm_block2_requires_t2(self, files):
         assert main([
