@@ -42,7 +42,8 @@ def check_commutes(a: np.ndarray, b: np.ndarray, what: str = "X") -> None:
 class BlockSpec:
     """Ingredients of one block operator; ``x`` is Y itself for kind 'general'.
 
-    ``t2`` defaults to ``t1``.  Building a spec enforces the contract of its kind.
+    ``t2`` defaults to ``t1`` for kind 'tx', and the other kinds need it.
+    Building a spec enforces the contract of its kind.
     """
 
     kind: str
@@ -53,6 +54,8 @@ class BlockSpec:
     def __init__(self, kind: str, t1, x, t2=None):
         if kind not in KINDS:
             raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+        if t2 is None and kind != "tx":
+            raise DomainError(f"kind {kind!r} needs a second diagonal block T2")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "t1", as_matrix(t1, cap=MAX_DIM))
         object.__setattr__(self, "x", as_matrix(x, cap=MAX_DIM))

@@ -52,7 +52,6 @@ from .rational import (
     RationalFunction,
     eval_matrix,
     polymul,
-    poly_roots,
     sup_on_annulus,
 )
 
@@ -255,7 +254,7 @@ def _fat_band(ap: AnnulusParams) -> tuple[float, float]:
 
 def _poles_off_fat(f: RationalFunction, ap: AnnulusParams) -> bool:
     lo, hi = _fat_band(ap)
-    mods = np.abs(poly_roots(f.q))
+    mods = f.pole_moduli
     return bool(np.all((mods < lo - 1e-12) | (mods > hi + 1e-12)))
 
 

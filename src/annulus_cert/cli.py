@@ -183,9 +183,8 @@ def _cmd_thm(args) -> int:
     if args.which == "block1":
         report = check_thm_block1(t1, x, ap, grid)
     else:
-        if not args.t2:
-            raise DomainError("--t2 is required for block2")
-        report = check_thm_block2(t1, load_matrix(args.t2), x, ap, grid)
+        t2 = load_matrix(args.t2) if args.t2 else None
+        report = check_thm_block2(t1, t2, x, ap, grid)
     _emit({"which": args.which, **report.to_dict()}, args.out)
     return EXIT_OK if report.agree else EXIT_REFUTED
 

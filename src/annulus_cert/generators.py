@@ -15,10 +15,6 @@ from .numerics import MAX_DIM, operator_norm, re_part
 from .pencil import AnnulusParams
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _check_dim(n: int) -> None:
     if not (1 <= n <= MAX_DIM):
         raise DomainError(f"dimension must lie in [1, {MAX_DIM}], got {n}")
@@ -48,7 +44,7 @@ def random_normal_annulus(n: int, ap: AnnulusParams, seed: int = 0) -> np.ndarra
     which makes them the positive-control population for the certifier.
     """
     _check_dim(n)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     lam = _annulus_diag(n, ap, rng)
     u = haar_unitary(n, rng)
     return (u * lam) @ u.conj().T
@@ -57,14 +53,14 @@ def random_normal_annulus(n: int, ap: AnnulusParams, seed: int = 0) -> np.ndarra
 def random_contraction(n: int, seed: int = 0) -> np.ndarray:
     """Ginibre sample scaled to operator norm strictly below one."""
     _check_dim(n)
-    g = ginibre(n, _rng(seed))
+    g = ginibre(n, np.random.default_rng(seed))
     return g / (operator_norm(g) + 1e-3)
 
 
 def random_psd(n: int, seed: int = 0) -> np.ndarray:
     """Gram matrix of a Ginibre sample, normalized to unit operator norm."""
     _check_dim(n)
-    g = ginibre(n, _rng(seed))
+    g = ginibre(n, np.random.default_rng(seed))
     h = re_part(g.conj().T @ g)
     return h / operator_norm(h)
 
@@ -76,7 +72,7 @@ def random_commuting_pair(n: int, ap: AnnulusParams, seed: int = 0):
     eigenbasis, so all three commute up to rounding.
     """
     _check_dim(n)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = haar_unitary(n, rng)
     d1 = _annulus_diag(n, ap, rng)
     d2 = _annulus_diag(n, ap, rng)

@@ -54,18 +54,16 @@ MISRA_GRID = PencilGrid(
 SEARCH_TOL = 2e-5
 
 
-def _check_point(w: complex, r: float) -> float:
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"r must lie in (0, 1), got {r}")
+def _check_point(w: complex, ap: AnnulusParams) -> float:
     aw = abs(w)
-    if not (r < aw < 1.0):
-        raise DomainError(f"|w| = {aw:.6g} outside the open annulus ({r}, 1); the series diverges on the boundary")
+    if not (ap.r < aw < 1.0):
+        raise DomainError(f"|w| = {aw:.6g} outside the open annulus ({ap.r}, 1); the series diverges on the boundary")
     return aw
 
 
 def kernel_diag(w: complex, r: float) -> float:
     """Bilateral kernel diagonal in closed form, relative remainder below SCALAR_TOL."""
-    aw = _check_point(w, r)
+    aw = _check_point(w, AnnulusParams(r))
     rk = r ** np.arange(scalar_terms(r, SCALAR_TOL * (1.0 - r)) + 1, dtype=float)
     p, q = rk[:-1], rk[1:]
     terms = p / ((1.0 - aw * p) * (1.0 + aw * p)) + q / ((aw - q) * (aw + q))
@@ -119,8 +117,8 @@ def threshold_via_pencil(w: complex, r: float) -> float:
     any other outcome raises DiagnosticError.  The kernel diagonal never drops
     below 1/(1+r) > 1/2, so every flip point lies well inside (0, 2).
     """
-    _check_point(w, r)
     ap = AnnulusParams(r)
+    _check_point(w, ap)
 
     def certified(h: float) -> bool:
         cert = certify_ar(jordan_block(w, h), ap, MISRA_GRID)

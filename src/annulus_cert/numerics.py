@@ -79,10 +79,6 @@ def _first(bad: np.ndarray) -> tuple | None:
     return np.unravel_index(int(hits[0]), bad.shape) if hits.size else None
 
 
-def identity_like(a: np.ndarray) -> np.ndarray:
-    return np.eye(a.shape[0], dtype=complex)
-
-
 def operator_norm(a) -> float:
     """Largest singular value."""
     return float(_norm2(as_matrix(a)))
@@ -149,7 +145,7 @@ def inverse(a) -> np.ndarray:
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0] or sv[0] == 0.0:
         raise SingularityError(f"matrix numerically singular (sigma_min/sigma_max = {sv[-1]:.3e}/{sv[0]:.3e})")
-    return np.linalg.solve(m, identity_like(m))
+    return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
 
 
 def psd_pinv(s):

@@ -157,7 +157,8 @@ def _powers(w: np.ndarray, count: int) -> np.ndarray:
 
 
 class MatrixPencil:
-    """Pencil evaluation for one matrix T at one eps.
+    """Pencil evaluation for one matrix T at one eps, checked by the caller's
+    ``PencilGrid`` or ``PencilPoint``.
 
     A sweep over m alphas adds each side W (X or Y) into the m buckets in
     closed form (module docstring).  The level count L of the resolvent sum
@@ -175,8 +176,6 @@ class MatrixPencil:
     """
 
     def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams):
-        if not (0.0 < eps < 1.0):
-            raise DomainError(f"eps must lie in (0, 1), got {eps}")
         self.t = as_matrix(t)
         self.eps = eps
         self.ap = ap
@@ -224,8 +223,9 @@ class MatrixPencil:
             buckets[slot[lo:hi]] += pw @ s
         return levels
 
-    def _sweep(self, m: int) -> np.ndarray:
-        """Values at the m-th roots of unity; records the level counts."""
+    def gamma_for_alphas(self, m: int) -> np.ndarray:
+        """Gamma(alpha_k T) at alpha_k = exp(2 pi i k / m), k = 0..m-1, in one
+        pass; records the level counts."""
         n = self.t.shape[0]
         buckets = np.zeros((m, n, n), dtype=complex)
         buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
@@ -240,7 +240,7 @@ class MatrixPencil:
         """Per-side level counts (n_pos, n_neg) of the last sweep (of the M = 1
         sweep of Gamma if none ran yet)."""
         if self._levels is None:
-            self._sweep(1)
+            self.gamma_for_alphas(1)
         return self._levels
 
     def deriv_indices(self) -> tuple[int, int]:
@@ -249,10 +249,6 @@ class MatrixPencil:
         if self._deriv_levels is None:
             self.derivative_for_alphas(1)
         return self._deriv_levels
-
-    def gamma_for_alphas(self, m: int) -> np.ndarray:
-        """Gamma(alpha_k T) at alpha_k = exp(2 pi i k / m), k = 0..m-1, in one pass."""
-        return self._sweep(m)
 
     def derivative_for_alphas(self, m: int) -> np.ndarray:
         """z-derivative of z -> Gamma(alpha_k z) at T, at the same alphas: the

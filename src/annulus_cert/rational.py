@@ -1,11 +1,12 @@
 """Rational functions with poles off the closed annulus.
 
 Coefficients are stored ascending.  Evaluation on matrices goes through
-p(T) q(T)^{-1}; pole location uses companion-matrix eigenvalues so polynomial
-roots inherit the accuracy contract of the shared eigensolver.  Boundary sups
-take a batch of functions at once: their coefficients are stacked, zero-padded
-at the top, and one Horner loop and one golden-section pass serve them all
-with the IEEE operations a single function would see.
+p(T) q(T)^{-1}.  A function finds its poles once, when it is built, from the
+companion-matrix eigenvalues of its denominator (so polynomial roots inherit
+the accuracy contract of the shared eigensolver); every pole test reads those
+moduli.  Boundary sups take a batch of functions at once: their coefficients
+are stacked, zero-padded at the top, and one Horner loop and one golden-section
+pass serve them all with the IEEE operations a single function would see.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .io import complex_pair
-from .numerics import as_matrix, eigenvalues, identity_like, inverse
+from .numerics import as_matrix, eigenvalues, inverse
 from .pencil import AnnulusParams
 
 # Slack around the boundary circles when classifying pole locations.
@@ -44,16 +45,19 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalFunction:
-    """f = p / q with ascending complex coefficient arrays."""
+    """f = p / q with ascending complex coefficient arrays; ``pole_moduli``
+    holds |root| for every root of q, from one companion eigensolve."""
 
     p: np.ndarray
     q: np.ndarray
+    pole_moduli: np.ndarray
 
     def __init__(self, p, q):
         object.__setattr__(self, "p", _trim(p))
         object.__setattr__(self, "q", _trim(q))
         if self.q.size == 1 and self.q[0] == 0:
             raise DomainError("denominator is identically zero")
+        object.__setattr__(self, "pole_moduli", np.abs(poly_roots(self.q)))
 
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
@@ -102,14 +106,13 @@ def poly_roots(c: np.ndarray) -> np.ndarray:
 
 def poles_off_annulus(f: RationalFunction, ap: AnnulusParams) -> bool:
     """True iff every denominator root avoids the closed annulus (with slack)."""
-    roots = poly_roots(f.q)
-    mods = np.abs(roots)
+    mods = f.pole_moduli
     return bool(np.all((mods < ap.r - POLE_SLACK) | (mods > 1.0 + POLE_SLACK)))
 
 
 def polyval_matrix(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(t)
-    eye = identity_like(t)
+    eye = np.eye(t.shape[0], dtype=complex)
     for a in c[::-1]:
         acc = acc @ t + a * eye
     return acc

@@ -220,6 +220,16 @@ class TestBlockCommand:
         assert code == 0
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["hat", "general"])
+    def test_two_diagonal_kinds_require_t2(self, files, kind):
+        # without T2 the hat block would be [[T, 0], [0, T]]: a usage error, not a file
+        out = files["tmp"] / "blk.json"
+        proc = run_cli("block", "--kind", kind, "--t1", files["t"], "--x", files["x_small"],
+                       "--out", str(out))
+        assert proc.returncode == 64
+        assert "T2" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_commutation_violation_exit_65(self, tmp_path):
         t = str(tmp_path / "t.json"); save_matrix(np.array([[0.6, 0.1], [0.0, 0.6]]), t)
         x = str(tmp_path / "x.json"); save_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), x)
@@ -502,7 +512,7 @@ class TestHostileInputs:
 
     def test_vn_intermediate_overflow_exits_65(self, tmp_path):
         # finite entries of 1e300 overflow inside f(T): the open case of
-        # ROADMAP item 6, recorded here until it gets its own exit code
+        # ROADMAP item 7, recorded here until it gets its own exit code
         path = tmp_path / "t.json"
         save_matrix(_chain(3, 0.7, 1e300), path)
         proc = run_cli("vn", "--matrix", str(path), "--r", "0.5", "--count", "5", "--m", "64")

@@ -162,6 +162,19 @@ class TestGammaMatrix:
             gamma_matrix(np.diag([3.0]), PencilPoint(0.5), AP5)
 
 
+class TestPencilPoint:
+    # the only eps check in front of gamma_matrix, gamma_derivative_matrix
+    # and gamma_scalar_batch
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, float("nan")])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(DomainError, match="eps must lie in"):
+            PencilPoint(eps)
+
+    def test_alpha_off_the_circle_rejected(self):
+        with pytest.raises(DomainError, match="unimodular"):
+            PencilPoint(0.5, 1.1j)
+
+
 class TestGammaDerivative:
     def test_identity_matches_scalar_derivative_sum(self):
         pt = PencilPoint(0.25, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annulus_cert import rational
+from annulus_cert import certifier, rational
 from annulus_cert.blocks import BlockSpec, fcalc
 from annulus_cert.certifier import _blaschke_pair, _plain_rational
 from annulus_cert.errors import DomainError, SingularityError
@@ -36,6 +36,20 @@ class TestPolesOffAnnulus:
     def test_pole_outside(self):
         f = RationalFunction([1.0], [-2.0, 1.0])
         assert poles_off_annulus(f, AP5)
+
+    def test_poles_found_once_at_construction(self, monkeypatch):
+        calls = []
+        roots = rational.poly_roots
+        monkeypatch.setattr(rational, "poly_roots", lambda c: calls.append(c) or roots(c))
+        f = RationalFunction([1.0], polymul([-0.2, 1.0], [-3.0, 1.0]))
+        assert len(calls) == 1
+
+        def again(c):
+            raise AssertionError("denominator roots computed a second time")
+
+        monkeypatch.setattr(rational, "poly_roots", again)
+        assert poles_off_annulus(f, AP5)
+        assert certifier._poles_off_fat(f, AP5)
 
     def test_degenerate_denominator(self):
         with pytest.raises(DomainError):
