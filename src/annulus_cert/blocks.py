@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .numerics import EQ_TOL, MAX_DIM, as_matrix, operator_norm
+from .numerics import EQ_TOL, MAX_DIM, _upper_block, as_matrix, operator_norm
 from .pencil import AnnulusParams, spectrum_in_annulus
 from .rational import RationalFunction, eval_matrix, poles_off_annulus
 
@@ -73,15 +73,10 @@ class BlockSpec:
             check_commutes(self.t2, self.x, what="X (against T2)")
 
 
-def _upper(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """[[a, b], [0, c]] on the doubled space."""
-    return np.block([[a, b], [np.zeros_like(a), c]])
-
-
 def assemble(spec: BlockSpec) -> np.ndarray:
     """The 2n x 2n operator of the spec."""
     top_right = spec.x @ (spec.t1 - spec.t2) if spec.kind == "hat" else spec.x
-    return _upper(spec.t1, top_right, spec.t2)
+    return _upper_block(spec.t1, top_right, spec.t2)
 
 
 def unit_block(spec: BlockSpec) -> np.ndarray:
@@ -90,7 +85,7 @@ def unit_block(spec: BlockSpec) -> np.ndarray:
         raise DomainError("kind 'general' has no functional-calculus reduction")
     n = spec.t1.shape[0]
     corner = np.eye(n, dtype=complex) if spec.kind == "tx" else spec.t1 - spec.t2
-    return _upper(spec.t1, corner, spec.t2)
+    return _upper_block(spec.t1, corner, spec.t2)
 
 
 def fcalc(spec: BlockSpec, f: RationalFunction, ap: AnnulusParams) -> np.ndarray:
@@ -106,4 +101,4 @@ def fcalc(spec: BlockSpec, f: RationalFunction, ap: AnnulusParams) -> np.ndarray
         raise DomainError(f"spectrum leaves the closed annulus [{ap.r}, 1]")
     n = spec.t1.shape[0]
     fe = eval_matrix(f, e)
-    return _upper(fe[:n, :n], spec.x @ fe[:n, n:], fe[n:, n:])
+    return _upper_block(fe[:n, :n], spec.x @ fe[:n, n:], fe[n:, n:])

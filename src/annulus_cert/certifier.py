@@ -27,12 +27,7 @@ import numpy as np
 
 from .blocks import BlockSpec, assemble, unit_block
 from .errors import DomainError, TruncationError
-from .factorization import (
-    FactorResult,
-    compress_through,
-    factor_through,
-    halmos_unitary,
-)
+from .factorization import compress_through, factor_through, halmos_unitary
 from .io import complex_pair
 from .numerics import (
     PSD_TOL,
@@ -372,16 +367,13 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
 # --- theorem-level block checks --------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ThmPointRecord:
-    eps: float
-    alpha: complex
-    factor: FactorResult
-    recon_residual: float | None
-
-
-@dataclass(frozen=True, eq=False)
 class ThmReport:
-    points: tuple
+    """Per eps of ``certificate.grid``, ``factors`` holds the rung's
+    ``FactorResult`` stacked over the alphas and ``recon_residuals`` its Halmos
+    reconstruction residuals, nan where a point fails."""
+
+    factors: tuple
+    recon_residuals: tuple
     factor_verdict: bool
     certificate: Certificate
     agree: bool
@@ -392,6 +384,16 @@ class ThmReport:
         """Each point's ``lambda_min`` is the certificate record at its (eps, alpha),
         null on a rung the certificate could not evaluate."""
         margins = {(rec.eps, rec.alpha): rec.lambda_min for rec in self.certificate.records}
+        grid = self.certificate.grid
+        alphas = grid.alphas().tolist()
+        points = []
+        for eps, fr, recon in zip(grid.eps_values, self.factors, self.recon_residuals):
+            for a, k, res, rd, ok, rc in zip(alphas, fr.k_norm.tolist(), fr.residual.tolist(),
+                                             fr.range_defect.tolist(), fr.passing().tolist(),
+                                             recon.tolist()):
+                points.append(_point_dict(eps, a, k_norm=k, lambda_min=margins.get((eps, a)),
+                                          residual=res, range_defect=rd, passes=ok,
+                                          recon_residual=rc if ok else None))
         return {
             "factor_verdict": self.factor_verdict,
             "certificate_verdict": self.certificate.verdict,
@@ -399,18 +401,7 @@ class ThmReport:
             "max_k_norm": self.max_k_norm,
             "max_recon_residual": self.max_recon_residual,
             "min_margin": self.certificate.min_margin,
-            "points": [
-                _point_dict(
-                    p.eps, p.alpha,
-                    k_norm=p.factor.k_norm,
-                    lambda_min=margins.get((p.eps, p.alpha)),
-                    residual=p.factor.residual,
-                    range_defect=p.factor.range_defect,
-                    passes=p.factor.passes(),
-                    recon_residual=p.recon_residual,
-                )
-                for p in self.points
-            ],
+            "points": points,
         }
 
 
@@ -431,7 +422,7 @@ def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmRepor
     e = unit_block(spec)
     n = spec.t1.shape[0]
     alphas = grid.alphas()
-    points = []
+    factors, masks, recons = [], [], []
     for eps in grid.eps_values:
         sweep = MatrixPencil(e, eps, ap).gamma_for_alphas(grid.alpha_count)
         try:
@@ -446,23 +437,21 @@ def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmRepor
         sp, sq = roots[:, 0], roots[:, 1]
         r = spec.x @ sweep[:, :n, n:] / 2.0
         fr = factor_through(sp, sq, r)
-        rung = [FactorResult(fr.k[j], float(fr.k_norm[j]), float(fr.residual[j]),
-                             float(fr.range_defect[j])) for j in range(alphas.size)]
-        recon = [None] * alphas.size
-        ok = np.flatnonzero([f.passes() for f in rung])
-        if ok.size:
+        ok = fr.passing()
+        recon = np.full(alphas.size, np.nan)
+        if ok.any():
             u = halmos_unitary(fr.k[ok])
-            res = _norm2(compress_through(u, sp[ok], sq[ok]) - r[ok]) / (1.0 + _norm2(r[ok]))
-            for j, v in zip(ok, res):
-                recon[j] = float(v)
-        points += [ThmPointRecord(eps, complex(a), f, rc) for a, f, rc in zip(alphas, rung, recon)]
-    max_k = max([0.0] + [p.factor.k_norm for p in points])
-    recons = [p.recon_residual for p in points if p.recon_residual is not None]
-    max_recon = max(recons) if recons else None
-    all_pass = all(p.factor.passes() for p in points)
+            recon[ok] = _norm2(compress_through(u, sp[ok], sq[ok]) - r[ok]) / (1.0 + _norm2(r[ok]))
+        factors.append(fr)
+        masks.append(ok)
+        recons.append(recon)
+    passing = np.concatenate(masks)
+    all_pass = bool(passing.all())
+    max_k = max(float(fr.k_norm.max()) for fr in factors)
+    max_recon = float(np.concatenate(recons)[passing].max()) if passing.any() else None
     cert = certify_ar(assemble(spec), ap, grid)
     agree = all_pass == cert.certified
-    return ThmReport(tuple(points), all_pass, cert, agree, max_k, max_recon)
+    return ThmReport(tuple(factors), tuple(recons), all_pass, cert, agree, max_k, max_recon)
 
 
 def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> ThmReport:

@@ -8,8 +8,9 @@ range-compatible, which the library exploits as a two-sided consistency check.
 
 ``factor_through``, ``defects``, ``halmos_unitary`` and ``compress_through``
 take stacks (..., n, n) and apply every check to each matrix; a 2-D argument
-is the stack of one.  A stacked ``FactorResult`` holds arrays over the stack,
-and its ``passes()`` is true when every matrix passes.
+is the stack of one.  A stacked ``FactorResult`` holds arrays over the stack;
+its ``passing()`` is the pass mask and ``passes()`` is true when every matrix
+passes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class FactorResult:
     """Middle factor of R = S1 K S2 with its quality metrics.
 
     The metrics are floats for one matrix and arrays over a stack.
+    ``passing()`` is the one pass rule, a mask over the stack.
     """
 
     k: np.ndarray
@@ -48,13 +50,16 @@ class FactorResult:
     residual: float | np.ndarray
     range_defect: float | np.ndarray
 
+    def passing(self) -> bool | np.ndarray:
+        """Per matrix: K a contraction within PSD_TOL, residual and range
+        defect within EQ_TOL."""
+        return ((self.k_norm <= 1.0 + PSD_TOL)
+                & (self.residual <= EQ_TOL)
+                & (self.range_defect <= EQ_TOL))
+
     def passes(self) -> bool:
         """True when every matrix of the stack passes."""
-        return bool(np.all(
-            (self.k_norm <= 1.0 + PSD_TOL)
-            & (self.residual <= EQ_TOL)
-            & (self.range_defect <= EQ_TOL)
-        ))
+        return bool(np.all(self.passing()))
 
     def to_dict(self) -> dict:
         return {

@@ -66,6 +66,11 @@ def _norm2(a) -> np.ndarray:
     return np.linalg.svd(_as_stack(a), compute_uv=False)[..., 0]
 
 
+def _upper_block(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """[[a, b], [0, c]] on the doubled space."""
+    return np.block([[a, b], [np.zeros_like(a), c]])
+
+
 def re_part(a) -> np.ndarray:
     """Hermitian part (A + A*)/2 of a matrix, or of each matrix of a stack."""
     m = _as_stack(a)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .numerics import PSD_TOL, as_matrix, eigenvalues, inverse
+from .numerics import PSD_TOL, _upper_block, as_matrix, eigenvalues, inverse
 
 # Closed-form sums: remainder bound and term cap (r within ~1e-4 of 1).
 SCALAR_TOL = 1e-16
@@ -255,8 +255,7 @@ class MatrixPencil:
         top-right block of the sweep of [[T, I], [0, T]] (module docstring),
         copied so the (m, 2n, 2n) sweep is freed."""
         n = self.t.shape[0]
-        embedded = MatrixPencil(np.block([[self.t, np.eye(n)], [np.zeros((n, n)), self.t]]),
-                                self.eps, self.ap)
+        embedded = MatrixPencil(_upper_block(self.t, np.eye(n), self.t), self.eps, self.ap)
         corner = embedded.gamma_for_alphas(m)[:, :n, n:].copy()
         self._deriv_levels = embedded.gamma_indices()
         return corner

@@ -36,8 +36,9 @@ _CHUNK_POINTS = 1 << 13
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop zero top coefficients; a non-finite one is kept, so it can be rejected."""
     c = np.asarray(c, dtype=complex).ravel()
-    nz = np.nonzero(np.abs(c) > 0.0)[0]
+    nz = np.flatnonzero(c)
     if nz.size == 0:
         return np.zeros(1, dtype=complex)
     return c[: nz[-1] + 1]
@@ -45,7 +46,7 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalFunction:
-    """f = p / q with ascending complex coefficient arrays; ``pole_moduli``
+    """f = p / q with ascending finite complex coefficient arrays; ``pole_moduli``
     holds |root| for every root of q, from one companion eigensolve."""
 
     p: np.ndarray
@@ -55,6 +56,8 @@ class RationalFunction:
     def __init__(self, p, q):
         object.__setattr__(self, "p", _trim(p))
         object.__setattr__(self, "q", _trim(q))
+        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.q))):
+            raise DomainError("coefficients must be finite")
         if self.q.size == 1 and self.q[0] == 0:
             raise DomainError("denominator is identically zero")
         object.__setattr__(self, "pole_moduli", np.abs(poly_roots(self.q)))

@@ -14,6 +14,7 @@ from annulus_cert.certifier import (
 )
 from annulus_cert.blocks import BlockSpec, unit_block
 from annulus_cert.errors import DomainError
+from annulus_cert.factorization import compress_through, factor_through, halmos_unitary
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.numerics import PSD_TOL, _norm2, operator_norm, re_part, sqrt_psd
@@ -363,10 +364,46 @@ class TestHalmosReconstruction:
         grid = PencilGrid((0.5, 0.1), 16)
         for rep in (check_thm_block1(t1, 0.05 * x, AP5, grid),
                     check_thm_block2(t1, t2, 0.05 * x, AP5, grid)):
-            passing = [p for p in rep.points if p.factor.passes()]
+            passing = 0
+            for fr, recon in zip(rep.factors, rep.recon_residuals):
+                ok = fr.passing()
+                assert np.array_equal(recon[ok], fr.residual[ok])
+                assert np.isnan(recon[~ok]).all()
+                passing += int(ok.sum())
             assert passing
-            for p in passing:
-                assert p.recon_residual == p.factor.residual
+
+
+class TestMixedRung:
+    def test_points_equal_one_point_at_a_time(self):
+        # X = 0.9 passes every alpha at eps = 0.5 but only 2 of 8 at eps = 0.1
+        t, x = np.array([[0.7]]), np.array([[0.9]])
+        grid = PencilGrid((0.5, 0.1), 8)
+        rep = check_thm_block1(t, x, AP5, grid)
+        assert [int(fr.passing().sum()) for fr in rep.factors] == [8, 2]
+        assert not rep.factor_verdict and rep.certificate.verdict == "refuted" and rep.agree
+        points = rep.to_dict()["points"]
+        assert len(points) == 16
+        e = unit_block(BlockSpec("tx", t, x))
+        rows = iter(points)
+        for eps, fr in zip(grid.eps_values, rep.factors):
+            sweep = MatrixPencil(e, eps, AP5).gamma_for_alphas(8)
+            looped = []
+            for alpha, g in zip(grid.alphas(), sweep):
+                sp, sq = sqrt_psd(re_part(g[:1, :1])), sqrt_psd(re_part(g[1:, 1:]))
+                r = x @ g[:1, 1:] / 2.0
+                ref = factor_through(sp, sq, r)
+                looped.append(ref.passes())
+                p = next(rows)
+                assert (p["eps"], complex(*p["alpha"])) == (eps, alpha)
+                assert (p["k_norm"], p["residual"], p["range_defect"], p["passes"]) == (
+                    ref.k_norm, ref.residual, ref.range_defect, ref.passes())
+                if ref.passes():
+                    u = halmos_unitary(ref.k)
+                    assert p["recon_residual"] == operator_norm(
+                        compress_through(u, sp, sq) - r) / (1.0 + operator_norm(r))
+                else:
+                    assert p["recon_residual"] is None
+            assert fr.passing().tolist() == looped
 
 
 class TestThmBlock1:
@@ -490,8 +527,9 @@ class TestUnitBlockSweep:
         # at most one Halmos call per eps, on that rung's passing points
         assert 0 < len(calls["halmos_unitary"]) <= rungs
         assert sum(shape[0] for shape in calls["halmos_unitary"]) == sum(
-            p.factor.passes() for p in rep.points)
-        assert len(rep.points) == rungs * 8
+            int(fr.passing().sum()) for fr in rep.factors)
+        assert [fr.k.shape[0] for fr in rep.factors] == [8] * rungs
+        assert [recon.shape for recon in rep.recon_residuals] == [(8,)] * rungs
 
     def test_earliest_failing_point_named(self):
         # T2 is T1 rotated by e^{i pi/4}, so its first indefinite Re Gamma comes

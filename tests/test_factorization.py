@@ -225,6 +225,7 @@ class TestStackedKernels:
         assert _bits(stacked.k) == _bits([f.k for f in looped])
         for field in ("k_norm", "residual", "range_defect"):
             assert _bits(getattr(stacked, field)) == _bits([getattr(f, field) for f in looped])
+        assert stacked.passing().tolist() == [f.passes() for f in looped]
         assert stacked.passes() == all(f.passes() for f in looped)
 
         # contractions with norm up to one, so both defects may lose rank

@@ -55,6 +55,13 @@ class TestPolesOffAnnulus:
         with pytest.raises(DomainError):
             RationalFunction([1.0], [0.0])
 
+    @pytest.mark.parametrize("p, q", [([1.0, np.nan], [1.0]),
+                                      ([1.0, np.nan], [1.0, 0.0, np.inf])])
+    def test_non_finite_coefficients_rejected(self, p, q):
+        # a trailing nan must not be trimmed away, nor an inf leave poles of modulus 0
+        with pytest.raises(DomainError, match="finite"):
+            RationalFunction(p, q)
+
 
 class TestEvalMatrix:
     def test_identity_function(self):
