@@ -40,7 +40,6 @@ from .rational import (
 )
 from .blocks import BlockSpec, assemble, fcalc
 from .factorization import (
-    DefectPair,
     DiskBlockResult,
     FactorResult,
     block_psd_check,

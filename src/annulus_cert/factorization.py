@@ -33,6 +33,7 @@ from .numerics import (
     hermitian_min_eig,
     operator_norm,
     psd_pinv,
+    re_part,
     sqrt_psd,
 )
 
@@ -62,21 +63,14 @@ class FactorResult:
         return bool(np.all(self.passing()))
 
     def to_dict(self) -> dict:
+        """For a stack (s, n, n), ``k`` and the metrics are lists over the stack."""
         return {
-            "k": matrix_to_dict(self.k),
-            "k_norm": self.k_norm,
-            "residual": self.residual,
-            "range_defect": self.range_defect,
+            "k": matrix_to_dict(self.k) if self.k.ndim == 2 else [matrix_to_dict(m) for m in self.k],
+            "k_norm": np.asarray(self.k_norm).tolist(),
+            "residual": np.asarray(self.residual).tolist(),
+            "range_defect": np.asarray(self.range_defect).tolist(),
             "verdict": self.passes(),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class DefectPair:
-    """D = (I - K*K)^{1/2} and Dstar = (I - KK*)^{1/2}."""
-
-    d: np.ndarray
-    dstar: np.ndarray
 
 
 def _metric(x: np.ndarray) -> float | np.ndarray:
@@ -138,24 +132,26 @@ def block_psd_check(p, q, r) -> tuple[bool, float]:
     return margin >= -PSD_TOL * scale, margin
 
 
-def defects(k) -> DefectPair:
-    """Defect operators of a contraction, or of each contraction of a stack."""
+def defects(k) -> tuple[np.ndarray, np.ndarray]:
+    """(D, Dstar) = ((I - K*K)^{1/2}, (I - KK*)^{1/2}) for each K of a stack with
+    ||K|| <= 1 + PSD_TOL, the norm rule of ``FactorResult.passing``: from one SVD
+    K = U S V*, D = V C V* and Dstar = U C U* with C = (1 - S^2)^{1/2}, 1 - S^2
+    clamped at 0."""
     km = _as_stack(k)
     nrm = _norm2(km)
     i = _first(nrm > 1.0 + PSD_TOL)
     if i is not None:
         raise DomainError(f"not a contraction within slack (norm {nrm[i]:.6g})")
-    eye = np.eye(km.shape[-1], dtype=complex)
-    kh = _adjoint(km)
-    d, dstar = sqrt_psd(np.stack([eye - kh @ km, eye - km @ kh]))
-    return DefectPair(d=d, dstar=dstar)
+    u, s, vh = np.linalg.svd(km)
+    c = np.sqrt(np.clip(1.0 - s * s, 0.0, None))[..., None, :]
+    return re_part((_adjoint(vh) * c) @ vh), re_part((u * c) @ _adjoint(u))
 
 
 def halmos_unitary(k) -> np.ndarray:
     """The unitary [[K, Dstar], [D, -K*]] on the doubled space, per matrix of a stack."""
     km = _as_stack(k)
-    pair = defects(km)
-    return np.block([[km, pair.dstar], [pair.d, -_adjoint(km)]])
+    d, dstar = defects(km)
+    return np.block([[km, dstar], [d, -_adjoint(km)]])
 
 
 def compress_through(u: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -166,17 +162,18 @@ def compress_through(u: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class DiskBlockResult:
-    """Outcome of the disk-case block test for [[T1, X], [0, T2]]."""
+    """Outcome of the disk-case block test for [[T1, X], [0, T2]]: ``factor`` factors
+    X = D_{T1*} C D_{T2}, None when ``defects`` rejects T1 or T2."""
 
-    verdict: bool
-    c: np.ndarray
-    c_norm: float
-    residual: float
-    range_defect: float
+    factor: FactorResult | None
     t1_norm: float
     t2_norm: float
     direct_norm: float
     direct_verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return self.factor is not None and self.factor.passes()
 
 
 def disk_block_check(t1, t2, x) -> DiskBlockResult:
@@ -186,16 +183,12 @@ def disk_block_check(t1, t2, x) -> DiskBlockResult:
     confirm the equivalence between the factorization verdict and the norm test.
     """
     spec = BlockSpec("general", t1, x, t2)
-    t1m, t2m, xm = spec.t1, spec.t2, spec.x
     direct = operator_norm(assemble(spec))
-    direct_verdict = direct <= 1.0 + PSD_TOL
-    n1 = operator_norm(t1m)
-    n2 = operator_norm(t2m)
-    if n1 > 1.0 + PSD_TOL or n2 > 1.0 + PSD_TOL:
-        zero = np.zeros_like(xm)
-        return DiskBlockResult(False, zero, float("inf"), float("inf"), float("inf"),
-                               n1, n2, direct, direct_verdict)
-    pair = defects(np.stack([t1m, t2m]))
-    fr = factor_through(pair.dstar[0], pair.d[1], xm)
-    return DiskBlockResult(fr.passes(), fr.k, fr.k_norm, fr.residual, fr.range_defect,
-                           n1, n2, direct, direct_verdict)
+    try:
+        d, dstar = defects(np.stack([spec.t1, spec.t2]))
+    except DomainError:
+        fr = None
+    else:
+        fr = factor_through(dstar[0], d[1], spec.x)
+    return DiskBlockResult(fr, operator_norm(spec.t1), operator_norm(spec.t2), direct,
+                           direct <= 1.0 + PSD_TOL)

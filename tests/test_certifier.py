@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from annulus_cert.blocks import BlockSpec, unit_block
 from annulus_cert.errors import DomainError
 from annulus_cert.factorization import compress_through, factor_through, halmos_unitary
 from annulus_cert.generators import haar_unitary, random_normal_annulus
+from annulus_cert.io import matrix_from_dict
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.numerics import PSD_TOL, _norm2, operator_norm, re_part, sqrt_psd
 from annulus_cert.pencil import AnnulusParams, MatrixPencil
@@ -405,6 +408,18 @@ class TestMixedRung:
                     assert p["recon_residual"] is None
             assert fr.passing().tolist() == looped
 
+    def test_rung_factor_document(self):
+        # the eps = 0.1 rung passes 2 of 8 alphas; its stacked FactorResult
+        # writes one matrix document and one metric per alpha
+        t, x = np.array([[0.7]]), np.array([[0.9]])
+        fr = check_thm_block1(t, x, AP5, PencilGrid((0.5, 0.1), 8)).factors[1]
+        doc = json.loads(json.dumps(fr.to_dict()))
+        assert len(doc["k"]) == 8
+        assert np.array([matrix_from_dict(m) for m in doc["k"]]).tobytes() == fr.k.tobytes()
+        for key in ("k_norm", "residual", "range_defect"):
+            assert doc[key] == getattr(fr, key).tolist()
+        assert doc["verdict"] is False
+
 
 class TestThmBlock1:
     def test_zero_x_trivially_agrees(self):
@@ -445,6 +460,16 @@ class TestThmBlock1:
             assert p["lambda_min"] == margins.get((p["eps"], complex(*p["alpha"])))
         nulls = [p["eps"] for p in points if p["lambda_min"] is None]
         assert len(nulls) == 128 and set(nulls) == {0.02, 0.01}
+
+    def test_k_norm_within_slack_gets_its_unitary(self):
+        # max ||K|| = 1 + 7e-9 passes the norm rule; I - K*K then dips below the
+        # PSD floor of sqrt_psd, so the Halmos unitary must not go through it
+        t, grid = np.array([[0.7]]), PencilGrid((0.5,), 8)
+        unit = check_thm_block1(t, np.array([[1.0]]), AP5, grid).max_k_norm
+        rep = check_thm_block1(t, np.array([[(1.0 + 7e-9) / unit]]), AP5, grid)
+        assert 1.0 + 5e-9 < rep.max_k_norm <= 1.0 + PSD_TOL
+        assert rep.factor_verdict and rep.certificate.certified and rep.agree
+        assert rep.max_recon_residual <= 1e-8
 
 
 class TestEquivalenceProperty:

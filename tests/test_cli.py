@@ -23,6 +23,7 @@ from annulus_cert.certifier import (
 from annulus_cert.cli import main
 from annulus_cert.io import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
 from annulus_cert.errors import DomainError
+from annulus_cert.factorization import douglas_factor
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.pencil import AnnulusParams
@@ -255,6 +256,15 @@ class TestOtherCommands:
         assert doc["verdict"] is True
         assert doc["k_norm"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_factor_document_of_one_matrix(self, files, capsys):
+        # one matrix: float metrics and a single matrix document for K
+        assert main(["factor", "--p", files["t"], "--q", files["t"], "--rmat", files["x_small"]]) == 0
+        t, x = load_matrix(files["t"]), load_matrix(files["x_small"])
+        fr = douglas_factor(t, t, x)
+        expect = {"k": matrix_to_dict(fr.k), "k_norm": fr.k_norm, "residual": fr.residual,
+                  "range_defect": fr.range_defect, "verdict": True}
+        assert capsys.readouterr().out == json.dumps(expect, indent=2) + "\n"
+
     def test_factor_failure_exit_one(self, files, tmp_path, capsys):
         eye = str(tmp_path / "eye3.json"); save_matrix(np.eye(3), eye)
         big = str(tmp_path / "big.json"); save_matrix(2.0 * np.eye(3), big)
@@ -333,6 +343,18 @@ class TestOtherCommands:
         assert sum(v is not None for v in lams) == 256 and lams.count(None) == 128
         for p in doc["points"]:
             assert p["lambda_min"] == margins.get((p["eps"], complex(*p["alpha"])))
+
+    def test_thm_k_norm_within_slack_exit_zero(self, files, capsys):
+        # every point passes with max ||K|| = 1 + 7e-9, and so must the
+        # Halmos reconstruction of each
+        x = files["tmp"] / "x_edge.json"
+        save_matrix(np.array([[0.959596891248954]]), x)
+        code = main(["thm", "--which", "block1", "--t1", files["t"], "--x", str(x),
+                     "--r", "0.5", "--eps", "0.5", "--alphas", "8"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["agree"] is True and doc["factor_verdict"] is True
+        assert 1.0 < doc["max_k_norm"] <= 1.0 + 1e-8
 
     def test_thm_block2_requires_t2(self, files):
         assert main([

@@ -12,7 +12,7 @@ from annulus_cert.factorization import (
     factor_through,
     halmos_unitary,
 )
-from annulus_cert.generators import ginibre, random_contraction, random_psd
+from annulus_cert.generators import ginibre, haar_unitary, random_contraction, random_psd
 from annulus_cert.numerics import operator_norm, sqrt_psd
 
 
@@ -98,21 +98,44 @@ class TestBlockPsdCheck:
 
 class TestDefects:
     def test_zero(self):
-        pair = defects(np.zeros((2, 2)))
-        assert operator_norm(pair.d - np.eye(2)) < 1e-14
-        assert operator_norm(pair.dstar - np.eye(2)) < 1e-14
+        d, dstar = defects(np.zeros((2, 2)))
+        assert operator_norm(d - np.eye(2)) < 1e-14
+        assert operator_norm(dstar - np.eye(2)) < 1e-14
 
     def test_exact_identity_contraction(self):
-        pair = defects(np.eye(3))
-        assert operator_norm(pair.d) == 0.0
+        d, dstar = defects(np.eye(3))
+        assert operator_norm(d) == 0.0 and operator_norm(dstar) == 0.0
 
     def test_three_four_five(self):
-        pair = defects(np.diag([0.6, 0.8]))
-        assert operator_norm(pair.d - np.diag([0.8, 0.6])) < 1e-12
+        d, dstar = defects(np.diag([0.6, 0.8]))
+        assert operator_norm(d - np.diag([0.8, 0.6])) < 1e-12
+        assert operator_norm(dstar - np.diag([0.8, 0.6])) < 1e-12
 
     def test_rejects_expansive(self):
         with pytest.raises(DomainError):
             defects(2.0 * np.eye(2))
+
+    def test_norm_within_slack_is_a_contraction(self):
+        # ||K|| = 1 + 6e-9 passes the norm rule; I - K*K dips to -1.2e-8, below
+        # the PSD floor of sqrt_psd, so the defects clamp to zero instead
+        k = (1.0 + 6e-9) * np.eye(2)
+        d, dstar = defects(k)
+        assert operator_norm(d) == 0.0 and operator_norm(dstar) == 0.0
+        u = halmos_unitary(k)
+        assert operator_norm(u.conj().T @ u - np.eye(4)) <= 1e-7
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(-1e-3, 0.9e-8) | st.floats(1.1e-8, 1e-3))
+    def test_norm_rule_decides_near_isometries(self, n, seed, delta):
+        # every K the pass rule accepts gets its Halmos unitary; the rest raise
+        k = (1.0 + delta) * haar_unitary(n, np.random.default_rng(seed))
+        if delta >= 1.1e-8:
+            with pytest.raises(DomainError, match="not a contraction within slack"):
+                defects(k)
+            return
+        u = halmos_unitary(k)
+        assert operator_norm(u.conj().T @ u - np.eye(2 * n)) <= 1e-7
 
 
 class TestHalmosUnitary:
@@ -151,7 +174,18 @@ class TestDiskBlockCheck:
         x = 0.8 * random_contraction(3, seed=5)
         res = disk_block_check(np.zeros((3, 3)), np.zeros((3, 3)), x)
         assert res.verdict
-        assert operator_norm(res.c - x) < 1e-10
+        assert operator_norm(res.factor.k - x) < 1e-10
+
+    def test_diagonal_norm_within_slack(self):
+        res = disk_block_check((1.0 + 6e-9) * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2)))
+        assert res.verdict is True and res.direct_verdict is True
+        assert res.factor.passes()
+
+    def test_expansive_diagonal_has_no_factor(self):
+        res = disk_block_check(2.0 * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2)))
+        assert res.factor is None
+        assert res.verdict is False and res.direct_verdict is False
+        assert (res.t1_norm, res.t2_norm) == (2.0, 0.5)
 
     def test_unitary_diagonal_rejects_nonzero_x(self):
         u = np.diag(np.exp(1j * np.array([0.3, 1.2, 2.0])))
@@ -227,6 +261,10 @@ class TestStackedKernels:
             assert _bits(getattr(stacked, field)) == _bits([getattr(f, field) for f in looped])
         assert stacked.passing().tolist() == [f.passes() for f in looped]
         assert stacked.passes() == all(f.passes() for f in looped)
+        doc = stacked.to_dict()
+        for key in ("k", "k_norm", "residual", "range_defect"):
+            assert doc[key] == [f.to_dict()[key] for f in looped]
+        assert doc["verdict"] is stacked.passes()
 
         # contractions with norm up to one, so both defects may lose rank
         k = np.array([m / max(1.0, operator_norm(m)) for m in r])
@@ -266,8 +304,9 @@ class TestStackedKernels:
 
 
 class TestPairedRoots:
-    """Each kernel takes its two PSD roots from one stacked ``sqrt_psd`` call,
-    bit for bit the two calls written out."""
+    """Each kernel takes its two roots from one stacked call, bit for bit the
+    two calls written out: ``douglas_factor`` from ``sqrt_psd``, the disk check
+    from ``defects``, and ``defects`` from the SVD of K, with no ``sqrt_psd``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -294,24 +333,38 @@ class TestPairedRoots:
     @pytest.mark.parametrize("seed", range(5))
     def test_defects(self, calls, seed):
         k = random_contraction(3, seed=seed)
-        pair = defects(k)
-        assert len(calls) == 1
+        d, dstar = defects(k)
+        assert calls == []
+        stacked = defects(np.array([k, 0.5 * k]))
+        half = defects(0.5 * k)
+        assert _bits(stacked[0]) == _bits([d, half[0]])
+        assert _bits(stacked[1]) == _bits([dstar, half[1]])
         eye = np.eye(3, dtype=complex)
-        assert _bits(pair.d) == _bits(sqrt_psd(eye - k.conj().T @ k))
-        assert _bits(pair.dstar) == _bits(sqrt_psd(eye - k @ k.conj().T))
+        kh = k.conj().T
+        assert operator_norm(d @ d - (eye - kh @ k)) <= 1e-14
+        assert operator_norm(dstar @ dstar - (eye - k @ kh)) <= 1e-14
+        assert np.array_equal(d, d.conj().T) and np.array_equal(dstar, dstar.conj().T)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_disk_block_check(self, calls, seed):
+    def test_disk_block_check(self, calls, monkeypatch, seed):
+        import annulus_cert.factorization as fac
+
         t1 = 0.9 * random_contraction(3, seed=seed)
         t2 = 0.8 * random_contraction(3, seed=seed + 100)
         x = 0.3 * random_contraction(3, seed=seed + 200)
+        seen = []
+
+        def counted(k):
+            seen.append(np.shape(k))
+            return defects(k)
+
+        monkeypatch.setattr(fac, "defects", counted)
         res = disk_block_check(t1, t2, x)
-        assert len(calls) == 1
-        eye = np.eye(3, dtype=complex)
-        expect = factor_through(sqrt_psd(eye - t1 @ t1.conj().T), sqrt_psd(eye - t2.conj().T @ t2), x)
-        assert _bits(res.c) == _bits(expect.k)
-        assert (res.c_norm, res.residual, res.range_defect) == (
-            expect.k_norm, expect.residual, expect.range_defect)
+        assert seen == [(2, 3, 3)] and calls == []
+        d, dstar = defects(np.array([t1, t2]))
+        expect = factor_through(dstar[0], d[1], x)
+        for field in ("k", "k_norm", "residual", "range_defect"):
+            assert _bits(getattr(res.factor, field)) == _bits(getattr(expect, field))
 
     def test_douglas_factor_names_p_before_q(self):
         # P indefinite and Q not Hermitian: the check of P alone comes first
