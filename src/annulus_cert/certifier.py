@@ -8,7 +8,9 @@ truncation nor the rounding of the pencil may spend that slack: the sum is
 taken in closed form with an a-priori tail below SCALAR_TOL = 1e-16, and a
 sweep whose rounding could reach a tenth of PSD_TOL raises TruncationError.
 That error, like a spectrum on a band edge where the series diverges, makes
-the eps rung inconclusive rather than refuted.
+the eps rung inconclusive rather than refuted.  A near-normal T reads a rung
+off the scalar pencil at its eigenvalues instead, when an a-priori bound on
+the difference, rounding included, fits the same tenth of PSD_TOL.
 
 The theorem checks read their point factorizations off one sweep per eps of
 the unit block of ``blocks``, factor the whole alpha grid of a rung as one
@@ -39,8 +41,14 @@ from .numerics import (
     sqrt_psd,
 )
 from .pencil import (
+    ROUNDING_BUDGET,
     AnnulusParams,
     MatrixPencil,
+    PencilPoint,
+    eigenvalues_in_annulus,
+    gamma_scalar_batch,
+    scalar_pencil_bound,
+    scalar_sum_terms,
     spectrum_in_annulus,
 )
 from .rational import (
@@ -96,10 +104,14 @@ class PointRecord:
     """One grid point of a certificate.
 
     ``scale`` is 1 + ||Gamma(alpha T)||, the factor of the refutation slack
-    PSD_TOL * scale.  It is exact at every point whose slack could be the
-    least of its eps rung, and elsewhere an upper bound (1 + ||Gamma||_F,
-    widened past rounding), which cannot make the point the worst or refute.
-    It is not serialized.
+    PSD_TOL * scale.  On the matrix route it is exact at every point whose
+    slack could be the least of its eps rung, and elsewhere an upper bound
+    (1 + ||Gamma||_F, widened past rounding), which cannot make the point the
+    worst or refute.  On the scalar route it is the upper bound
+    1 + max_i |Gamma(alpha w_i)| plus the rung's bound.  It is not serialized.
+    ``trunc_n`` is the larger per-side level count of the resolvent sum on the
+    matrix route and the term count of ``gamma_scalar_batch`` on the scalar
+    route.
     """
 
     eps: float
@@ -114,7 +126,9 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verdict of ``certify_ar``; ``worst_point`` is the record of least slack."""
+    """Verdict of ``certify_ar``; ``worst_point`` is the record of least slack.
+    ``scalar_rungs`` holds (eps, bound) for every rung decided on the scalar
+    route, in grid order."""
 
     verdict: str
     spectrum_ok: bool
@@ -123,6 +137,7 @@ class Certificate:
     records: tuple = ()
     grid: PencilGrid = DEFAULT_GRID
     diagnostics: tuple = ()
+    scalar_rungs: tuple = ()
 
     @property
     def certified(self) -> bool:
@@ -138,6 +153,7 @@ class Certificate:
             "grid": self.grid.to_dict(),
             "records": [rec.to_dict() for rec in self.records],
             "diagnostics": list(self.diagnostics),
+            "scalar_rungs": [{"eps": eps, "bound": bound} for eps, bound in self.scalar_rungs],
         }
 
 
@@ -169,6 +185,69 @@ def _eps_records(t, eps, alphas, ap):
     ]
 
 
+def _diagonal_form(tm, eigs, grid):
+    """(w, e) with T = U (diag(w) + F) U* for some unitary U and ||F|| <= e,
+    or None when no rung of ``grid`` could take the scalar route.
+
+    Q is the QR factor of the eigenvectors of T and A = Q* T Q, with w its
+    diagonal and F its off-diagonal part.  Q is unitary only to rounding: with
+    eta = ||Q* Q - I||_F and E = T Q - Q A, the unitary polar factor U of Q
+    has ||Q - U|| <= eta and U* T U = A + U* ((Q - U) A + E - T (Q - U)), so
+
+        e = ||F||_F + ||E||_F + eta (a + t),   a = max|w_i| + ||F||_F,
+        t = ((1 + eta) a + ||E||_F) / (1 - eta),
+
+    where a bounds ||A|| and t bounds ||T||.  The residuals are evaluated in
+    floating point; ROUNDING_BUDGET keeps the route a factor ten inside the
+    refutation slack, as it keeps the sweep guard's estimate.
+
+    A rung's bound is at least 2 (1 - eps) e, and e is at least ||F||_F,
+    whose square is about the Henrici departure ||T||_F^2 - sum |lambda_i|^2
+    of the eigenvalues ``eigs`` already computed.  A departure clearly past
+    what the largest eps admits returns None before any factorization, and
+    so does an entry past 2, which puts ||T|| far from the spectral radius
+    of at most 1 + PSD_TOL and could overflow the squares; non-normal input
+    pays only these checks.  They decide which route runs, never a verdict.
+    """
+    n = tm.shape[0]
+    if not np.abs(tm).max() <= 2.0:
+        return None
+    fro2 = np.vdot(tm, tm).real
+    e_cap = ROUNDING_BUDGET / (2.0 * (1.0 - max(grid.eps_values)))
+    if not fro2 - np.vdot(eigs, eigs).real <= 4.0 * e_cap**2 + 8.0 * n * np.finfo(float).eps * fro2:
+        return None
+    try:
+        q = np.linalg.qr(np.linalg.eig(tm)[1])[0]
+    except np.linalg.LinAlgError:  # pragma: no cover - QR stall is rare
+        return None
+    a = q.conj().T @ tm @ q
+    w = np.diagonal(a).copy()
+    f = float(np.linalg.norm(a - np.diag(w)))
+    res = float(np.linalg.norm(tm @ q - q @ a))
+    eta = float(np.linalg.norm(q.conj().T @ q - np.eye(n)))
+    if not eta < 1.0:
+        return None
+    an = float(np.abs(w).max()) + f
+    tn = ((1.0 + eta) * an + res) / (1.0 - eta)
+    return w, f + res + eta * (an + tn)
+
+
+def _scalar_records(w, eps, alphas, ap, bound):
+    """The records of one rung from Gamma at the scalars alpha w_i: margin
+    min_i Re Gamma and scale 1 + max_i |Gamma| + bound, an upper bound of
+    1 + ||Gamma(alpha T)||; ``trunc_n`` is the scalar term count."""
+    g = gamma_scalar_batch((alphas[:, None] * w).ravel(), PencilPoint(eps), ap)
+    g = g.reshape(alphas.size, w.size)
+    lam_min = g.real.min(axis=1)
+    scales = 1.0 + np.abs(g).max(axis=1) + bound
+    trunc = scalar_sum_terms(eps, ap.r)
+    return [
+        PointRecord(eps=eps, alpha=complex(a), lambda_min=float(lm), trunc_n=trunc,
+                    scale=float(sc))
+        for a, lm, sc in zip(alphas, lam_min, scales)
+    ]
+
+
 def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
                threads: int | None = None) -> Certificate:
     """Decide annulus contractivity on the sampled grid.
@@ -178,20 +257,34 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     below -PSD_TOL * (1 + ||Gamma||) refutes.  Truncation failures downgrade
     the verdict to inconclusive unless a refutation was found anyway.
     ``threads`` (at least 1) caps concurrent eps rungs, as does os.cpu_count().
+
+    Near-normal T takes the scalar route where it can.  With T = U (D + F) U*
+    (``_diagonal_form``), Gamma(alpha T) is unitarily similar to
+    Gamma(alpha (D + F)), so by Weyl's inequality lambda_min Re Gamma(alpha T)
+    lies within ||Gamma(alpha (D + F)) - Gamma(alpha D)|| of
+    min_i Re Gamma(alpha w_i).  A rung whose ``scalar_pencil_bound`` on that
+    distance, rounding included, fits ROUNDING_BUDGET reads its records off
+    one ``gamma_scalar_batch`` call; every other rung runs the matrix sweep.
     """
     if threads is not None and threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
     tm = as_matrix(t)
-    if not spectrum_in_annulus(tm, ap):
+    eigs = eigenvalues(tm)
+    if not eigenvalues_in_annulus(eigs, ap):
         return Certificate(VERDICT_REFUTED, False, None, None, (), grid,
                            ("spectrum outside the closed annulus",))
     alphas = grid.alphas()
+    form = _diagonal_form(tm, eigs, grid)
 
     def run(eps):
+        if form is not None:
+            bound = scalar_pencil_bound(form[0], form[1], eps, ap)
+            if bound <= ROUNDING_BUDGET:
+                return _scalar_records(form[0], eps, alphas, ap, bound), None, (eps, bound)
         try:
-            return _eps_records(tm, eps, alphas, ap), None
+            return _eps_records(tm, eps, alphas, ap), None, None
         except TruncationError as exc:
-            return [], f"eps={eps}: {exc}"
+            return [], f"eps={eps}: {exc}", None
 
     nthreads = 1 if threads is None else min(int(threads), len(grid.eps_values), os.cpu_count() or 1)
     if nthreads <= 1:
@@ -199,8 +292,9 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             outcomes = list(pool.map(run, grid.eps_values))
-    records = [rec for recs, _ in outcomes for rec in recs]
-    diagnostics = tuple(diag for _, diag in outcomes if diag is not None)
+    records = [rec for recs, _, _ in outcomes for rec in recs]
+    diagnostics = tuple(diag for _, diag, _ in outcomes if diag is not None)
+    scalar_rungs = tuple(rung for _, _, rung in outcomes if rung is not None)
 
     if not records:
         return Certificate(VERDICT_INCONCLUSIVE, True, None, None, (), grid, diagnostics)
@@ -214,7 +308,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     else:
         verdict = VERDICT_CERTIFIED
     return Certificate(verdict, True, min_margin, records[worst_idx], tuple(records), grid,
-                       diagnostics)
+                       diagnostics, scalar_rungs)
 
 
 # --- von Neumann sampling -------------------------------------------------

@@ -28,6 +28,10 @@ V = W^M and R_k = (I - d^{kM} V)^{-1} each bucket closes exactly:
 
 A single arbitrary alpha is the M = 1 sweep of the rotated matrix alpha T.
 
+``scalar_pencil_bound`` bounds a priori how far Gamma of a perturbed diagonal
+matrix lies from ``gamma_scalar_batch`` at its diagonal, rounding included,
+which lets near-normal T skip the matrix sweep.
+
 The derivative pencil needs no second closed form: f([[T, I], [0, T]]) =
 [[f(T), f'(T)], [0, f(T)]], so Gamma'(alpha T) is the top-right block of
 the sweep of [[T, I], [0, T]], with its tail bound and rounding guard.
@@ -49,9 +53,17 @@ SCALAR_MAX_TERMS = 1 << 20
 
 # Absolute rounding of a matrix sweep per unit of sum_b ||B_b||_F: ten times
 # the largest part of the measured errors not proportional to |Gamma| (see
-# README).  A sweep whose rounding could reach a tenth of PSD_TOL raises
+# README).  A sweep whose rounding could reach ROUNDING_BUDGET raises
 # TruncationError, so the refutation slack is never spent on rounding.
 SWEEP_ROUNDING = 1e-15
+
+# Largest absolute error a pencil evaluation may carry into a margin: a tenth
+# of the refutation slack PSD_TOL.  It caps the sweep's rounding estimate and
+# the a-priori bound of the scalar route (``scalar_pencil_bound``).
+ROUNDING_BUDGET = 0.1 * PSD_TOL
+
+# Unit roundoff of float64.
+_UNIT = float(np.finfo(float).eps) / 2.0
 
 # Bucket products are formed this many matrix entries at a time, so a sweep
 # holds no (M, n, n) stack besides the buckets.
@@ -69,10 +81,15 @@ class AnnulusParams:
             raise DomainError(f"inner radius must lie in (0, 1), got {self.r}")
 
 
-def spectrum_in_annulus(t, ap: AnnulusParams) -> bool:
-    """True iff every eigenvalue modulus lies in [r - PSD_TOL, 1 + PSD_TOL]."""
-    mods = np.abs(eigenvalues(as_matrix(t)))
+def eigenvalues_in_annulus(eigs: np.ndarray, ap: AnnulusParams) -> bool:
+    """True iff every modulus of ``eigs`` lies in [r - PSD_TOL, 1 + PSD_TOL]."""
+    mods = np.abs(eigs)
     return bool(np.all((mods >= ap.r - PSD_TOL) & (mods <= 1.0 + PSD_TOL)))
+
+
+def spectrum_in_annulus(t, ap: AnnulusParams) -> bool:
+    """True iff every eigenvalue modulus of T lies in [r - PSD_TOL, 1 + PSD_TOL]."""
+    return eigenvalues_in_annulus(eigenvalues(as_matrix(t)), ap)
 
 
 @dataclass(frozen=True)
@@ -119,6 +136,14 @@ def scalar_terms(q: float, bound: float) -> int:
     return k
 
 
+def scalar_sum_terms(eps: float, r: float) -> int:
+    """Term count K of ``gamma_scalar_batch`` at eps and r: with d = (1-eps)^2 r,
+    d^K <= SCALAR_TOL (1-d) / 8 puts its remainder bound below SCALAR_TOL."""
+    b = 1.0 - eps
+    d = b * b * r
+    return scalar_terms(d, SCALAR_TOL * (1.0 - d) / 8.0)
+
+
 def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
     """Vectorized Gamma over an array of scalars, summed in closed form.
 
@@ -137,11 +162,80 @@ def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
     d = b * b * r
     u = pt.alpha * zs
     acc = np.zeros_like(u)
-    # d^K <= SCALAR_TOL (1-d) / 8 puts the remainder bound below SCALAR_TOL
-    for k in range(scalar_terms(d, SCALAR_TOL * (1.0 - d) / 8.0) - 1, -1, -1):
+    for k in range(scalar_sum_terms(eps, r) - 1, -1, -1):
         du, rd = d**k * u, r * d**k
         acc = b * du / ((1.0 - du) + eps * du) + b * rd / ((u - rd) + eps * rd) - acc
     return 1.0 + 2.0 * acc
+
+
+def scalar_pencil_bound(w, e: float, eps: float, ap: AnnulusParams) -> float:
+    """Bound, uniform over unimodular alpha, on ||Gamma(alpha (D + F)) - G||
+    for D = diag(w), any F with ||F|| <= e, and G the diagonal of
+    ``gamma_scalar_batch`` at the rounded products alpha w_i; inf when the
+    series ratios leave no room for e.
+
+    The weight Gamma(alpha Z) = I + sum_j a_j X^j + sum_j a_j Y^j has
+    X = (1-eps) alpha Z, Y = (1-eps) r (alpha Z)^{-1} and 0 < a_j <= 2
+    (module docstring).  Write b = 1 - eps, d = b^2 r and u for the unit
+    roundoff.  The rounded product alpha w_i is alpha w_i' with
+    |w_i' - w_i| <= 3u |w_i| (complex multiplication), so D + F = D' + F'
+    with D' = diag(w') and ||F'|| <= e' = e + 4u max|w_i|, and every |w_i'|
+    lies in [m, M] with M = (1 + 4u) max|w_i| and m = (1 - 4u) min|w_i|.
+    Let rho = b M and sigma = b r / m, and take X_0, Y_0 at D', X_1, Y_1 at
+    D' + F'.
+
+    Perturbation.  X_1^j - X_0^j = sum_{k<j} X_1^k (X_1 - X_0) X_0^{j-1-k}
+    gives, for ||X_0|| <= p < 1 and ||X_1|| <= p' < 1,
+
+        ||sum_j a_j (X_1^j - X_0^j)|| <= 2 ||X_1 - X_0|| / ((1 - p)(1 - p')).
+
+    On the X side ||X_1 - X_0|| <= b e', p = rho and p' = rho + b e'.  On the
+    Y side (D' + F')^{-1} - D'^{-1} = -(D' + F')^{-1} F' D'^{-1} with
+    ||(D' + F')^{-1}|| <= 1 / (m - e'), so ||Y_1 - Y_0|| <= t = b r e' / (m (m - e')),
+    p = sigma and p' = sigma + t.  Hence
+
+        ||Gamma(alpha (D' + F')) - Gamma(alpha D')||
+            <= 2 b e' / ((1 - rho - b e')(1 - rho)) + 2 t / ((1 - sigma - t)(1 - sigma)).
+
+    Rounding.  ``gamma_scalar_batch`` sums K = ``scalar_sum_terms`` pairs
+    x_k / (1 - x_k) + y_k / (1 - y_k) with |x_k| <= rho d^k and
+    |y_k| <= sigma d^k.  A numerator carries 4u (the power d^k counted at one
+    ulp, two products), the complex division 10u, and a denominator, formed
+    without cancelling 1 - (1-eps), at most 8u (1 + M) absolute against a
+    modulus of at least 1 - rho (x side) or m (1 - sigma) (y side).  So an x
+    term is off by at most g(kx) times its modulus, with
+    kx = 14 + 8 (1 + M) / (1 - rho) and g(k) = k u / (1 - k u), which covers
+    the terms of higher order in u; a y term by g(ky), with
+    ky = 14 + 8 (1 + M) / (m (1 - sigma)).  The term moduli sum to at most
+    Sx = rho / ((1 - rho)(1 - d)) and Sy = sigma / ((1 - sigma)(1 - d)), and
+    so does every partial sum, so the 2K additions of the recurrence add at
+    most g(2K) (Sx + Sy).  Doubling the sum and adding 1 gives
+
+        |G_ii - Gamma(alpha w_i')| <= 2 (g(kx) Sx + g(ky) Sy + g(2K) (Sx + Sy))
+                                      + g(1) (1 + 2 Sx + 2 Sy) + SCALAR_TOL,
+
+    the last term the truncation remainder.  The bound is the sum of the two
+    displays; it is inf where some k u reaches 1/2.
+    """
+    mods = np.abs(np.asarray(w))
+    big, small = float(mods.max()), float(mods.min())
+    b, r = 1.0 - eps, ap.r
+    d = b * b * r
+    e = e + 4.0 * _UNIT * big
+    mx, mn = (1.0 + 4.0 * _UNIT) * big, (1.0 - 4.0 * _UNIT) * small
+    rho, sigma = b * mx, b * r / mn if mn > 0.0 else math.inf
+    t = b * r * e / (mn * (mn - e)) if mn > e else math.inf
+    if not (rho + b * e < 1.0 and sigma + t < 1.0):
+        return math.inf
+    perturb = (2.0 * b * e / ((1.0 - rho - b * e) * (1.0 - rho))
+               + 2.0 * t / ((1.0 - sigma - t) * (1.0 - sigma)))
+    sx, sy = rho / ((1.0 - rho) * (1.0 - d)), sigma / ((1.0 - sigma) * (1.0 - d))
+    kx = 14.0 + 8.0 * (1.0 + mx) / (1.0 - rho)
+    ky = 14.0 + 8.0 * (1.0 + mx) / (mn * (1.0 - sigma))
+    g = lambda k: k * _UNIT / (1.0 - k * _UNIT) if k * _UNIT < 0.5 else math.inf
+    rounding = (2.0 * (g(kx) * sx + g(ky) * sy + g(2.0 * scalar_sum_terms(eps, r)) * (sx + sy))
+                + g(1.0) * (1.0 + 2.0 * (sx + sy)) + SCALAR_TOL)
+    return perturb + rounding
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
@@ -231,7 +325,7 @@ class MatrixPencil:
         buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
         self._levels = (self._fold(self._x, 1, buckets), self._fold(self._y, -1, buckets))
         rounding = SWEEP_ROUNDING * float(np.sum(np.linalg.norm(buckets, axis=(1, 2))))
-        if not rounding <= 0.1 * PSD_TOL:
+        if not rounding <= ROUNDING_BUDGET:
             raise TruncationError(f"sweep rounding up to {rounding:.3g} at eps = {self.eps} "
                                   f"would reach the refutation slack PSD_TOL = {PSD_TOL:g}")
         return m * np.fft.ifft(buckets, axis=0)

@@ -14,14 +14,22 @@ from annulus_cert.certifier import (
     spectrum_in_annulus,
     vn_sample,
 )
-from annulus_cert.blocks import BlockSpec, unit_block
+from annulus_cert.blocks import BlockSpec, assemble, unit_block
 from annulus_cert.errors import DomainError
 from annulus_cert.factorization import compress_through, factor_through, halmos_unitary
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.io import matrix_from_dict
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.numerics import PSD_TOL, _norm2, operator_norm, re_part, sqrt_psd
-from annulus_cert.pencil import AnnulusParams, MatrixPencil
+from annulus_cert.pencil import (
+    ROUNDING_BUDGET,
+    AnnulusParams,
+    MatrixPencil,
+    PencilPoint,
+    gamma_scalar_batch,
+    scalar_pencil_bound,
+    scalar_sum_terms,
+)
 from annulus_cert.rational import RationalFunction, eval_matrix, sup_on_annulus
 
 from conftest import interior_commuting_triple
@@ -127,9 +135,11 @@ class TestCertifyAr:
     def test_rounding_never_refutes(self, eps):
         # a unit eigenvalue puts about 2 / eps into the buckets; the sweep's
         # rounding would exceed the slack where Gamma is small, so the rung
-        # must end inconclusive, never refuted
+        # must end inconclusive, never refuted.  The scalar route's rounding
+        # bound exceeds its budget here too, so the rung does not take it.
         cert = certify_ar(np.array([[1.0]]), AP5, PencilGrid((eps,), 64))
         assert cert.verdict != "refuted"
+        assert cert.scalar_rungs == ()
 
     @pytest.mark.parametrize("t", [[[1.0]], [[1.0, 0.0], [0.0, 0.7]]])
     def test_unit_eigenvalue_certified_at_small_eps(self, t):
@@ -167,12 +177,23 @@ def _exact_scale_records(t, eps, alphas, ap):
             for a, lm, sc in zip(alphas, lam_min, scales)]
 
 
+def _matrix_route(t, ap, grid=DEFAULT_GRID):
+    """certify_ar with the scalar route switched off: every rung sweeps T."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certifier, "_diagonal_form", lambda *args: None)
+        return certify_ar(t, ap, grid)
+
+
 def _assert_same_as_exact_scales(t, ap, grid=DEFAULT_GRID):
-    """certify_ar with bracketed scales against the exact-scale certificate."""
-    cert = certify_ar(t, ap, grid)
+    """certify_ar with bracketed scales against the exact-scale certificate.
+
+    Both run the matrix route, whose bracket this checks: normal inputs would
+    otherwise take the scalar route and never reach ``_eps_records``.
+    """
+    cert = _matrix_route(t, ap, grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certifier, "_eps_records", _exact_scale_records)
-        ref = certify_ar(t, ap, grid)
+        ref = _matrix_route(t, ap, grid)
     # verdict, min_margin, worst point and every record
     assert cert.to_dict() == ref.to_dict()
     # the bracket only ever raises a scale, and never at the worst point
@@ -250,10 +271,108 @@ class TestScaleBracket:
             return _norm2(a)
 
         monkeypatch.setattr(certifier, "_norm2", counting)
+        # a normal input, so the matrix route is forced to reach the bracket
+        monkeypatch.setattr(certifier, "_diagonal_form", lambda *args: None)
         cert = certify_ar(random_normal_annulus(32, AP5, seed=11), AP5)
         assert cert.verdict == "certified"
         assert len(sizes) == len(DEFAULT_GRID.eps_values)
         assert max(sizes) <= 4
+
+
+def _chain(n, h):
+    """0.75 I + h S with S the forward shift: non-normal for h != 0."""
+    return 0.75 * np.eye(n, dtype=complex) + h * np.eye(n, k=1, dtype=complex)
+
+
+def _near_normal(n, r, seed, h):
+    """random_normal_annulus plus an upper-triangular part of size h."""
+    rng = np.random.default_rng(seed)
+    off = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    return random_normal_annulus(n, AnnulusParams(r), seed) + h * off
+
+
+class TestScalarRoute:
+    """Near-normal T reads each rung off the scalar pencil at its eigenvalues."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 16), r=_RADII, seed=st.integers(0, 2**31 - 1),
+           h=st.one_of(st.just(0.0), st.floats(-16.0, -12.0).map(lambda x: 10.0**x)))
+    def test_matches_matrix_route_within_bound(self, n, r, seed, h):
+        ap = AnnulusParams(r)
+        t = _near_normal(n, r, seed, h)
+        cert, ref = certify_ar(t, ap), _matrix_route(t, ap)
+        assert cert.verdict == ref.verdict
+        bounds = dict(cert.scalar_rungs)
+        assert [b for b in bounds.values() if not 0.0 < b <= ROUNDING_BUDGET] == []
+        assert list(bounds) == [e for e in DEFAULT_GRID.eps_values if e in bounds]
+        # eps = 0.5 halves every modulus, far inside the budget for exactly normal T
+        assert bounds or h > 0.0
+        exact = {eps: _exact_scale_records(t, eps, DEFAULT_GRID.alphas(), ap) for eps in bounds}
+        ex = {eps: iter(recs) for eps, recs in exact.items()}
+        assert len(cert.records) == len(ref.records)
+        for rec, mat in zip(cert.records, ref.records):
+            assert (rec.eps, rec.alpha) == (mat.eps, mat.alpha)
+            if rec.eps in bounds:
+                assert abs(rec.lambda_min - mat.lambda_min) <= bounds[rec.eps]
+                assert rec.trunc_n == scalar_sum_terms(rec.eps, r)
+                # an upper bound of the exact scale, up to the SVD's own rounding
+                assert rec.scale >= next(ex[rec.eps]).scale * (1.0 - 1e-12)
+            else:
+                assert rec == mat
+
+    @staticmethod
+    def _non_normal():
+        t1, t2, x = interior_commuting_triple(2, AP5, seed=7)
+        w, th = 0.7, misra_threshold(0.7, 0.5)
+        return [_chain(16, 0.1), _chain(16, 0.35), jordan_block(w, 0.9 * th),
+                jordan_block(w, 1.05 * th), assemble(BlockSpec("tx", t1, 0.05 * x)),
+                assemble(BlockSpec("hat", t1, 0.05 * x, t2))]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_non_normal_takes_matrix_route(self, monkeypatch, case):
+        t = self._non_normal()[case]
+        ref = json.dumps(_matrix_route(t, AP5).to_dict())
+
+        def no_eig(*args):
+            raise AssertionError("the Henrici pre-reject should have fired")
+
+        # the pre-reject needs only the eigenvalues of the spectrum check
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        cert = certify_ar(t, AP5)
+        assert cert.scalar_rungs == ()
+        assert json.dumps(cert.to_dict()) == ref
+
+    def test_rung_past_budget_falls_back(self):
+        # the unit eigenvalue fits the budget at eps = 0.01, not at 0.001
+        t, grid = np.diag([1.0, 0.7]), PencilGrid((0.01, 0.001), 64)
+        cert, ref = certify_ar(t, AP5, grid), _matrix_route(t, AP5, grid)
+        assert [eps for eps, _ in cert.scalar_rungs] == [0.01]
+        assert scalar_pencil_bound(np.array([1.0, 0.7]), 0.0, 0.001, AP5) > ROUNDING_BUDGET
+        assert cert.verdict == ref.verdict == "certified"
+        assert cert.records[64:] == ref.records[64:]
+        assert cert.to_dict()["scalar_rungs"] == [{"eps": 0.01, "bound": cert.scalar_rungs[0][1]}]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 6), r=_RADII, seed=st.integers(0, 2**31 - 1),
+           eps=st.sampled_from([0.5, 0.1, 0.02]), size=st.floats(-8.0, -3.0))
+    def test_bound_covers_the_perturbation(self, n, r, seed, eps, size):
+        # ||Gamma(alpha (D + F)) - diag Gamma(alpha w_i)|| against the bound, at
+        # perturbations large enough that the matrix sweep's rounding is negligible
+        ap = AnnulusParams(r)
+        rng = np.random.default_rng(seed)
+        lo, hi = r + 0.05 * (1.0 - r), 1.0 - 0.05 * (1.0 - r)
+        w = (lo + (hi - lo) * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        e = 10.0**size
+        f *= e / _norm2(f)
+        bound = scalar_pencil_bound(w, e, eps, ap)
+        if not np.isfinite(bound):
+            return
+        alphas = PencilGrid((eps,), 8).alphas()
+        gam = MatrixPencil(np.diag(w) + f, eps, ap).gamma_for_alphas(8)
+        for a, g in zip(alphas, gam):
+            diag = gamma_scalar_batch(a * w, PencilPoint(eps), ap)
+            assert _norm2(g - np.diag(diag)) <= bound
 
 
 class TestVnSample:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from annulus_cert import cli
 from annulus_cert.blocks import BlockSpec, assemble
 from annulus_cert.certifier import (
+    DEFAULT_GRID,
     MAX_ALPHAS,
     PencilGrid,
     certify_ar,
@@ -102,6 +103,14 @@ class TestCertifyCommand:
         assert code == 0
         assert doc["verdict"] == "certified"
         assert doc["records"]
+
+    @pytest.mark.parametrize("name, code, scalar", [("eye", 0, True), ("bad", 1, False)])
+    def test_scalar_rungs_key(self, files, capsys, name, code, scalar):
+        # a normal input decides every rung on the scalar route, a Jordan block none
+        assert main(["certify", "--matrix", files[name], "--r", "0.5"]) == code
+        rungs = json.loads(capsys.readouterr().out)["scalar_rungs"]
+        assert [r["eps"] for r in rungs] == (list(DEFAULT_GRID.eps_values) if scalar else [])
+        assert all(0.0 < r["bound"] <= 1e-9 for r in rungs)
 
     def test_spectrum_refuted_exit_one(self, files, capsys):
         code = main(["certify", "--matrix", files["shrunk"], "--r", "0.5"])
