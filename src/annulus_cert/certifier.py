@@ -21,8 +21,6 @@ compare the result with the assembled block's certificate.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +47,6 @@ from .pencil import (
     gamma_scalar_batch,
     scalar_pencil_bound,
     scalar_sum_terms,
-    spectrum_in_annulus,
 )
 from .rational import (
     RationalFunction,
@@ -157,6 +154,13 @@ class Certificate:
         }
 
 
+def _rung_records(eps, alphas, lam_min, trunc, scales):
+    """The records of one eps rung, one per alpha, in grid order."""
+    return [PointRecord(eps=eps, alpha=complex(a), lambda_min=float(lm), trunc_n=trunc,
+                        scale=float(sc))
+            for a, lm, sc in zip(alphas, lam_min, scales)]
+
+
 def _eps_records(t, eps, alphas, ap):
     """Margins of Re Gamma(alpha T) for all alphas at one eps.
 
@@ -170,19 +174,13 @@ def _eps_records(t, eps, alphas, ap):
     """
     mp = MatrixPencil(t, eps, ap)
     gam = mp.gamma_for_alphas(alphas.size)
-    n_pos, n_neg = mp.gamma_indices()
     lam = np.linalg.eigvalsh(re_part(gam))
     lam_min = lam[:, 0]
     lo = (1.0 + np.maximum(-lam_min, lam[:, -1])) * (1.0 - 1e-12)
     scales = (1.0 + np.linalg.norm(gam, axis=(1, 2))) * (1.0 + 1e-12)
     cand = lam_min + PSD_TOL * lo <= np.min(lam_min + PSD_TOL * scales)
     scales[cand] = 1.0 + _norm2(gam[cand])
-    trunc = max(n_pos, n_neg)
-    return [
-        PointRecord(eps=eps, alpha=complex(a), lambda_min=float(lm), trunc_n=trunc,
-                    scale=float(sc))
-        for a, lm, sc in zip(alphas, lam_min, scales)
-    ]
+    return _rung_records(eps, alphas, lam_min, max(mp.gamma_indices()), scales)
 
 
 def _diagonal_form(tm, eigs, grid):
@@ -240,23 +238,17 @@ def _scalar_records(w, eps, alphas, ap, bound):
     g = g.reshape(alphas.size, w.size)
     lam_min = g.real.min(axis=1)
     scales = 1.0 + np.abs(g).max(axis=1) + bound
-    trunc = scalar_sum_terms(eps, ap.r)
-    return [
-        PointRecord(eps=eps, alpha=complex(a), lambda_min=float(lm), trunc_n=trunc,
-                    scale=float(sc))
-        for a, lm, sc in zip(alphas, lam_min, scales)
-    ]
+    return _rung_records(eps, alphas, lam_min, scalar_sum_terms(eps, ap.r), scales)
 
 
-def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
-               threads: int | None = None) -> Certificate:
+def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certificate:
     """Decide annulus contractivity on the sampled grid.
 
     Spectrum containment is checked first; the pencil sweep then records the
     smallest eigenvalue of Re Gamma(alpha T) at every grid point.  Any point
     below -PSD_TOL * (1 + ||Gamma||) refutes.  Truncation failures downgrade
-    the verdict to inconclusive unless a refutation was found anyway.
-    ``threads`` (at least 1) caps concurrent eps rungs, as does os.cpu_count().
+    the verdict to inconclusive unless a refutation was found anyway.  Rungs
+    run serially, in grid order.
 
     Near-normal T takes the scalar route where it can.  With T = U (D + F) U*
     (``_diagonal_form``), Gamma(alpha T) is unitarily similar to
@@ -266,8 +258,6 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     distance, rounding included, fits ROUNDING_BUDGET reads its records off
     one ``gamma_scalar_batch`` call; every other rung runs the matrix sweep.
     """
-    if threads is not None and threads < 1:
-        raise DomainError(f"threads must be at least 1, got {threads}")
     tm = as_matrix(t)
     eigs = eigenvalues(tm)
     if not eigenvalues_in_annulus(eigs, ap):
@@ -275,29 +265,20 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
                            ("spectrum outside the closed annulus",))
     alphas = grid.alphas()
     form = _diagonal_form(tm, eigs, grid)
-
-    def run(eps):
-        if form is not None:
-            bound = scalar_pencil_bound(form[0], form[1], eps, ap)
-            if bound <= ROUNDING_BUDGET:
-                return _scalar_records(form[0], eps, alphas, ap, bound), None, (eps, bound)
+    records, diagnostics, scalar_rungs = [], [], []
+    for eps in grid.eps_values:
+        bound = np.inf if form is None else scalar_pencil_bound(form[0], form[1], eps, ap)
+        if bound <= ROUNDING_BUDGET:
+            records += _scalar_records(form[0], eps, alphas, ap, bound)
+            scalar_rungs.append((eps, bound))
+            continue
         try:
-            return _eps_records(tm, eps, alphas, ap), None, None
+            records += _eps_records(tm, eps, alphas, ap)
         except TruncationError as exc:
-            return [], f"eps={eps}: {exc}", None
-
-    nthreads = 1 if threads is None else min(int(threads), len(grid.eps_values), os.cpu_count() or 1)
-    if nthreads <= 1:
-        outcomes = [run(eps) for eps in grid.eps_values]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            outcomes = list(pool.map(run, grid.eps_values))
-    records = [rec for recs, _, _ in outcomes for rec in recs]
-    diagnostics = tuple(diag for _, diag, _ in outcomes if diag is not None)
-    scalar_rungs = tuple(rung for _, _, rung in outcomes if rung is not None)
+            diagnostics.append(f"eps={eps}: {exc}")
 
     if not records:
-        return Certificate(VERDICT_INCONCLUSIVE, True, None, None, (), grid, diagnostics)
+        return Certificate(VERDICT_INCONCLUSIVE, True, None, None, (), grid, tuple(diagnostics))
     slack = np.array([rec.lambda_min + PSD_TOL * rec.scale for rec in records])
     worst_idx = int(np.argmin(slack))
     min_margin = float(min(rec.lambda_min for rec in records))
@@ -308,7 +289,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID,
     else:
         verdict = VERDICT_CERTIFIED
     return Certificate(verdict, True, min_margin, records[worst_idx], tuple(records), grid,
-                       diagnostics, scalar_rungs)
+                       tuple(diagnostics), tuple(scalar_rungs))
 
 
 # --- von Neumann sampling -------------------------------------------------
@@ -419,9 +400,9 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     tm = as_matrix(t)
-    if not spectrum_in_annulus(tm, ap):
-        raise DomainError("vn_sample requires the spectrum inside the closed annulus")
     eigs = eigenvalues(tm)
+    if not eigenvalues_in_annulus(eigs, ap):
+        raise DomainError("vn_sample requires the spectrum inside the closed annulus")
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness: RationalFunction | None = None

@@ -122,7 +122,7 @@ def _cert_exit(cert: Certificate) -> int:
 def _cmd_certify(args) -> int:
     t = load_matrix(args.matrix)
     grid = _grid_from_args(args)
-    cert = certify_ar(t, AnnulusParams(args.r), grid, threads=args.threads)
+    cert = certify_ar(t, AnnulusParams(args.r), grid)
     _emit(cert.to_dict(), args.out)
     return _cert_exit(cert)
 
@@ -203,9 +203,6 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--r", type=float, required=True)
     add_grid_flags(p)
-    p.add_argument("--threads", type=int,
-                   help="eps-level parallelism, at least 1, capped at the eps count and the cores "
-                        "(default: serial)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 

@@ -11,7 +11,6 @@ from annulus_cert.certifier import (
     certify_ar,
     check_thm_block1,
     check_thm_block2,
-    spectrum_in_annulus,
     vn_sample,
 )
 from annulus_cert.blocks import BlockSpec, assemble, unit_block
@@ -29,6 +28,7 @@ from annulus_cert.pencil import (
     gamma_scalar_batch,
     scalar_pencil_bound,
     scalar_sum_terms,
+    spectrum_in_annulus,
 )
 from annulus_cert.rational import RationalFunction, eval_matrix, sup_on_annulus
 
@@ -82,44 +82,6 @@ class TestCertifyAr:
         th = misra_threshold(w, 0.5)
         cert = certify_ar(jordan_block(w, 0.9 * th), AP5)
         assert cert.verdict == "certified"
-
-    def test_threads_match_sequential(self):
-        t = random_normal_annulus(3, AP5, seed=4)
-        seq = certify_ar(t, AP5)
-        par = certify_ar(t, AP5, threads=4)
-        assert seq.verdict == par.verdict
-        assert seq.min_margin == par.min_margin
-        assert [r.lambda_min for r in seq.records] == [r.lambda_min for r in par.records]
-
-    @pytest.mark.parametrize("cores, expected", [(4, 4), (None, None)])
-    def test_pool_capped_at_cores(self, monkeypatch, cores, expected):
-        # a stub pool records its size and maps serially, so no thread starts
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(certifier, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(certifier.os, "cpu_count", lambda: cores)
-        t = 0.7 * np.eye(2)
-        cert = certify_ar(t, AP5, threads=100_000)
-        assert sizes == ([] if expected is None else [expected])
-        assert cert.to_dict() == certify_ar(t, AP5, threads=1).to_dict()
-
-    @pytest.mark.parametrize("threads", [0, -5])
-    def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(DomainError, match="threads"):
-            certify_ar(np.eye(2) * 0.7, AP5, threads=threads)
 
     def test_monotone_flip_in_h(self):
         # margins decrease with |h|; the verdict flips exactly once
@@ -351,6 +313,17 @@ class TestScalarRoute:
         assert cert.verdict == ref.verdict == "certified"
         assert cert.records[64:] == ref.records[64:]
         assert cert.to_dict()["scalar_rungs"] == [{"eps": 0.01, "bound": cert.scalar_rungs[0][1]}]
+
+    def test_scalar_truncated_and_matrix_rungs_in_grid_order(self):
+        # eps = 0.01 fits the budget, 1e-9 puts the unit eigenvalue on the
+        # band edge and 0.001 falls back to the sweep
+        t, grid = np.diag([1.0, 0.7]), PencilGrid((0.01, 1e-9, 0.001), 64)
+        cert = certify_ar(t, AP5, grid)
+        assert cert.verdict == "inconclusive"
+        assert [rec.eps for rec in cert.records] == [0.01] * 64 + [0.001] * 64
+        assert cert.records[64:] == _matrix_route(t, AP5, PencilGrid((0.001,), 64)).records
+        assert [eps for eps, _ in cert.scalar_rungs] == [0.01]
+        assert len(cert.diagnostics) == 1 and cert.diagnostics[0].startswith("eps=1e-09:")
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(n=st.integers(1, 6), r=_RADII, seed=st.integers(0, 2**31 - 1),

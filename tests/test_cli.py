@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annulus_cert import cli
 from annulus_cert.blocks import BlockSpec, assemble
 from annulus_cert.certifier import (
     DEFAULT_GRID,
@@ -156,19 +155,6 @@ class TestCertifyCommand:
         assert code == 2
         assert doc["spectrum_ok"] is True
         assert "diverges on the band edge" in doc["diagnostics"][0]
-
-    @pytest.mark.parametrize("argv, threads", [([], None), (["--threads", "2"], 2)])
-    def test_serial_unless_threads_given(self, files, capsys, monkeypatch, argv, threads):
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs["threads"])
-            return certify_ar(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "certify_ar", recording)
-        assert main(["certify", "--matrix", files["eye"], "--r", "0.5", *argv]) == 0
-        capsys.readouterr()
-        assert seen == [threads]
 
     def test_missing_file_usage_error(self, files):
         assert main(["certify", "--matrix", "nope.json", "--r", "0.5"]) == 64
@@ -451,19 +437,17 @@ def _eps_lists(values, min_size):
 _VALID_FLAGS = {
     "--alphas": st.none() | st.integers(8, 64),
     "--eps": st.none() | _eps_lists(["0.5", "0.1", "1e-3"], 1),
-    "--threads": st.none() | st.integers(1, 3),
     "--m": st.none() | st.integers(8, 2048),
     "--r": st.sampled_from(["0.5", "0.3", "0.75", "1e-300"]),
 }
 _HOSTILE_FLAGS = {
     "--alphas": st.integers(-2, 7) | _huge(MAX_ALPHAS),
     "--eps": _eps_lists(["0", "1", "-0.2", "nan", "inf", "x"], 0),
-    "--threads": st.integers(-2, 0),
     "--m": st.integers(-2, 7) | _huge(MAX_SAMPLES),
     "--r": st.sampled_from(["0", "1", "-1", "nan", "inf", "x"]),
 }
 _COMMAND_FLAGS = {
-    "certify": ["--alphas", "--eps", "--threads", "--r"],
+    "certify": ["--alphas", "--eps", "--r"],
     "thm": ["--alphas", "--eps", "--r"],
     "vn": ["--m", "--r"],
 }
@@ -642,8 +626,6 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--alphas", "0"],
-        ["certify", "--threads", "0"],
-        ["certify", "--threads", "-5"],
         ["thm", "--which", "block1", "--alphas", "0"],
         ["vn", "--count", "-3"],
         ["vn", "--count", "0"],
@@ -653,10 +635,15 @@ class TestHostileInputs:
                   "thm": ["--t1", files["t"], "--x", files["x_small"]]}[argv[0]]
         assert main([*argv, *inputs, "--r", "0.5"]) == 64
 
-    @pytest.mark.parametrize("flag", [["--tail-tol", "1e-4"], ["--n-max", "8"]], ids=lambda f: f[0])
-    @pytest.mark.parametrize("cmd", ["certify", "thm"])
+    @pytest.mark.parametrize("cmd, flag", [
+        pytest.param(cmd, flag, id=f"{cmd}-{flag[0]}")
+        for cmd, flag in [("certify", ["--tail-tol", "1e-4"]), ("certify", ["--n-max", "8"]),
+                          ("thm", ["--tail-tol", "1e-4"]), ("thm", ["--n-max", "8"]),
+                          ("certify", ["--threads", "2"])]
+    ])
     def test_removed_truncation_flags_usage_error(self, files, cmd, flag):
-        # the truncation rule is fixed; a loose tail used to refute contractions
+        # the truncation rule is fixed; a loose tail used to refute contractions.
+        # certify runs its eps rungs serially, so it has no pool to size either.
         inputs = {"certify": ["--matrix", files["t"]],
                   "thm": ["--which", "block1", "--t1", files["t"], "--x", files["x_small"]]}[cmd]
         proc = run_cli(cmd, *inputs, *THM_GRID, *flag)
