@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockSpec, assemble, unit_block
-from .errors import DomainError, TruncationError
+from .errors import ContractViolationError, DomainError, SingularityError, TruncationError
 from .factorization import compress_through, factor_through, halmos_unitary
 from .io import complex_pair
 from .numerics import (
@@ -50,6 +50,7 @@ from .pencil import (
 )
 from .rational import (
     RationalFunction,
+    _stack,
     eval_matrix,
     polymul,
     sup_on_annulus,
@@ -298,6 +299,10 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certifi
 # boundary sup and its recentered candidates a second one.
 _VN_BLOCK = 256
 
+# Entries of the f(T) stack ``vn_sample`` evaluates at once, so its memory
+# does not grow with the block: max(1, _VN_CHUNK // n^2) functions per chunk.
+_VN_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class VnReport:
@@ -368,9 +373,7 @@ def _recenter(f: RationalFunction, sup: float, value: complex,
     c = value / sup
     if abs(c) > 0.999:
         return None
-    n = max(f.p.size, f.q.size)
-    p = np.pad(f.p, (0, n - f.p.size))
-    q = np.pad(f.q, (0, n - f.q.size))
+    p, q = _stack([f.p, f.q])
     for damp in (1.0, 0.9, 0.7):
         cc = damp * c
         cand = RationalFunction(p - (cc * sup) * q, sup * q - np.conj(cc) * p)
@@ -394,8 +397,12 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
     first draws all its functions, then takes their sups in one batched
     ``sup_on_annulus`` call and their ratios.  It then recenters each trial
     whose ratio is at most one and takes the candidates' sups in a second
-    call.  Ratios are folded into the worst in trial order, so the report is
-    the one that trials run one at a time would give.
+    call.  The f(T) of a call's functions with sup |f| >= 1e-14 are evaluated
+    as stacks of at most max(1, _VN_CHUNK // n^2) functions, one
+    ``eval_matrix`` and one stacked norm per chunk.  Ratios are folded into
+    the worst in trial order, so the report is the one that trials run one at
+    a time would give; when a chunk fails, its functions are evaluated again
+    one at a time, so the first failing trial raises its own error.
     """
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
@@ -406,12 +413,24 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness: RationalFunction | None = None
+    rows = max(1, _VN_CHUNK // tm.size)
 
     def ratios_of(fs: list[RationalFunction]) -> tuple[list[float], list[float]]:
         """||f(T)|| / sup |f| and sup |f| per function; the ratio is 0 when sup |f| < 1e-14."""
         sups = sup_on_annulus(fs, ap, m)
-        ratios = [0.0 if sup < 1e-14 else operator_norm(eval_matrix(f, tm)) / sup
-                  for f, sup in zip(fs, sups)]
+        live = [i for i, sup in enumerate(sups) if not sup < 1e-14]
+        norms = np.zeros(len(fs))
+        for j in range(0, len(live), rows):
+            chunk = [fs[i] for i in live[j:j + rows]]
+            try:
+                norms[live[j:j + rows]] = _norm2(eval_matrix(chunk, tm))
+            except (ContractViolationError, SingularityError):
+                # the stack's error need not be the first failing function's;
+                # one at a time, that function raises first
+                for f in chunk:
+                    operator_norm(eval_matrix(f, tm))
+                raise
+        ratios = [0.0 if sup < 1e-14 else norm / sup for norm, sup in zip(norms.tolist(), sups)]
         return ratios, sups
 
     for start in range(0, count, _VN_BLOCK):

@@ -5,10 +5,10 @@ All operations are pure functions of immutable inputs.  Matrices are square
 point that normalizes and validates operands.  Eigen/SVD work is delegated to
 ``numpy.linalg``; the contracts here fix tolerances and failure modes.
 
-``hermitian_check``, ``sqrt_psd`` and ``psd_pinv`` take a stack (..., n, n)
-of matrices and apply every check to each matrix; a 2-D argument is the
-stack of one.  Stacked eigh and SVD run LAPACK on each matrix in turn, so a
-stack gives bit for bit what its matrices give one at a time.
+``hermitian_check``, ``sqrt_psd``, ``inverse`` and ``psd_pinv`` take a stack
+(..., n, n) of matrices and apply every check to each matrix; a 2-D argument
+is the stack of one.  Stacked eigh, SVD and solve run LAPACK on each matrix
+in turn, so a stack gives bit for bit what its matrices give one at a time.
 """
 
 from __future__ import annotations
@@ -145,12 +145,25 @@ def sqrt_psd(h) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Inverse with an explicit relative singular-value guard."""
-    m = as_matrix(a)
+    """Inverse of each matrix of a stack, with an explicit relative
+    singular-value guard.
+
+    A non-finite matrix anywhere in the stack raises ContractViolationError,
+    as in ``as_matrix``.  Otherwise the first matrix (in C order) whose
+    sigma_min / sigma_max is at most RANK_TOL raises the SingularityError
+    that matrix alone raises.
+    """
+    m = _as_stack(a)
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= RANK_TOL * sv[0] or sv[0] == 0.0:
-        raise SingularityError(f"matrix numerically singular (sigma_min/sigma_max = {sv[-1]:.3e}/{sv[0]:.3e})")
-    return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
+    # sigma_max = 0 makes sigma_min = 0 too, so the one ratio test covers it
+    bad = sv[..., -1] <= RANK_TOL * sv[..., 0]
+    if bad.any():
+        i = _first(bad)
+        raise SingularityError(f"matrix numerically singular "
+                               f"(sigma_min/sigma_max = {sv[i][-1]:.3e}/{sv[i][0]:.3e})")
+    # the identity with one leading axis per stack axis, so solve broadcasts it
+    eye = np.eye(m.shape[-1], dtype=complex)
+    return np.linalg.solve(m, eye.reshape((1,) * (m.ndim - 2) + eye.shape))
 
 
 def psd_pinv(s):

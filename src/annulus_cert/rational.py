@@ -4,9 +4,10 @@ Coefficients are stored ascending.  Evaluation on matrices goes through
 p(T) q(T)^{-1}.  A function finds its poles once, when it is built, from the
 companion-matrix eigenvalues of its denominator (so polynomial roots inherit
 the accuracy contract of the shared eigensolver); every pole test reads those
-moduli.  Boundary sups take a batch of functions at once: their coefficients
-are stacked, zero-padded at the top, and one Horner loop and one golden-section
-pass serve them all with the IEEE operations a single function would see.
+moduli.  Boundary sups and matrix values take a batch of functions at once:
+their coefficients are stacked, zero-padded at the top, and one Horner loop
+(and for sups one golden-section pass) serves them all with the IEEE
+operations a single function would see.
 """
 
 from __future__ import annotations
@@ -114,33 +115,57 @@ def poles_off_annulus(f: RationalFunction, ap: AnnulusParams) -> bool:
 
 
 def polyval_matrix(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(t)
+    """Horner evaluation of ascending coefficients at the matrix T.
+
+    ``c`` is one coefficient vector, giving (n, n), or an (N, d) stack, giving
+    the (N, n, n) stack of its rows' values.  A row's accumulator stays at
+    exactly 0 through its top zero padding, so those steps are skipped, and
+    from its leading coefficient on it takes the steps its trimmed vector
+    takes alone.
+    """
+    c = np.asarray(c)
+    rows = np.atleast_2d(c)
     eye = np.eye(t.shape[0], dtype=complex)
-    for a in c[::-1]:
-        acc = acc @ t + a * eye
-    return acc
+    acc = np.zeros(rows.shape[:1] + t.shape, dtype=complex)
+    lead = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+    for k in range(rows.shape[1] - 1, -1, -1):
+        live = lead >= k
+        step = acc[live] @ t
+        step += rows[live, k, None, None] * eye
+        acc[live] = step
+    return acc[0] if c.ndim == 1 else acc
 
 
-def eval_matrix(f: RationalFunction, t) -> np.ndarray:
-    """f(T) = p(T) q(T)^{-1}.
+def eval_matrix(f: RationalFunction | Sequence[RationalFunction], t) -> np.ndarray:
+    """f(T) = p(T) q(T)^{-1} for one function, giving (n, n), or for a
+    sequence of N, giving the (N, n, n) stack; both take the same path.
+
+    The coefficients are stacked as in ``sup_on_annulus``, so one Horner loop
+    (``polyval_matrix``) per side and one guarded ``inverse`` serve every
+    function.  numpy runs gemm, gesv and gesdd on each matrix of a stack in
+    turn, so each f(T) is bit for bit what its function gives alone.  When
+    some q(T) fails the whole call raises: ContractViolationError if any q(T)
+    is non-finite, else the first singular q(T)'s SingularityError, with the
+    message its function raises alone.
 
     Finite T can overflow inside the Horner steps; numpy's overflow warnings
     are silenced, and the non-finite result is left to the callers' checks
     (``inverse`` or ``operator_norm`` raise ContractViolationError).
     """
+    fs = [f] if isinstance(f, RationalFunction) else list(f)
     tm = as_matrix(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        qt = polyval_matrix(f.q, tm)
         try:
-            qinv = inverse(qt)
+            qinv = inverse(polyval_matrix(_stack([g.q for g in fs]), tm))
         except SingularityError as exc:
             raise SingularityError(f"q(T) is singular: {exc}") from exc
-        return polyval_matrix(f.p, tm) @ qinv
+        ft = polyval_matrix(_stack([g.p for g in fs]), tm) @ qinv
+    return ft[0] if isinstance(f, RationalFunction) else ft
 
 
 def _stack(coeffs) -> np.ndarray:
     """(N, d) array of ascending coefficient vectors, zero-padded at the top."""
-    out = np.zeros((len(coeffs), max(c.size for c in coeffs)), dtype=complex)
+    out = np.zeros((len(coeffs), max((c.size for c in coeffs), default=1)), dtype=complex)
     for row, c in zip(out, coeffs):
         row[:c.size] = c
     return out

@@ -14,7 +14,7 @@ from annulus_cert.certifier import (
     vn_sample,
 )
 from annulus_cert.blocks import BlockSpec, assemble, unit_block
-from annulus_cert.errors import DomainError
+from annulus_cert.errors import ContractViolationError, DomainError, SingularityError
 from annulus_cert.factorization import compress_through, factor_through, halmos_unitary
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.io import matrix_from_dict
@@ -449,6 +449,41 @@ class TestVnSample:
         assert len(sup_args) == count + len(candidates)
         # sup_args keeps every function alive, so equal ids mean the same object
         assert len({id(f) for f in sup_args}) == len(sup_args)
+
+    def test_chunked_report_at_n64(self, monkeypatch):
+        # frozen from the last version that evaluated f(T) one function at a
+        # time; at n = 64 the 40 trials' f(T) span several chunks
+        t = random_normal_annulus(64, AP5, seed=4)
+        sizes = []
+
+        def counting_eval(fs, tm):
+            sizes.append(1 if isinstance(fs, RationalFunction) else len(fs))
+            return eval_matrix(fs, tm)
+
+        monkeypatch.setattr(certifier, "eval_matrix", counting_eval)
+        report = vn_sample(t, AP5, count=40, seed=1)
+        assert report.worst_ratio == 0.999281726138431
+        assert report.witness.p.tolist() == [
+            -0.09197405092453559 - 0.3331087543946214j, -0.5771875058426363 + 0.7487592720022112j,
+            0.6911459130973872 + 2.0777082317745767e-16j]
+        assert report.witness.q.tolist() == [
+            -0.2412282775268045 + 0.18812623250649912j, 1.0691869816207185 + 0.10422950809400028j,
+            -0.23427616270546114 - 0.5651945899692935j]
+        assert len(sizes) >= 3
+        assert max(sizes) == max(1, certifier._VN_CHUNK // t.size)
+
+    @pytest.mark.parametrize("order, error", [((0, 1), ContractViolationError),
+                                              ((1, 0), SingularityError)])
+    def test_first_failing_trial_raises_its_own_error(self, monkeypatch, order, error):
+        # on T = diag(0.7, 0.6), f(T) of the first function overflows and q(T)
+        # of the second is singular; the one earlier in trial order decides
+        fs = [RationalFunction([1e308] * 3, [1.0]), RationalFunction([1.0], [-0.7, 1.0])]
+        draws = iter([fs[i] for i in order])
+        monkeypatch.setattr(certifier, "_blaschke_pair", lambda *args: None)
+        monkeypatch.setattr(certifier, "_plain_rational", lambda rng, ap: next(draws))
+        monkeypatch.setattr(certifier, "sup_on_annulus", lambda fs, ap, m: [1.0] * len(fs))
+        with pytest.raises(error):
+            vn_sample(np.diag([0.7, 0.6]), AP5, count=2)
 
 
 class TestHalmosReconstruction:

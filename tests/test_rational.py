@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from annulus_cert import certifier, rational
 from annulus_cert.blocks import BlockSpec, fcalc
-from annulus_cert.certifier import _blaschke_pair, _plain_rational
+from annulus_cert.certifier import _VN_CHUNK, _blaschke_pair, _plain_rational
 from annulus_cert.errors import DomainError, SingularityError
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.numerics import operator_norm
@@ -108,6 +108,55 @@ class TestEvalMatrix:
             lhs = eval_matrix(scaled, t)
             rhs = eval_matrix(f, alpha * t)
             assert operator_norm(lhs - rhs) < 1e-10 * (1 + operator_norm(rhs))
+
+    @staticmethod
+    def _one_function_loop(f, t):
+        # the per-function evaluation: plain Horner on the trimmed vectors, then gesv
+        eye = np.eye(t.shape[0], dtype=complex)
+
+        def horner(c):
+            acc = np.zeros_like(t)
+            for a in c[::-1]:
+                acc = acc @ t + a * eye
+            return acc
+
+        return horner(f.p) @ np.linalg.solve(horner(f.q), eye)
+
+    def _assert_stack_is_one_at_a_time(self, fs, t):
+        stack = eval_matrix(fs, t)
+        assert stack.shape == (len(fs), *t.shape)
+        for f, ft in zip(fs, stack):
+            assert np.array_equal(ft, eval_matrix(f, t))
+            assert np.array_equal(ft, self._one_function_loop(f, t))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_stack_equals_one_at_a_time(self, rng, n):
+        # numerators and denominators of every degree 0...8, zero-padded to 8
+        t = random_normal_annulus(n, AP5, seed=n).astype(complex)
+        fs = [random_poles_off_rational(rng, AP5, num_deg=d, den_deg=e)
+              for d in range(9) for e in (d, 8 - d)]
+        self._assert_stack_is_one_at_a_time(fs, t)
+
+    def test_stack_spanning_three_chunks_at_n64(self, rng):
+        t = random_normal_annulus(64, AP5, seed=3).astype(complex)
+        fs = [random_poles_off_rational(rng, AP5, num_deg=k % 9, den_deg=(5 * k) % 9)
+              for k in range(3 * (_VN_CHUNK // t.size) + 1)]
+        self._assert_stack_is_one_at_a_time(fs, t)
+
+    def test_singular_member_raises_its_own_error(self):
+        t = np.diag([0.7, 0.6])
+        # q(T) = diag(0, -0.1) for the third function, diag(0.2, 0) for the fifth
+        fs = [RationalFunction([1.0], [2.0, 1.0]), RationalFunction([0.0, 1.0], [1.0]),
+              RationalFunction([1.0], [-0.7, 1.0]), RationalFunction([1.0, 1.0], [3.0]),
+              RationalFunction([1.0], [-1.2, 2.0])]
+        for f in fs[:2]:
+            eval_matrix(f, t)
+        with pytest.raises(SingularityError) as alone:
+            eval_matrix(fs[2], t)
+        with pytest.raises(SingularityError) as stacked:
+            eval_matrix(fs, t)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("q(T) is singular:")
 
 
 # 1 x 1 and 3 x 3 spectra inside the closed annulus r = 0.5
