@@ -26,11 +26,7 @@ from .numerics import (
 )
 from .pencil import (
     AnnulusParams,
-    PencilPoint,
-    gamma_derivative_matrix,
-    gamma_matrix,
     gamma_scalar_batch,
-    spectrum_in_annulus,
 )
 from .rational import (
     RationalFunction,
@@ -66,7 +62,6 @@ from .misra import (
     threshold_via_pencil,
 )
 from .generators import (
-    random_commuting_pair,
     random_contraction,
     random_normal_annulus,
     random_psd,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .numerics import EQ_TOL, MAX_DIM, _upper_block, as_matrix, operator_norm
-from .pencil import AnnulusParams, spectrum_in_annulus
+from .numerics import EQ_TOL, MAX_DIM, _upper_block, as_matrix, eigenvalues, operator_norm
+from .pencil import AnnulusParams, eigenvalues_in_annulus
 from .rational import RationalFunction, eval_matrix, poles_off_annulus
 
 KINDS = ("tx", "hat", "general")
@@ -97,7 +97,8 @@ def fcalc(spec: BlockSpec, f: RationalFunction, ap: AnnulusParams) -> np.ndarray
     e = unit_block(spec)
     if not poles_off_annulus(f, ap):
         raise DomainError("f has poles on the closed annulus")
-    if not (spectrum_in_annulus(spec.t1, ap) and spectrum_in_annulus(spec.t2, ap)):
+    if not (eigenvalues_in_annulus(eigenvalues(spec.t1), ap)
+            and eigenvalues_in_annulus(eigenvalues(spec.t2), ap)):
         raise DomainError(f"spectrum leaves the closed annulus [{ap.r}, 1]")
     n = spec.t1.shape[0]
     fe = eval_matrix(f, e)

@@ -42,7 +42,6 @@ from .pencil import (
     ROUNDING_BUDGET,
     AnnulusParams,
     MatrixPencil,
-    PencilPoint,
     eigenvalues_in_annulus,
     gamma_scalar_batch,
     scalar_pencil_bound,
@@ -235,7 +234,7 @@ def _scalar_records(w, eps, alphas, ap, bound):
     """The records of one rung from Gamma at the scalars alpha w_i: margin
     min_i Re Gamma and scale 1 + max_i |Gamma| + bound, an upper bound of
     1 + ||Gamma(alpha T)||; ``trunc_n`` is the scalar term count."""
-    g = gamma_scalar_batch((alphas[:, None] * w).ravel(), PencilPoint(eps), ap)
+    g = gamma_scalar_batch((alphas[:, None] * w).ravel(), eps, ap)
     g = g.reshape(alphas.size, w.size)
     lam_min = g.real.min(axis=1)
     scales = 1.0 + np.abs(g).max(axis=1) + bound

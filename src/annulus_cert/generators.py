@@ -64,18 +64,3 @@ def random_psd(n: int, seed: int = 0) -> np.ndarray:
     h = re_part(g.conj().T @ g)
     return h / operator_norm(h)
 
-
-def random_commuting_pair(n: int, ap: AnnulusParams, seed: int = 0):
-    """(T1, T2, X): common unitary conjugation of diagonals.
-
-    T1, T2 have annulus spectra, X an arbitrary complex diagonal in the same
-    eigenbasis, so all three commute up to rounding.
-    """
-    _check_dim(n)
-    rng = np.random.default_rng(seed)
-    u = haar_unitary(n, rng)
-    d1 = _annulus_diag(n, ap, rng)
-    d2 = _annulus_diag(n, ap, rng)
-    dx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    conj = lambda d: (u * d) @ u.conj().T
-    return conj(d1), conj(d2), conj(dx)

@@ -26,8 +26,6 @@ V = W^M and R_k = (I - d^{kM} V)^{-1} each bucket closes exactly:
 
     B_b = W^b [a_b I + 2 sum_k (-1)^k d^{k(b+M)} V R_k]        (b = 1..M).
 
-A single arbitrary alpha is the M = 1 sweep of the rotated matrix alpha T.
-
 ``scalar_pencil_bound`` bounds a priori how far Gamma of a perturbed diagonal
 matrix lies from ``gamma_scalar_batch`` at its diagonal, rounding included,
 which lets near-normal T skip the matrix sweep.
@@ -87,32 +85,18 @@ def eigenvalues_in_annulus(eigs: np.ndarray, ap: AnnulusParams) -> bool:
     return bool(np.all((mods >= ap.r - PSD_TOL) & (mods <= 1.0 + PSD_TOL)))
 
 
-def spectrum_in_annulus(t, ap: AnnulusParams) -> bool:
-    """True iff every eigenvalue modulus of T lies in [r - PSD_TOL, 1 + PSD_TOL]."""
-    return eigenvalues_in_annulus(eigenvalues(as_matrix(t)), ap)
-
-
-@dataclass(frozen=True)
-class PencilPoint:
-    """A single (eps, alpha) evaluation point, alpha on the unit circle."""
-
-    eps: float
-    alpha: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise DomainError(f"eps must lie in (0, 1), got {self.eps}")
-        if abs(abs(self.alpha) - 1.0) > 1e-12:
-            raise DomainError(f"alpha must be unimodular, got |alpha| = {abs(self.alpha)}")
-
-
 def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
-    """Both series converge at these moduli, or raise.
+    """Both series converge at eps and these moduli, or raise.
 
-    DomainError when a modulus leaves the band [(1-eps) r, 1/(1-eps)] by more
-    than PSD_TOL, the slack of ``spectrum_in_annulus``; TruncationError when
-    one lies on or past a band edge, where a series ratio reaches 1.
+    DomainError when eps leaves (0, 1), when there is no modulus or one is not
+    finite, or when a modulus leaves the band [(1-eps) r, 1/(1-eps)] by more
+    than PSD_TOL, the slack of ``eigenvalues_in_annulus``; TruncationError
+    when one lies on or past a band edge, where a series ratio reaches 1.
     """
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    if mods.size == 0 or not np.isfinite(mods).all():
+        raise DomainError("the pencil needs at least one point, and only finite ones")
     lo, hi = (1.0 - eps) * r, 1.0 / (1.0 - eps)
     mn, mx = float(mods.min()), float(mods.max())
     if mn < lo - PSD_TOL or mx > hi + PSD_TOL:
@@ -144,23 +128,24 @@ def scalar_sum_terms(eps: float, r: float) -> int:
     return scalar_terms(d, SCALAR_TOL * (1.0 - d) / 8.0)
 
 
-def gamma_scalar_batch(z, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
-    """Vectorized Gamma over an array of scalars, summed in closed form.
+def gamma_scalar_batch(z, eps: float, ap: AnnulusParams) -> np.ndarray:
+    """Vectorized Gamma over an array of scalars u, summed in closed form at u
+    exactly as given (a rotation alpha z is the caller's product).
 
     Expanding a_j = 2 / (1 + d^j) geometrically and summing over j gives
 
-        Gamma(alpha z) = 1 + 2 sum_{k>=0} (-1)^k [x d^k / (1 - x d^k) + y d^k / (1 - y d^k)],
+        Gamma(u) = 1 + 2 sum_{k>=0} (-1)^k [x d^k / (1 - x d^k) + y d^k / (1 - y d^k)],
 
-    with remainder at most 4 d^K / ((1-d)(1-d^K)) after K terms while |x|, |y| < 1.
-    Denominators are formed as (1 - d^k u) + eps d^k u and (u - r d^k) + eps r d^k
-    (u = alpha z), so no 1 - (1-eps) cancels near the circles.
+    with x = (1-eps) u, y = (1-eps) r / u and remainder at most
+    4 d^K / ((1-d)(1-d^K)) after K terms while |x|, |y| < 1.  Denominators are
+    formed as (1 - d^k u) + eps d^k u and (u - r d^k) + eps r d^k, so no
+    1 - (1-eps) cancels near the circles.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    eps, r = pt.eps, ap.r
-    _check_band(np.abs(zs), eps, r)
+    u = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = ap.r
+    _check_band(np.abs(u), eps, r)
     b = 1.0 - eps
     d = b * b * r
-    u = pt.alpha * zs
     acc = np.zeros_like(u)
     for k in range(scalar_sum_terms(eps, r) - 1, -1, -1):
         du, rd = d**k * u, r * d**k
@@ -251,8 +236,8 @@ def _powers(w: np.ndarray, count: int) -> np.ndarray:
 
 
 class MatrixPencil:
-    """Pencil evaluation for one matrix T at one eps, checked by the caller's
-    ``PencilGrid`` or ``PencilPoint``.
+    """Pencil evaluation for one matrix T at one eps; ``_check_band`` rejects
+    eps outside (0, 1) and a spectrum off the convergence band.
 
     A sweep over m alphas adds each side W (X or Y) into the m buckets in
     closed form (module docstring).  The level count L of the resolvent sum
@@ -330,18 +315,13 @@ class MatrixPencil:
                                   f"would reach the refutation slack PSD_TOL = {PSD_TOL:g}")
         return m * np.fft.ifft(buckets, axis=0)
 
-    def gamma_indices(self) -> tuple[int, int]:
-        """Per-side level counts (n_pos, n_neg) of the last sweep (of the M = 1
-        sweep of Gamma if none ran yet)."""
-        if self._levels is None:
-            self.gamma_for_alphas(1)
+    def gamma_indices(self) -> tuple[int, int] | None:
+        """Per-side level counts (n_pos, n_neg) of the last sweep, None before any."""
         return self._levels
 
-    def deriv_indices(self) -> tuple[int, int]:
+    def deriv_indices(self) -> tuple[int, int] | None:
         """The ``gamma_indices`` of the embedded pencil of [[T, I], [0, T]] in
-        the last derivative sweep (of the M = 1 sweep if none ran yet)."""
-        if self._deriv_levels is None:
-            self.derivative_for_alphas(1)
+        the last derivative sweep, None before any."""
         return self._deriv_levels
 
     def derivative_for_alphas(self, m: int) -> np.ndarray:
@@ -354,19 +334,3 @@ class MatrixPencil:
         self._deriv_levels = embedded.gamma_indices()
         return corner
 
-
-def gamma_matrix(t, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
-    """Gamma(alpha T) for a square matrix T with spectrum in the band."""
-    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap)
-    return mp.gamma_for_alphas(1)[0]
-
-
-def gamma_derivative_matrix(t, pt: PencilPoint, ap: AnnulusParams) -> np.ndarray:
-    """Derivative pencil: sum_k k c_k alpha^k T^(k-1).
-
-    This is the z-derivative of z -> Gamma(alpha z) evaluated at T, the unique
-    convention under which Gamma(alpha T_X) has top-right block X times this
-    matrix when X commutes with T.  By the chain rule it is alpha Gamma'(alpha T).
-    """
-    mp = MatrixPencil(pt.alpha * as_matrix(t), pt.eps, ap)
-    return pt.alpha * mp.derivative_for_alphas(1)[0]

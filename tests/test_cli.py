@@ -385,6 +385,26 @@ class TestThmGolden:
         assert rep.to_dict() == {k: v for k, v in doc.items() if k != "which"}
 
 
+CERTIFY_INPUTS = {
+    "normal8": lambda: random_normal_annulus(8, AP5, seed=1),  # certified, three scalar rungs
+    "shift6": lambda: 0.75 * np.eye(6) + 0.2 * np.eye(6, k=1),  # certified on the matrix route
+    "jordan": lambda: np.array([[0.7, 0.5], [0.0, 0.7]]),  # refuted by the pencil
+    "inner": lambda: np.array([[0.4]]),  # refuted by the spectrum check
+}
+
+
+class TestCertifyGolden:
+    """The certify document on both routes and both refutations, frozen."""
+
+    @pytest.mark.parametrize("name, code", [("normal8", 0), ("shift6", 0), ("jordan", 1), ("inner", 1)])
+    def test_output_bytes_frozen(self, tmp_path, capsys, name, code):
+        path = tmp_path / "t.json"
+        save_matrix(CERTIFY_INPUTS[name](), path)
+        assert main(["certify", "--matrix", str(path), "--r", "0.5", "--eps", "0.5,0.1,0.01",
+                     "--alphas", "16"]) == code
+        assert capsys.readouterr().out == (DATA / f"certify_{name}.json").read_text()
+
+
 def _cli_process(*argv):
     """Command line and environment that run the CLI of this checkout in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")

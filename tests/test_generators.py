@@ -5,7 +5,6 @@ from annulus_cert.certifier import certify_ar
 from annulus_cert.errors import DomainError
 from annulus_cert.generators import (
     haar_unitary,
-    random_commuting_pair,
     random_contraction,
     random_normal_annulus,
     random_psd,
@@ -26,12 +25,6 @@ class TestDeterminism:
             a = maker(42)
             b = maker(42)
             assert np.array_equal(a, b)
-
-    def test_commuting_pair_deterministic(self):
-        a = random_commuting_pair(3, AP5, seed=9)
-        b = random_commuting_pair(3, AP5, seed=9)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
 
 
 class TestStructure:
@@ -57,13 +50,6 @@ class TestStructure:
         for seed in range(1000):
             h = random_psd(3, seed=seed)
             assert float(np.linalg.eigvalsh(h)[0]) >= -1e-12
-
-    def test_commuting_defects(self):
-        for seed in range(1000):
-            t1, t2, x = random_commuting_pair(2, AP5, seed=seed)
-            scale = 1.0 + operator_norm(t1) * operator_norm(x)
-            assert operator_norm(x @ t1 - t1 @ x) <= 1e-12 * scale
-            assert operator_norm(x @ t2 - t2 @ x) <= 1e-12 * scale
 
     def test_haar_unitary(self):
         u = haar_unitary(4, np.random.default_rng(7))

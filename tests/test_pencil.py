@@ -11,9 +11,6 @@ from annulus_cert.numerics import operator_norm, re_part
 from annulus_cert.pencil import (
     AnnulusParams,
     MatrixPencil,
-    PencilPoint,
-    gamma_derivative_matrix,
-    gamma_matrix,
     gamma_scalar_batch,
     scalar_terms,
 )
@@ -35,12 +32,12 @@ def gamma_nsum(z, eps, r):
 
 class TestGammaScalar:
     def test_wide_truncation_oracle_at_one(self):
-        mine = gamma_scalar_batch(1.0, PencilPoint(0.5), AP5)[0]
+        mine = gamma_scalar_batch(1.0, 0.5, AP5)[0]
         assert abs(mine - gamma_nsum(1.0, 0.5, 0.5)) < 1e-10
 
     def test_extended_precision_interior_point(self):
         z = -0.3
-        mine = gamma_scalar_batch(z, PencilPoint(0.01), AnnulusParams(0.3))[0]
+        mine = gamma_scalar_batch(z, 0.01, AnnulusParams(0.3))[0]
         assert abs(mine - gamma_nsum(z, 0.01, 0.3)) < 2e-10
 
     def test_scalar_positivity_small_grid(self):
@@ -52,15 +49,15 @@ class TestGammaScalar:
             z = np.outer(radii, angles).ravel()
             for eps in (0.5, 0.25, 0.1):
                 for alpha in (1.0, 1j, -1.0):
-                    vals = gamma_scalar_batch(z, PencilPoint(eps, alpha), ap)
+                    vals = gamma_scalar_batch(alpha * z, eps, ap)
                     assert float(np.min(vals.real)) >= -1e-9
 
     def test_batch_matches_pointwise(self):
         z = np.array([0.55, 0.8 + 0.1j, -0.95j])
-        pt = PencilPoint(0.1, np.exp(0.3j))
-        batch = gamma_scalar_batch(z, pt, AP5)
+        alpha = np.exp(0.3j)
+        batch = gamma_scalar_batch(alpha * z, 0.1, AP5)
         for zi, vi in zip(z, batch):
-            assert abs(gamma_scalar_batch(zi, pt, AP5)[0] - vi) < 1e-10
+            assert abs(gamma_scalar_batch(alpha * zi, 0.1, AP5)[0] - vi) < 1e-10
 
     def test_reports_truncation_indices(self):
         # the level count of the resolvent sum is fixed by d, m and the norms
@@ -72,19 +69,24 @@ class TestGammaScalar:
 
     def test_outside_band_rejected(self):
         with pytest.raises(DomainError):
-            gamma_scalar_batch(0.2, PencilPoint(0.5), AP5)
+            gamma_scalar_batch(0.2, 0.5, AP5)
+
+    @pytest.mark.parametrize("z", [[], [0.7, float("nan")], [0.7, complex(0.0, float("inf"))]])
+    def test_empty_or_non_finite_points_rejected(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            gamma_scalar_batch(z, 0.5, AP5)
 
     def test_band_edge_matches_reference(self):
         # just inside the outer band edge, where a term-by-term sum needs
         # tens of thousands of terms
         ref = gamma_nsum(1.0, 0.001, 0.5)
-        assert abs(gamma_scalar_batch(1.0, PencilPoint(0.001), AP5)[0] - ref) <= 1e-13 * abs(ref)
+        assert abs(gamma_scalar_batch(1.0, 0.001, AP5)[0] - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("z", [2.0, 0.25])
     def test_exact_band_edge_diverges(self, z):
         # at eps = 0.5 the band of r = 0.5 is [0.25, 2]; on its edge |x| or |y| is 1
         with pytest.raises(TruncationError, match="diverges"):
-            gamma_scalar_batch(z, PencilPoint(0.5), AP5)
+            gamma_scalar_batch(z, 0.5, AP5)
 
     @pytest.mark.parametrize("r", [0.3, 0.5])
     @pytest.mark.parametrize("eps", [0.5, 1e-3, 1e-6])
@@ -95,7 +97,7 @@ class TestGammaScalar:
         for rho in (r, 1.0):
             z = rho * angles
             for alpha in (1.0, 1j):  # alpha z stays exact in floating point
-                vals = gamma_scalar_batch(z, PencilPoint(eps, alpha), ap)
+                vals = gamma_scalar_batch(alpha * z, eps, ap)
                 for zi, vi in zip(z, vals):
                     ref = gamma_nsum(alpha * zi, eps, r)
                     assert abs(vi - ref) <= 1e-13 * max(1.0, abs(ref))
@@ -120,30 +122,29 @@ class TestGammaScalar:
 
 class TestGammaMatrix:
     def test_diagonal_matches_scalar(self):
-        pt = PencilPoint(0.1, np.exp(0.7j))
+        alpha = np.exp(0.7j)
         zs = np.array([0.6, 0.9 * np.exp(2j)])
-        g = gamma_matrix(np.diag(zs), pt, AP5)
+        g = MatrixPencil(alpha * np.diag(zs), 0.1, AP5).gamma_for_alphas(1)[0]
         for i, z in enumerate(zs):
-            assert abs(g[i, i] - gamma_scalar_batch(z, pt, AP5)[0]) < 5e-9
+            assert abs(g[i, i] - gamma_scalar_batch(alpha * z, 0.1, AP5)[0]) < 5e-9
         assert abs(g[0, 1]) == 0.0
 
     def test_scalar_multiple_of_identity(self):
-        pt = PencilPoint(0.3)
-        g = gamma_matrix(0.5 * np.eye(3), pt, AP5)
-        assert operator_norm(g - gamma_scalar_batch(0.5, pt, AP5)[0] * np.eye(3)) < 1e-9
+        g = MatrixPencil(0.5 * np.eye(3), 0.3, AP5).gamma_for_alphas(1)[0]
+        assert operator_norm(g - gamma_scalar_batch(0.5, 0.3, AP5)[0] * np.eye(3)) < 1e-9
 
     def test_normal_spectral_mapping(self):
         t = random_normal_annulus(4, AP5, seed=5)
-        pt = PencilPoint(0.1, np.exp(1.1j))
-        g = gamma_matrix(t, pt, AP5)
+        alpha = np.exp(1.1j)
+        g = MatrixPencil(alpha * t, 0.1, AP5).gamma_for_alphas(1)[0]
         lam_t = np.linalg.eigvals(t)
-        mapped = np.array([gamma_scalar_batch(z, pt, AP5)[0] for z in lam_t])
+        mapped = np.array([gamma_scalar_batch(alpha * z, 0.1, AP5)[0] for z in lam_t])
         assert eig_match_max(np.linalg.eigvals(g), mapped) < 1e-8
 
     def test_reports_indices(self):
-        # before any sweep the index methods run the M = 1 sweep
-        n_pos, n_neg = MatrixPencil(0.7 * np.eye(2), 0.25, AP5).gamma_indices()
-        assert n_pos >= 1 and n_neg >= 1
+        # before any sweep there are no level counts to report
+        fresh = MatrixPencil(0.7 * np.eye(2), 0.25, AP5)
+        assert fresh.gamma_indices() is None and fresh.deriv_indices() is None
         # a large nilpotent part needs more levels on both sides (d^L ||W|| <= 1)
         levels = []
         for t in (0.7 * np.eye(2), jordan_block(0.7, 50.0)):
@@ -155,32 +156,28 @@ class TestGammaMatrix:
 
     def test_singular_rejected(self):
         with pytest.raises(DomainError):
-            gamma_matrix(np.diag([0.7, 0.0]), PencilPoint(0.5), AP5)
+            MatrixPencil(np.diag([0.7, 0.0]), 0.5, AP5)
 
     def test_spectrum_outside_band_rejected(self):
         with pytest.raises(DomainError):
-            gamma_matrix(np.diag([3.0]), PencilPoint(0.5), AP5)
+            MatrixPencil(np.diag([3.0]), 0.5, AP5)
 
 
-class TestPencilPoint:
-    # the only eps check in front of gamma_matrix, gamma_derivative_matrix
-    # and gamma_scalar_batch
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, float("nan")])
+class TestEpsGate:
+    # both pencil entry points check eps before any series is summed
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, float("nan"), 1.5])
     def test_eps_outside_unit_interval_rejected(self, eps):
-        with pytest.raises(DomainError, match="eps must lie in"):
-            PencilPoint(eps)
-
-    def test_alpha_off_the_circle_rejected(self):
-        with pytest.raises(DomainError, match="unimodular"):
-            PencilPoint(0.5, 1.1j)
+        with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
+            gamma_scalar_batch(0.7, eps, AP5)
+        with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
+            MatrixPencil(np.array([[0.7]]), eps, AP5)
 
 
 class TestGammaDerivative:
     def test_identity_matches_scalar_derivative_sum(self):
-        pt = PencilPoint(0.25, 1.0)
-        d = gamma_derivative_matrix(np.eye(2), pt, AP5)
+        d = MatrixPencil(np.eye(2), 0.25, AP5).derivative_for_alphas(1)[0]
         # term-by-term scalar differentiation at z = 1, c_k from its definition
-        b, r = 1.0 - pt.eps, AP5.r
+        b, r = 1.0 - 0.25, AP5.r
         total = sum(
             k * 2.0 * b**k / (1.0 + b ** (2 * k) * r**k) for k in range(-400, 401) if k != 0
         )
@@ -188,19 +185,20 @@ class TestGammaDerivative:
 
     def test_block_series_cross_check(self):
         t = random_normal_annulus(3, AP5, seed=9)
-        pt = PencilPoint(0.1, np.exp(0.7j))
+        alpha = np.exp(0.7j)
         block = assemble(BlockSpec("tx", t, np.eye(3)))
-        g2n = gamma_matrix(block, pt, AP5)
-        d = gamma_derivative_matrix(t, pt, AP5)
+        g2n = MatrixPencil(alpha * block, 0.1, AP5).gamma_for_alphas(1)[0]
+        # z -> Gamma(alpha z) differentiated at T is alpha Gamma'(alpha T)
+        d = alpha * MatrixPencil(alpha * t, 0.1, AP5).derivative_for_alphas(1)[0]
         assert operator_norm(g2n[:3, 3:] - d) < 1e-8
 
     def test_finite_difference(self):
-        pt = PencilPoint(0.2, np.exp(0.4j))
+        alpha = np.exp(0.4j)
         z0 = 0.75 + 0.05j
-        d = gamma_derivative_matrix(np.array([[z0]]), pt, AP5)[0, 0]
+        d = alpha * MatrixPencil(np.array([[alpha * z0]]), 0.2, AP5).derivative_for_alphas(1)[0, 0, 0]
         h = 1e-6
-        fd = (gamma_scalar_batch(z0 + h, pt, AP5)[0]
-              - gamma_scalar_batch(z0 - h, pt, AP5)[0]) / (2 * h)
+        fd = (gamma_scalar_batch(alpha * (z0 + h), 0.2, AP5)[0]
+              - gamma_scalar_batch(alpha * (z0 - h), 0.2, AP5)[0]) / (2 * h)
         assert abs(d - fd) < 1e-7
 
 
@@ -321,9 +319,10 @@ class TestAlphaFold:
     def test_single_alpha_off_the_grid(self):
         t = shift_chain(3, 0.15)
         alpha = np.exp(0.3j)
-        g = gamma_matrix(t, PencilPoint(0.1, alpha), AP5)
+        rotated = MatrixPencil(alpha * t, 0.1, AP5)
+        g = rotated.gamma_for_alphas(1)[0]
         assert rel_diff(g, reference_pencil(t, 0.1, 0.5, [alpha])[0]) <= 1e-12
-        d = gamma_derivative_matrix(t, PencilPoint(0.1, alpha), AP5)
+        d = alpha * rotated.derivative_for_alphas(1)[0]
         ref_core = reference_pencil(t, 0.1, 0.5, [alpha], weighted=True)
         assert rel_diff(d, np.linalg.inv(t) @ ref_core[0]) <= 1e-12
 
@@ -335,14 +334,15 @@ class TestAlphaFold:
         mp_ = MatrixPencil(t, eps, AP5)
         gam = mp_.gamma_for_alphas(m)
         der = mp_.derivative_for_alphas(m)
-        levels = MatrixPencil(t, eps, AP5).gamma_indices()
-        deriv_levels = MatrixPencil(embedded(t), eps, AP5).gamma_indices()
+        single = MatrixPencil(t, eps, AP5)
+        single.gamma_for_alphas(1)
+        single.derivative_for_alphas(1)
+        levels, deriv_levels = single.gamma_indices(), single.deriv_indices()
         for k, alpha in enumerate(roots_of_unity(m)):
-            pt = PencilPoint(eps, alpha)
-            assert rel_diff(gamma_matrix(t, pt, AP5), gam[k]) <= 1e-12
-            assert rel_diff(gamma_derivative_matrix(t, pt, AP5), der[k]) <= 1e-12
-            # the level rule reads only norms, which a rotation keeps
             rotated = MatrixPencil(alpha * t, eps, AP5)
+            assert rel_diff(rotated.gamma_for_alphas(1)[0], gam[k]) <= 1e-12
+            assert rel_diff(alpha * rotated.derivative_for_alphas(1)[0], der[k]) <= 1e-12
+            # the level rule reads only norms, which a rotation keeps
             assert rotated.gamma_indices() == levels
             assert rotated.deriv_indices() == deriv_levels
 
@@ -350,7 +350,7 @@ class TestAlphaFold:
         # eigenvalue 1 sits just inside the outer band edge at eps = 0.001,
         # where a term-by-term sum needs tens of thousands of terms
         t = np.diag([1.0, 0.7])
-        ref = [np.diag(gamma_scalar_batch(np.diag(t), PencilPoint(0.001, alpha), AP5))
+        ref = [np.diag(gamma_scalar_batch(alpha * np.diag(t), 0.001, AP5))
                for alpha in roots_of_unity(64)]
         assert rel_diff(MatrixPencil(t, 0.001, AP5).gamma_for_alphas(64), np.array(ref)) <= 1e-12
 
