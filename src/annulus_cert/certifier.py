@@ -21,6 +21,7 @@ compare the result with the assembled block's certificate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .factorization import compress_through, factor_through, halmos_unitary
 from .io import complex_pair
 from .numerics import (
     PSD_TOL,
+    _check_integer,
     _norm2,
     as_matrix,
     eigenvalues,
@@ -75,8 +77,9 @@ class PencilGrid:
         if len(self.eps_values) == 0:
             raise DomainError("need at least one eps value")
         for e in self.eps_values:
-            if not (0.0 < e < 1.0):
-                raise DomainError(f"eps values must lie in (0, 1), got {e}")
+            if not (isinstance(e, numbers.Real) and 0.0 < e < 1.0):
+                raise DomainError(f"eps values must lie in (0, 1), got {e!r}")
+        _check_integer("alpha_count", self.alpha_count)
         if not 8 <= self.alpha_count <= MAX_ALPHAS:
             raise DomainError(f"alpha_count must lie in [8, {MAX_ALPHAS}], got {self.alpha_count}")
 
@@ -85,7 +88,7 @@ class PencilGrid:
         return np.exp(2j * np.pi * j / self.alpha_count)
 
     def to_dict(self) -> dict:
-        return {"eps_values": list(self.eps_values), "alpha_count": self.alpha_count}
+        return {"eps_values": list(self.eps_values), "alpha_count": int(self.alpha_count)}
 
 
 DEFAULT_GRID = PencilGrid()
@@ -96,42 +99,31 @@ def _point_dict(eps: float, alpha: complex, **fields) -> dict:
     return {"eps": eps, "alpha": complex_pair(alpha), **fields}
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One grid point of a certificate.
-
-    ``scale`` is 1 + ||Gamma(alpha T)||, the factor of the refutation slack
-    PSD_TOL * scale.  On the matrix route it is exact at every point whose
-    slack could be the least of its eps rung, and elsewhere an upper bound
-    (1 + ||Gamma||_F, widened past rounding), which cannot make the point the
-    worst or refute.  On the scalar route it is the upper bound
-    1 + max_i |Gamma(alpha w_i)| plus the rung's bound.  It is not serialized.
-    ``trunc_n`` is the larger per-side level count of the resolvent sum on the
-    matrix route and the term count of ``gamma_scalar_batch`` on the scalar
-    route.
-    """
-
-    eps: float
-    alpha: complex
-    lambda_min: float
-    trunc_n: int
-    scale: float
-
-    def to_dict(self) -> dict:
-        return _point_dict(self.eps, self.alpha, lambda_min=self.lambda_min, trunc_n=self.trunc_n)
+# One row per grid point of a certificate.  ``scale`` is 1 + ||Gamma(alpha T)||,
+# the factor of the refutation slack PSD_TOL * scale.  On the matrix route it is
+# exact at every point whose slack could be the least of its eps rung, and
+# elsewhere an upper bound (1 + ||Gamma||_F, widened past rounding), which
+# cannot make the point the worst or refute.  On the scalar route it is the
+# upper bound 1 + max_i |Gamma(alpha w_i)| plus the rung's bound.  It is not
+# serialized.  ``trunc_n`` is the larger per-side level count of the resolvent
+# sum on the matrix route and the term count of ``gamma_scalar_batch`` on the
+# scalar route.
+RECORD = np.dtype([("eps", "f8"), ("alpha", "c16"), ("lambda_min", "f8"), ("trunc_n", "i8"),
+                   ("scale", "f8")])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
-    """Verdict of ``certify_ar``; ``worst_point`` is the record of least slack.
-    ``scalar_rungs`` holds (eps, bound) for every rung decided on the scalar
-    route, in grid order."""
+    """Verdict of ``certify_ar``.  ``records`` holds one RECORD row per
+    evaluated grid point, in grid order; ``worst_point`` is its row of least
+    slack.  ``scalar_rungs`` holds (eps, bound) for every rung decided on the
+    scalar route, in grid order."""
 
     verdict: str
     spectrum_ok: bool
     min_margin: float | None
-    worst_point: PointRecord | None
-    records: tuple = ()
+    worst_point: np.void | None
+    records: np.ndarray
     grid: PencilGrid = DEFAULT_GRID
     diagnostics: tuple = ()
     scalar_rungs: tuple = ()
@@ -146,9 +138,10 @@ class Certificate:
             "verdict": self.verdict,
             "spectrum_ok": self.spectrum_ok,
             "min_margin": self.min_margin,
-            "worst": None if worst is None else _point_dict(worst.eps, worst.alpha),
+            "worst": None if worst is None else _point_dict(*worst.item()[:2]),
             "grid": self.grid.to_dict(),
-            "records": [rec.to_dict() for rec in self.records],
+            "records": [_point_dict(eps, a, lambda_min=lm, trunc_n=n)
+                        for eps, a, lm, n, _ in self.records.tolist()],
             "diagnostics": list(self.diagnostics),
             "scalar_rungs": [{"eps": eps, "bound": bound} for eps, bound in self.scalar_rungs],
         }
@@ -156,9 +149,10 @@ class Certificate:
 
 def _rung_records(eps, alphas, lam_min, trunc, scales):
     """The records of one eps rung, one per alpha, in grid order."""
-    return [PointRecord(eps=eps, alpha=complex(a), lambda_min=float(lm), trunc_n=trunc,
-                        scale=float(sc))
-            for a, lm, sc in zip(alphas, lam_min, scales)]
+    recs = np.empty(alphas.size, RECORD)
+    recs["eps"], recs["alpha"], recs["lambda_min"] = eps, alphas, lam_min
+    recs["trunc_n"], recs["scale"] = trunc, scales
+    return recs
 
 
 def _eps_records(t, eps, alphas, ap):
@@ -261,35 +255,36 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certifi
     tm = as_matrix(t)
     eigs = eigenvalues(tm)
     if not eigenvalues_in_annulus(eigs, ap):
-        return Certificate(VERDICT_REFUTED, False, None, None, (), grid,
+        return Certificate(VERDICT_REFUTED, False, None, None, np.empty(0, RECORD), grid,
                            ("spectrum outside the closed annulus",))
     alphas = grid.alphas()
     form = _diagonal_form(tm, eigs, grid)
-    records, diagnostics, scalar_rungs = [], [], []
+    rungs, diagnostics, scalar_rungs = [], [], []
     for eps in grid.eps_values:
         bound = np.inf if form is None else scalar_pencil_bound(form[0], form[1], eps, ap)
         if bound <= ROUNDING_BUDGET:
-            records += _scalar_records(form[0], eps, alphas, ap, bound)
+            rungs.append(_scalar_records(form[0], eps, alphas, ap, bound))
             scalar_rungs.append((eps, bound))
             continue
         try:
-            records += _eps_records(tm, eps, alphas, ap)
+            rungs.append(_eps_records(tm, eps, alphas, ap))
         except TruncationError as exc:
             diagnostics.append(f"eps={eps}: {exc}")
 
-    if not records:
-        return Certificate(VERDICT_INCONCLUSIVE, True, None, None, (), grid, tuple(diagnostics))
-    slack = np.array([rec.lambda_min + PSD_TOL * rec.scale for rec in records])
-    worst_idx = int(np.argmin(slack))
-    min_margin = float(min(rec.lambda_min for rec in records))
-    if slack[worst_idx] < 0.0:
+    if not rungs:
+        return Certificate(VERDICT_INCONCLUSIVE, True, None, None, np.empty(0, RECORD), grid,
+                           tuple(diagnostics))
+    records = np.concatenate(rungs)
+    slack = records["lambda_min"] + PSD_TOL * records["scale"]
+    worst = int(np.argmin(slack))
+    if slack[worst] < 0.0:
         verdict = VERDICT_REFUTED
     elif diagnostics:
         verdict = VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_CERTIFIED
-    return Certificate(verdict, True, min_margin, records[worst_idx], tuple(records), grid,
-                       tuple(diagnostics), tuple(scalar_rungs))
+    return Certificate(verdict, True, float(records["lambda_min"].min()), records[worst], records,
+                       grid, tuple(diagnostics), tuple(scalar_rungs))
 
 
 # --- von Neumann sampling -------------------------------------------------
@@ -403,6 +398,7 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
     a time would give; when a chunk fails, its functions are evaluated again
     one at a time, so the first failing trial raises its own error.
     """
+    _check_integer("count", count)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     tm = as_matrix(t)
@@ -454,7 +450,7 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
         for ratio, f in zip(ratios, fs):
             if ratio > worst:
                 worst, witness = ratio, f
-    return VnReport(worst, witness, worst > 1.0 + PSD_TOL, count, seed)
+    return VnReport(worst, witness, worst > 1.0 + PSD_TOL, int(count), seed)
 
 
 # --- theorem-level block checks --------------------------------------------
@@ -476,7 +472,7 @@ class ThmReport:
     def to_dict(self) -> dict:
         """Each point's ``lambda_min`` is the certificate record at its (eps, alpha),
         null on a rung the certificate could not evaluate."""
-        margins = {(rec.eps, rec.alpha): rec.lambda_min for rec in self.certificate.records}
+        margins = {(eps, a): lm for eps, a, lm, _, _ in self.certificate.records.tolist()}
         grid = self.certificate.grid
         alphas = grid.alphas().tolist()
         points = []

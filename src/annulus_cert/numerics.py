@@ -13,6 +13,8 @@ in turn, so a stack gives bit for bit what its matrices give one at a time.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import (
@@ -34,6 +36,12 @@ MAX_DIM = 64
 PSD_TOL = 1e-8
 EQ_TOL = 1e-8
 RANK_TOL = 1e-10
+
+
+def _check_integer(name: str, value) -> None:
+    """DomainError unless ``value`` is an integer; a numpy integer is, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_stack(a, stack: bool = True) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .io import complex_pair
-from .numerics import as_matrix, eigenvalues, inverse
+from .numerics import _check_integer, as_matrix, eigenvalues, inverse
 from .pencil import AnnulusParams
 
 # Slack around the boundary circles when classifying pole locations.
@@ -223,6 +223,7 @@ def sup_on_annulus(f: RationalFunction | Sequence[RationalFunction], ap: Annulus
     boundary search exhaustive for pole-free f, but the value is a sampled
     estimate, not a certified upper bound.
     """
+    _check_integer("samples per circle", m)
     if not 8 <= m <= MAX_SAMPLES:
         raise DomainError(f"samples per circle must lie in [8, {MAX_SAMPLES}], got {m}")
     fs = [f] if isinstance(f, RationalFunction) else list(f)

@@ -66,7 +66,7 @@ class TestCertifyAr:
         cert = certify_ar(np.diag([0.1]), AP5)
         assert cert.verdict == "refuted"
         assert not cert.spectrum_ok
-        assert cert.records == ()
+        assert cert.records.dtype == certifier.RECORD and len(cert.records) == 0
 
     def test_misra_block_above_threshold_refuted(self):
         w = 0.7
@@ -111,11 +111,13 @@ class TestCertifyAr:
 
     def test_worst_point_is_the_worst_record(self):
         cert = certify_ar(jordan_block(0.7, 1.05 * misra_threshold(0.7, 0.5)), AP5)
-        slack = [rec.lambda_min + PSD_TOL * rec.scale for rec in cert.records]
-        assert cert.worst_point is cert.records[int(np.argmin(slack))]
+        rows = cert.records.tolist()
+        slack = [lm + PSD_TOL * sc for _, _, lm, _, sc in rows]
+        # the first record of least slack
+        assert cert.worst_point.item() == rows[slack.index(min(slack))]
         worst = cert.worst_point
-        assert cert.to_dict()["worst"] == {"eps": worst.eps,
-                                           "alpha": [worst.alpha.real, worst.alpha.imag]}
+        assert cert.to_dict()["worst"] == {"eps": worst["eps"],
+                                           "alpha": [worst["alpha"].real, worst["alpha"].imag]}
 
     def test_certificate_json_schema(self):
         cert = certify_ar(0.7 * np.eye(1), AP5, PencilGrid(eps_values=(0.5, 0.25), alpha_count=8))
@@ -133,9 +135,7 @@ def _exact_scale_records(t, eps, alphas, ap):
     gam = mp.gamma_for_alphas(alphas.size)
     lam_min = np.linalg.eigvalsh(re_part(gam))[:, 0]
     scales = 1.0 + _norm2(gam)
-    trunc = max(mp.gamma_indices())
-    return [certifier.PointRecord(eps, complex(a), float(lm), trunc, float(sc))
-            for a, lm, sc in zip(alphas, lam_min, scales)]
+    return certifier._rung_records(eps, alphas, lam_min, max(mp.gamma_indices()), scales)
 
 
 def _matrix_route(t, ap, grid=DEFAULT_GRID):
@@ -158,10 +158,10 @@ def _assert_same_as_exact_scales(t, ap, grid=DEFAULT_GRID):
     # verdict, min_margin, worst point and every record
     assert cert.to_dict() == ref.to_dict()
     # the bracket only ever raises a scale, and never at the worst point
-    assert all(c.scale >= e.scale for c, e in zip(cert.records, ref.records))
-    if ref.records:
-        slack = [rec.lambda_min + PSD_TOL * rec.scale for rec in cert.records]
-        ref_slack = [rec.lambda_min + PSD_TOL * rec.scale for rec in ref.records]
+    assert all(cert.records["scale"] >= ref.records["scale"])
+    if len(ref.records):
+        slack = cert.records["lambda_min"] + PSD_TOL * cert.records["scale"]
+        ref_slack = ref.records["lambda_min"] + PSD_TOL * ref.records["scale"]
         assert min(slack) == min(ref_slack)
     return cert
 
@@ -202,11 +202,11 @@ class TestScaleBracket:
         # same eigenvalues at every alpha, so rounding leaves exact ties
         t = np.diag(0.6 * np.exp(2j * np.pi * np.arange(64) / 64))
         cert = _assert_same_as_exact_scales(t, AP5)
-        slack = np.array([rec.lambda_min + PSD_TOL * rec.scale for rec in cert.records])
+        slack = cert.records["lambda_min"] + PSD_TOL * cert.records["scale"]
         ties = np.flatnonzero(slack == slack.min())
         assert ties.size >= 2
         worst = cert.records[ties[0]]
-        assert cert.worst_point.eps == worst.eps and cert.worst_point.alpha == worst.alpha
+        assert cert.worst_point["eps"] == worst["eps"] and cert.worst_point["alpha"] == worst["alpha"]
 
     def test_exact_scale_decides_certification(self):
         # h puts lambda_min between -PSD_TOL * (1 + ||Gamma||) and
@@ -215,12 +215,13 @@ class TestScaleBracket:
         t = np.array([[0.99, 0.0868740215435], [0.0, 0.6j]])
         cert = _assert_same_as_exact_scales(t, AP5, grid)
         assert cert.verdict == "certified"
-        j = int(np.argmin([rec.lambda_min for rec in cert.records]))
+        j = int(np.argmin(cert.records["lambda_min"]))
         worst = cert.records[j]
         g = MatrixPencil(t, 0.1, AP5).gamma_for_alphas(64)[j]
         lam = np.linalg.eigvalsh(re_part(g))
-        assert -PSD_TOL * worst.scale < worst.lambda_min < -PSD_TOL * (1.0 + max(-lam[0], lam[-1]))
-        assert worst.scale == 1.0 + float(_norm2(g))
+        assert (-PSD_TOL * worst["scale"] < worst["lambda_min"]
+                < -PSD_TOL * (1.0 + max(-lam[0], lam[-1])))
+        assert worst["scale"] == 1.0 + float(_norm2(g))
 
     def test_exact_norms_only_on_candidates(self, monkeypatch):
         # at most 4 of the 64 points per rung reach the SVD, against all 64
@@ -272,12 +273,13 @@ class TestScalarRoute:
         ex = {eps: iter(recs) for eps, recs in exact.items()}
         assert len(cert.records) == len(ref.records)
         for rec, mat in zip(cert.records, ref.records):
-            assert (rec.eps, rec.alpha) == (mat.eps, mat.alpha)
-            if rec.eps in bounds:
-                assert abs(rec.lambda_min - mat.lambda_min) <= bounds[rec.eps]
-                assert rec.trunc_n == scalar_sum_terms(rec.eps, r)
+            eps = float(rec["eps"])
+            assert (rec["eps"], rec["alpha"]) == (mat["eps"], mat["alpha"])
+            if eps in bounds:
+                assert abs(rec["lambda_min"] - mat["lambda_min"]) <= bounds[eps]
+                assert rec["trunc_n"] == scalar_sum_terms(eps, r)
                 # an upper bound of the exact scale, up to the SVD's own rounding
-                assert rec.scale >= next(ex[rec.eps]).scale * (1.0 - 1e-12)
+                assert rec["scale"] >= next(ex[eps])["scale"] * (1.0 - 1e-12)
             else:
                 assert rec == mat
 
@@ -310,7 +312,7 @@ class TestScalarRoute:
         assert [eps for eps, _ in cert.scalar_rungs] == [0.01]
         assert scalar_pencil_bound(np.array([1.0, 0.7]), 0.0, 0.001, AP5) > ROUNDING_BUDGET
         assert cert.verdict == ref.verdict == "certified"
-        assert cert.records[64:] == ref.records[64:]
+        assert np.array_equal(cert.records[64:], ref.records[64:])
         assert cert.to_dict()["scalar_rungs"] == [{"eps": 0.01, "bound": cert.scalar_rungs[0][1]}]
 
     def test_scalar_truncated_and_matrix_rungs_in_grid_order(self):
@@ -319,8 +321,9 @@ class TestScalarRoute:
         t, grid = np.diag([1.0, 0.7]), PencilGrid((0.01, 1e-9, 0.001), 64)
         cert = certify_ar(t, AP5, grid)
         assert cert.verdict == "inconclusive"
-        assert [rec.eps for rec in cert.records] == [0.01] * 64 + [0.001] * 64
-        assert cert.records[64:] == _matrix_route(t, AP5, PencilGrid((0.001,), 64)).records
+        assert cert.records["eps"].tolist() == [0.01] * 64 + [0.001] * 64
+        assert np.array_equal(cert.records[64:],
+                              _matrix_route(t, AP5, PencilGrid((0.001,), 64)).records)
         assert [eps for eps, _ in cert.scalar_rungs] == [0.01]
         assert len(cert.diagnostics) == 1 and cert.diagnostics[0].startswith("eps=1e-09:")
 
@@ -345,6 +348,66 @@ class TestScalarRoute:
         for a, g in zip(alphas, gam):
             diag = gamma_scalar_batch(a * w, eps, ap)
             assert _norm2(g - np.diag(diag)) <= bound
+
+
+class TestRecordLayout:
+    """A certificate's records are one RECORD array, one row per evaluated grid point."""
+
+    @pytest.mark.parametrize("route", ["both", "matrix"])
+    def test_rows_in_grid_order(self, route):
+        # eps = 0.01 takes the scalar route unless it is switched off, 1e-9 puts
+        # the unit eigenvalue on the band edge and 0.001 sweeps the matrix
+        t, grid = np.diag([1.0, 0.7]), PencilGrid((0.01, 1e-9, 0.001), 16)
+        cert = certify_ar(t, AP5, grid) if route == "both" else _matrix_route(t, AP5, grid)
+        assert [eps for eps, _ in cert.scalar_rungs] == ([0.01] if route == "both" else [])
+        assert cert.verdict == "inconclusive" and len(cert.diagnostics) == 1
+        recs = cert.records
+        assert isinstance(recs, np.ndarray) and recs.dtype == certifier.RECORD
+        assert recs.dtype.names == ("eps", "alpha", "lambda_min", "trunc_n", "scale")
+        assert recs.shape == (32,)
+        assert recs["eps"].tolist() == [0.01] * 16 + [0.001] * 16
+        for rung in (recs[:16], recs[16:]):
+            assert np.array_equal(rung["alpha"], grid.alphas())
+        doc = cert.to_dict()
+        assert [(p["eps"], complex(*p["alpha"])) for p in doc["records"]] == list(
+            zip(recs["eps"].tolist(), recs["alpha"].tolist()))
+        assert all(set(p) == {"eps", "alpha", "lambda_min", "trunc_n"} for p in doc["records"])
+        assert "scale" not in json.dumps(doc)
+
+
+class TestIntegerSizes:
+    """Sizes must be integers: bools and floats end in DomainError, numpy integers pass."""
+
+    def test_fractional_alpha_count(self):
+        with pytest.raises(DomainError, match="alpha_count must be an integer"):
+            PencilGrid((0.5,), 8.5)
+
+    def test_bool_alpha_count(self):
+        with pytest.raises(DomainError, match="alpha_count must be an integer"):
+            PencilGrid((0.5,), True)
+
+    def test_string_eps_values(self):
+        with pytest.raises(DomainError, match=r"eps values must lie in \(0, 1\)"):
+            PencilGrid(eps_values="0.5")
+
+    def test_bool_count(self):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            vn_sample(0.7 * np.eye(1), AP5, count=True)
+
+    def test_fractional_count(self):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            vn_sample(0.7 * np.eye(1), AP5, count=2.5)
+
+    def test_fractional_m(self):
+        with pytest.raises(DomainError, match="samples per circle must be an integer"):
+            vn_sample(0.7 * np.eye(1), AP5, count=2, m=8.5)
+
+    def test_numpy_integers_accepted(self):
+        grid = PencilGrid((0.5,), np.int64(8))
+        doc = json.loads(json.dumps(certify_ar(0.7 * np.eye(1), AP5, grid).to_dict()))
+        assert doc["grid"]["alpha_count"] == 8 and len(doc["records"]) == 8
+        rep = vn_sample(0.7 * np.eye(1), AP5, count=np.int64(3), m=np.int32(64))
+        assert json.loads(json.dumps(rep.to_dict()))["count"] == 3
 
 
 class TestVnSample:
@@ -578,7 +641,7 @@ class TestThmBlock1:
         rep = check_thm_block1(np.array([[0.7]]), np.array([[3e4]]), AP5)
         cert = rep.certificate
         assert [d.split(":")[0] for d in cert.diagnostics] == ["eps=0.02", "eps=0.01"]
-        margins = {(rec.eps, rec.alpha): rec.lambda_min for rec in cert.records}
+        margins = {(eps, a): lm for eps, a, lm, _, _ in cert.records.tolist()}
         assert len(margins) == 256
         points = rep.to_dict()["points"]
         assert len(points) == 384

@@ -333,7 +333,7 @@ class TestOtherCommands:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         cert = certify_ar(assemble(BlockSpec("tx", np.array([[0.7]]), np.array([[3e4]]))), AP5)
-        margins = {(rec.eps, rec.alpha): rec.lambda_min for rec in cert.records}
+        margins = {(eps, a): lm for eps, a, lm, _, _ in cert.records.tolist()}
         lams = [p["lambda_min"] for p in doc["points"]]
         assert sum(v is not None for v in lams) == 256 and lams.count(None) == 128
         for p in doc["points"]:

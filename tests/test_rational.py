@@ -386,6 +386,14 @@ class TestSupProperties:
             sup_on_annulus(RationalFunction(f.p, polymul(f.q, [-root, 1.0])), ap)
 
 
+@pytest.mark.parametrize("m", [8.5, True, "64"])
+def test_sup_samples_must_be_an_integer(m):
+    f = RationalFunction([1.0, 2.0], [1.0])
+    with pytest.raises(DomainError, match="samples per circle must be an integer"):
+        sup_on_annulus(f, AnnulusParams(0.5), m)
+    assert sup_on_annulus(f, AnnulusParams(0.5), np.int64(8)) > 0.0
+
+
 class TestSerialization:
     def test_to_dict_document(self):
         # ascending [re, im] pairs, trailing zero coefficients trimmed
