@@ -74,8 +74,8 @@ class PencilGrid:
     alpha_count: int = 64
 
     def __post_init__(self):
-        if len(self.eps_values) == 0:
-            raise DomainError("need at least one eps value")
+        if not hasattr(self.eps_values, "__len__") or len(self.eps_values) == 0:
+            raise DomainError(f"eps_values must be a nonempty sequence, got {self.eps_values!r}")
         for e in self.eps_values:
             if not (isinstance(e, numbers.Real) and 0.0 < e < 1.0):
                 raise DomainError(f"eps values must lie in (0, 1), got {e!r}")
@@ -155,8 +155,8 @@ def _rung_records(eps, alphas, lam_min, trunc, scales):
     return recs
 
 
-def _eps_records(t, eps, alphas, ap):
-    """Margins of Re Gamma(alpha T) for all alphas at one eps.
+def _eps_records(mp, eps, alphas):
+    """Margins of Re Gamma(alpha T) for all alphas at one eps, off the pencil ``mp`` of T.
 
     The scale 1 + ||Gamma|| only matters where the slack lambda_min +
     PSD_TOL * scale could be the rung's least, so it is bracketed by
@@ -166,8 +166,7 @@ def _eps_records(t, eps, alphas, ap):
     upper bound, which leaves their slack strictly above the rung's least.
     The sweep guard keeps ||Gamma||_F below 1e6, so the norm cannot overflow.
     """
-    mp = MatrixPencil(t, eps, ap)
-    gam = mp.gamma_for_alphas(alphas.size)
+    gam = mp.gamma_for_alphas(eps, alphas.size)
     lam = np.linalg.eigvalsh(re_part(gam))
     lam_min = lam[:, 0]
     lo = (1.0 + np.maximum(-lam_min, lam[:, -1])) * (1.0 - 1e-12)
@@ -252,13 +251,12 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certifi
     distance, rounding included, fits ROUNDING_BUDGET reads its records off
     one ``gamma_scalar_batch`` call; every other rung runs the matrix sweep.
     """
-    tm = as_matrix(t)
-    eigs = eigenvalues(tm)
-    if not eigenvalues_in_annulus(eigs, ap):
+    mp = MatrixPencil(t, ap)
+    if not eigenvalues_in_annulus(mp.eigs, ap):
         return Certificate(VERDICT_REFUTED, False, None, None, np.empty(0, RECORD), grid,
                            ("spectrum outside the closed annulus",))
     alphas = grid.alphas()
-    form = _diagonal_form(tm, eigs, grid)
+    form = _diagonal_form(mp.t, mp.eigs, grid)
     rungs, diagnostics, scalar_rungs = [], [], []
     for eps in grid.eps_values:
         bound = np.inf if form is None else scalar_pencil_bound(form[0], form[1], eps, ap)
@@ -267,7 +265,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certifi
             scalar_rungs.append((eps, bound))
             continue
         try:
-            rungs.append(_eps_records(tm, eps, alphas, ap))
+            rungs.append(_eps_records(mp, eps, alphas))
         except TruncationError as exc:
             diagnostics.append(f"eps={eps}: {exc}")
 
@@ -401,6 +399,9 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
     _check_integer("count", count)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     tm = as_matrix(t)
     eigs = eigenvalues(tm)
     if not eigenvalues_in_annulus(eigs, ap):
@@ -450,7 +451,7 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
         for ratio, f in zip(ratios, fs):
             if ratio > worst:
                 worst, witness = ratio, f
-    return VnReport(worst, witness, worst > 1.0 + PSD_TOL, int(count), seed)
+    return VnReport(worst, witness, worst > 1.0 + PSD_TOL, int(count), int(seed))
 
 
 # --- theorem-level block checks --------------------------------------------
@@ -508,12 +509,12 @@ def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmRepor
     certificate of the assembled block, which carries X inside the sweep
     instead of multiplying it in.
     """
-    e = unit_block(spec)
     n = spec.t1.shape[0]
     alphas = grid.alphas()
+    mp = MatrixPencil(unit_block(spec), ap)
     factors, masks, recons = [], [], []
     for eps in grid.eps_values:
-        sweep = MatrixPencil(e, eps, ap).gamma_for_alphas(grid.alpha_count)
+        sweep = mp.gamma_for_alphas(eps, grid.alpha_count)
         try:
             roots = sqrt_psd(re_part(np.stack([sweep[:, :n, :n], sweep[:, n:, n:]], axis=1)))
         except DomainError as exc:

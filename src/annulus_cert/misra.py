@@ -41,6 +41,7 @@ import numpy as np
 
 from .certifier import VERDICT_INCONCLUSIVE, PencilGrid, certify_ar
 from .errors import DiagnosticError, DomainError, TruncationError
+from .numerics import _check_integer
 from .pencil import SCALAR_TOL, AnnulusParams, MatrixPencil, scalar_terms
 
 # Threshold hunting needs a much deeper eps ladder than plain certification:
@@ -87,11 +88,10 @@ def _pencil_bracket(w: complex, ap: AnnulusParams) -> tuple[float, float]:
     and entry [0, 1] its z-derivative.  Raises DiagnosticError when the scan
     fails, a Re Gamma is negative, or the minimum leaves (0, 2).
     """
-    j1 = jordan_block(w, 1.0)
+    mp = MatrixPencil(jordan_block(w, 1.0), ap)
     m = MISRA_GRID.alpha_count
     try:
-        gam = np.concatenate([MatrixPencil(j1, eps, ap).gamma_for_alphas(m)
-                              for eps in MISRA_GRID.eps_values])
+        gam = np.concatenate([mp.gamma_for_alphas(eps, m) for eps in MISRA_GRID.eps_values])
     except (TruncationError, DomainError) as exc:
         raise DiagnosticError(f"pencil scan failed: {exc}") from exc
     re_g = gam[:, 0, 0].real
@@ -142,12 +142,15 @@ def sweep_rows(r: float, samples: int, seed: int = 0) -> list[dict]:
     Radii stay inside [r + 0.07 (1-r), r + 0.9 (1-r)], away from the boundary
     circles where the finite eps ladder loses accuracy.
     """
+    _check_integer("samples", samples)
     if samples < 1:
         raise DomainError("need at least one sample")
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     rows = []
-    lo = r + 0.07 * (1.0 - r)
-    hi = r + 0.9 * (1.0 - r)
+    lo, hi = r + 0.07 * (1.0 - r), r + 0.9 * (1.0 - r)
     for _ in range(samples):
         aw = lo + (hi - lo) * rng.random()
         w = aw * np.exp(2j * np.pi * rng.random())

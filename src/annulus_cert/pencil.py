@@ -16,8 +16,8 @@ where a_j = 2 / (1 + d^j) and d = (1-eps)^2 r, so both sides are power series
 with moduli below 1 inside the band.  Expanding a_j = 2 sum_k (-1)^k d^{jk}
 turns each side into an alternating sum of resolvents whose terms shrink like
 d^k whatever eps is, summed in closed form after a term count fixed in advance
-(``scalar_terms``): scalars in ``gamma_scalar_batch``, matrices in
-``MatrixPencil`` with X = (1-eps) T and Y = (1-eps) r T^{-1} for x and y.
+(``scalar_terms``): scalars in ``gamma_scalar_batch``, matrices in one
+``MatrixPencil`` per T, for every eps, with X = (1-eps) T and Y = (1-eps) r T^{-1}.
 
 At the M-th roots of unity alpha_k, alpha_k^j depends only on j mod M, so
 each side W (X or Y) needs only the buckets B_b = sum_{j = b mod M} a_j W^j,
@@ -236,8 +236,9 @@ def _powers(w: np.ndarray, count: int) -> np.ndarray:
 
 
 class MatrixPencil:
-    """Pencil evaluation for one matrix T at one eps; ``_check_band`` rejects
-    eps outside (0, 1) and a spectrum off the convergence band.
+    """Pencil evaluation for one matrix T, whose eigenvalues ``eigs`` are taken
+    once.  Each sweep takes its eps and first runs ``_check_band`` on them; the
+    first sweep that passes it takes T^{-1}, which later sweeps reuse.
 
     A sweep over m alphas adds each side W (X or Y) into the m buckets in
     closed form (module docstring).  The level count L of the resolvent sum
@@ -254,24 +255,19 @@ class MatrixPencil:
     buckets plus O(_CHUNK) entries.
     """
 
-    def __init__(self, t: np.ndarray, eps: float, ap: AnnulusParams):
-        self.t = as_matrix(t)
-        self.eps = eps
-        self.ap = ap
-        b = 1.0 - eps
-        _check_band(np.abs(eigenvalues(self.t)), eps, ap.r)
-        self._x = b * self.t
-        self._y = b * ap.r * inverse(self.t)
-        self._d = b * b * ap.r
+    def __init__(self, t: np.ndarray, ap: AnnulusParams):
+        self.t, self.ap = as_matrix(t), ap
+        self.eigs = eigenvalues(self.t)
+        self._inv: np.ndarray | None = None
         # per-side level counts of the last sweep and the last derivative sweep
         self._levels: tuple[int, int] | None = None
         self._deriv_levels: tuple[int, int] | None = None
 
-    def _fold(self, w: np.ndarray, sign: int, buckets: np.ndarray) -> int:
-        """Add the side of W into ``buckets``, W^j to bucket (sign j) mod m;
-        returns its level count."""
+    @staticmethod
+    def _fold(w: np.ndarray, d: float, sign: int, buckets: np.ndarray) -> int:
+        """Add the side of W at d = (1-eps)^2 r into ``buckets``, W^j to bucket
+        (sign j) mod m; returns its level count."""
         m, n = buckets.shape[0], w.shape[0]
-        d = self._d
         v = np.linalg.matrix_power(w, m)
         q = d ** (m + 1)
         # Frobenius norms, at least 1: upper bounds of ||W|| and ||V||
@@ -302,16 +298,21 @@ class MatrixPencil:
             buckets[slot[lo:hi]] += pw @ s
         return levels
 
-    def gamma_for_alphas(self, m: int) -> np.ndarray:
-        """Gamma(alpha_k T) at alpha_k = exp(2 pi i k / m), k = 0..m-1, in one
-        pass; records the level counts."""
-        n = self.t.shape[0]
+    def gamma_for_alphas(self, eps: float, m: int) -> np.ndarray:
+        """Gamma(alpha_k T) at eps and alpha_k = exp(2 pi i k / m), k = 0..m-1,
+        in one pass; records the level counts."""
+        r, b = self.ap.r, 1.0 - eps
+        _check_band(np.abs(self.eigs), eps, r)
+        if self._inv is None:
+            self._inv = inverse(self.t)
+        d, n = b * b * r, self.t.shape[0]
         buckets = np.zeros((m, n, n), dtype=complex)
         buckets[0] += np.eye(n)  # the j = 0 term, a_0 = 1
-        self._levels = (self._fold(self._x, 1, buckets), self._fold(self._y, -1, buckets))
+        self._levels = (self._fold(b * self.t, d, 1, buckets),
+                        self._fold(b * r * self._inv, d, -1, buckets))
         rounding = SWEEP_ROUNDING * float(np.sum(np.linalg.norm(buckets, axis=(1, 2))))
         if not rounding <= ROUNDING_BUDGET:
-            raise TruncationError(f"sweep rounding up to {rounding:.3g} at eps = {self.eps} "
+            raise TruncationError(f"sweep rounding up to {rounding:.3g} at eps = {eps} "
                                   f"would reach the refutation slack PSD_TOL = {PSD_TOL:g}")
         return m * np.fft.ifft(buckets, axis=0)
 
@@ -324,13 +325,13 @@ class MatrixPencil:
         the last derivative sweep, None before any."""
         return self._deriv_levels
 
-    def derivative_for_alphas(self, m: int) -> np.ndarray:
-        """z-derivative of z -> Gamma(alpha_k z) at T, at the same alphas: the
-        top-right block of the sweep of [[T, I], [0, T]] (module docstring),
-        copied so the (m, 2n, 2n) sweep is freed."""
+    def derivative_for_alphas(self, eps: float, m: int) -> np.ndarray:
+        """z-derivative of z -> Gamma(alpha_k z) at T, at the same eps and alphas:
+        the top-right block of the sweep of [[T, I], [0, T]] (module docstring),
+        whose band check covers T's spectrum, copied to free that sweep."""
         n = self.t.shape[0]
-        embedded = MatrixPencil(_upper_block(self.t, np.eye(n), self.t), self.eps, self.ap)
-        corner = embedded.gamma_for_alphas(m)[:, :n, n:].copy()
+        embedded = MatrixPencil(_upper_block(self.t, np.eye(n), self.t), self.ap)
+        corner = embedded.gamma_for_alphas(eps, m)[:, :n, n:].copy()
         self._deriv_levels = embedded.gamma_indices()
         return corner
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from annulus_cert import certifier, pencil
 from annulus_cert.generators import haar_unitary
 from annulus_cert.pencil import AnnulusParams
 
@@ -75,3 +76,27 @@ def random_poles_off_rational(rng, ap: AnnulusParams, num_deg: int = 3, den_deg:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def pencil_calls(monkeypatch):
+    """Log of the pencil work done while the test runs: ("build", shape) per
+    ``MatrixPencil`` built, ("sweep", shape, eps) per ``gamma_for_alphas`` call,
+    and "eigenvalues" or "inverse" per call from ``pencil`` or ``certifier``."""
+    log = []
+    init, sweep = pencil.MatrixPencil.__init__, pencil.MatrixPencil.gamma_for_alphas
+
+    def counting_init(self, t, ap):
+        log.append(("build", np.shape(t)))
+        init(self, t, ap)
+
+    def counting_sweep(self, eps, m):
+        log.append(("sweep", self.t.shape, eps))
+        return sweep(self, eps, m)
+
+    monkeypatch.setattr(pencil.MatrixPencil, "__init__", counting_init)
+    monkeypatch.setattr(pencil.MatrixPencil, "gamma_for_alphas", counting_sweep)
+    for module, name in ((pencil, "eigenvalues"), (certifier, "eigenvalues"), (pencil, "inverse")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, _fn=fn, _name=name: log.append(_name) or _fn(a))
+    return log

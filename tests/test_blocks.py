@@ -183,9 +183,9 @@ class TestUnitBlock:
         t1, t2 = non_commuting_pair()
         m = 16
         e = unit_block(BlockSpec("hat", t1, np.eye(3), t2))
-        sweep = MatrixPencil(e, eps, AP5).gamma_for_alphas(m)
-        g1 = MatrixPencil(t1, eps, AP5).gamma_for_alphas(m)
-        g2 = MatrixPencil(t2, eps, AP5).gamma_for_alphas(m)
+        sweep = MatrixPencil(e, AP5).gamma_for_alphas(eps, m)
+        g1 = MatrixPencil(t1, AP5).gamma_for_alphas(eps, m)
+        g2 = MatrixPencil(t2, AP5).gamma_for_alphas(eps, m)
         tol = 1e-12 * np.abs(sweep).max()
         assert np.abs(sweep[:, :3, 3:] - (g1 - g2)).max() <= tol
         assert np.abs(sweep[:, :3, :3] - g1).max() <= tol

@@ -129,10 +129,9 @@ class TestCertifyAr:
         assert set(rec) == {"eps", "alpha", "lambda_min", "trunc_n"}
 
 
-def _exact_scale_records(t, eps, alphas, ap):
+def _exact_scale_records(mp, eps, alphas):
     """``_eps_records`` with the exact 1 + ||Gamma|| at every point."""
-    mp = MatrixPencil(t, eps, ap)
-    gam = mp.gamma_for_alphas(alphas.size)
+    gam = mp.gamma_for_alphas(eps, alphas.size)
     lam_min = np.linalg.eigvalsh(re_part(gam))[:, 0]
     scales = 1.0 + _norm2(gam)
     return certifier._rung_records(eps, alphas, lam_min, max(mp.gamma_indices()), scales)
@@ -167,6 +166,27 @@ def _assert_same_as_exact_scales(t, ap, grid=DEFAULT_GRID):
 
 
 _RADII = st.sampled_from([0.3, 0.5, 0.7])
+
+
+class TestOnePencilPerCall:
+    """``certify_ar`` builds one pencil per call: T's eigenvalues are taken
+    once, and T^{-1} only when a rung runs the matrix sweep."""
+
+    def test_matrix_route(self, pencil_calls):
+        grid = PencilGrid((0.5, 0.1, 0.01), 8)
+        cert = certify_ar(_chain(3, 0.1), AP5, grid)
+        assert cert.certified and cert.scalar_rungs == ()
+        assert pencil_calls == [("build", (3, 3)), "eigenvalues", ("sweep", (3, 3), 0.5),
+                                "inverse", ("sweep", (3, 3), 0.1), ("sweep", (3, 3), 0.01)]
+
+    def test_scalar_route_takes_no_inverse(self, pencil_calls):
+        cert = certify_ar(random_normal_annulus(4, AP5, seed=3), AP5)
+        assert len(cert.scalar_rungs) == len(DEFAULT_GRID.eps_values)
+        assert pencil_calls == [("build", (4, 4)), "eigenvalues"]
+
+    def test_spectrum_outside_sweeps_nothing(self, pencil_calls):
+        assert certify_ar(np.diag([0.7, 0.2]), AP5).verdict == "refuted"
+        assert pencil_calls == [("build", (2, 2)), "eigenvalues"]
 
 
 class TestScaleBracket:
@@ -217,7 +237,7 @@ class TestScaleBracket:
         assert cert.verdict == "certified"
         j = int(np.argmin(cert.records["lambda_min"]))
         worst = cert.records[j]
-        g = MatrixPencil(t, 0.1, AP5).gamma_for_alphas(64)[j]
+        g = MatrixPencil(t, AP5).gamma_for_alphas(0.1, 64)[j]
         lam = np.linalg.eigvalsh(re_part(g))
         assert (-PSD_TOL * worst["scale"] < worst["lambda_min"]
                 < -PSD_TOL * (1.0 + max(-lam[0], lam[-1])))
@@ -269,7 +289,8 @@ class TestScalarRoute:
         assert list(bounds) == [e for e in DEFAULT_GRID.eps_values if e in bounds]
         # eps = 0.5 halves every modulus, far inside the budget for exactly normal T
         assert bounds or h > 0.0
-        exact = {eps: _exact_scale_records(t, eps, DEFAULT_GRID.alphas(), ap) for eps in bounds}
+        mp = MatrixPencil(t, ap)
+        exact = {eps: _exact_scale_records(mp, eps, DEFAULT_GRID.alphas()) for eps in bounds}
         ex = {eps: iter(recs) for eps, recs in exact.items()}
         assert len(cert.records) == len(ref.records)
         for rec, mat in zip(cert.records, ref.records):
@@ -344,7 +365,7 @@ class TestScalarRoute:
         if not np.isfinite(bound):
             return
         alphas = PencilGrid((eps,), 8).alphas()
-        gam = MatrixPencil(np.diag(w) + f, eps, ap).gamma_for_alphas(8)
+        gam = MatrixPencil(np.diag(w) + f, ap).gamma_for_alphas(eps, 8)
         for a, g in zip(alphas, gam):
             diag = gamma_scalar_batch(a * w, eps, ap)
             assert _norm2(g - np.diag(diag)) <= bound
@@ -402,12 +423,26 @@ class TestIntegerSizes:
         with pytest.raises(DomainError, match="samples per circle must be an integer"):
             vn_sample(0.7 * np.eye(1), AP5, count=2, m=8.5)
 
+    def test_non_sequence_eps_values(self):
+        with pytest.raises(DomainError, match="eps_values must be a nonempty sequence, got 0.5"):
+            PencilGrid(0.5)
+        with pytest.raises(DomainError, match=r"eps_values must be a nonempty sequence, got \(\)"):
+            PencilGrid(())
+
+    @pytest.mark.parametrize("seed, message", [(2.5, "seed must be an integer"),
+                                               (True, "seed must be an integer"),
+                                               (-1, "seed must be non-negative")])
+    def test_bad_seed(self, seed, message):
+        with pytest.raises(DomainError, match=message):
+            vn_sample(0.7 * np.eye(1), AP5, count=2, seed=seed)
+
     def test_numpy_integers_accepted(self):
         grid = PencilGrid((0.5,), np.int64(8))
         doc = json.loads(json.dumps(certify_ar(0.7 * np.eye(1), AP5, grid).to_dict()))
         assert doc["grid"]["alpha_count"] == 8 and len(doc["records"]) == 8
-        rep = vn_sample(0.7 * np.eye(1), AP5, count=np.int64(3), m=np.int32(64))
-        assert json.loads(json.dumps(rep.to_dict()))["count"] == 3
+        rep = vn_sample(0.7 * np.eye(1), AP5, count=np.int64(3), seed=np.uint8(4), m=np.int32(64))
+        doc = json.loads(json.dumps(rep.to_dict()))
+        assert doc["count"] == 3 and doc["seed"] == 4 and type(rep.seed) is int
 
 
 class TestVnSample:
@@ -575,10 +610,10 @@ class TestMixedRung:
         assert not rep.factor_verdict and rep.certificate.verdict == "refuted" and rep.agree
         points = rep.to_dict()["points"]
         assert len(points) == 16
-        e = unit_block(BlockSpec("tx", t, x))
+        e = MatrixPencil(unit_block(BlockSpec("tx", t, x)), AP5)
         rows = iter(points)
         for eps, fr in zip(grid.eps_values, rep.factors):
-            sweep = MatrixPencil(e, eps, AP5).gamma_for_alphas(8)
+            sweep = e.gamma_for_alphas(eps, 8)
             looped = []
             for alpha, g in zip(grid.alphas(), sweep):
                 sp, sq = sqrt_psd(re_part(g[:1, :1])), sqrt_psd(re_part(g[1:, 1:]))
@@ -700,16 +735,9 @@ NOT_CONTRACTION = np.array([[0.7, 0.5], [0.0, 0.7]])
 
 class TestUnitBlockSweep:
     @pytest.mark.parametrize("which", ["block1", "block2"])
-    def test_two_pencils_per_eps(self, monkeypatch, which):
-        # the unit block's sweep on the factor side, the assembled block's in the certificate
-        builds = []
-        init = MatrixPencil.__init__
-
-        def counting(self, *args, **kwargs):
-            builds.append(args[0].shape)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(MatrixPencil, "__init__", counting)
+    def test_one_pencil_per_matrix_two_sweeps_per_eps(self, pencil_calls, which):
+        # the unit block's sweep on the factor side, the assembled block's in the
+        # certificate: one pencil each, swept at every eps
         t1, t2, x = interior_commuting_triple(2, AP5, seed=7)
         grid = PencilGrid((0.5, 0.1, 0.01), 8)
         if which == "block1":
@@ -717,7 +745,9 @@ class TestUnitBlockSweep:
         else:
             rep = check_thm_block2(t1, t2, 0.05 * x, AP5, grid)
         assert rep.agree
-        assert builds == [(4, 4)] * (2 * len(grid.eps_values))
+        assert [c for c in pencil_calls if c[0] == "build"] == [("build", (4, 4))] * 2
+        sweeps = [("sweep", (4, 4), eps) for eps in grid.eps_values]
+        assert [c for c in pencil_calls if c[0] == "sweep"] == sweeps * 2
 
     @pytest.mark.parametrize("which", ["block1", "block2"])
     def test_one_stacked_kernel_call_per_eps(self, monkeypatch, which):
@@ -754,7 +784,7 @@ class TestUnitBlockSweep:
         spec = BlockSpec("hat", t1, 0.01 * np.eye(2), t2)
         first = None
         for eps in grid.eps_values:
-            sweep = MatrixPencil(unit_block(spec), eps, AP5).gamma_for_alphas(8)
+            sweep = MatrixPencil(unit_block(spec), AP5).gamma_for_alphas(eps, 8)
             for alpha, g in zip(grid.alphas(), sweep):
                 for name, block in (("T1", g[:2, :2]), ("T2", g[2:, 2:])):
                     try:

@@ -459,17 +459,19 @@ _VALID_FLAGS = {
     "--eps": st.none() | _eps_lists(["0.5", "0.1", "1e-3"], 1),
     "--m": st.none() | st.integers(8, 2048),
     "--r": st.sampled_from(["0.5", "0.3", "0.75", "1e-300"]),
+    "--seed": st.none() | st.integers(0, 2**63),
 }
 _HOSTILE_FLAGS = {
     "--alphas": st.integers(-2, 7) | _huge(MAX_ALPHAS),
     "--eps": _eps_lists(["0", "1", "-0.2", "nan", "inf", "x"], 0),
     "--m": st.integers(-2, 7) | _huge(MAX_SAMPLES),
     "--r": st.sampled_from(["0", "1", "-1", "nan", "inf", "x"]),
+    "--seed": st.integers(-2**63, -1) | st.sampled_from(["x", "2.5"]),
 }
 _COMMAND_FLAGS = {
     "certify": ["--alphas", "--eps", "--r"],
     "thm": ["--alphas", "--eps", "--r"],
-    "vn": ["--m", "--r"],
+    "vn": ["--m", "--r", "--seed"],
 }
 
 
@@ -649,11 +651,32 @@ class TestHostileInputs:
         ["thm", "--which", "block1", "--alphas", "0"],
         ["vn", "--count", "-3"],
         ["vn", "--count", "0"],
+        ["vn", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
     ], ids="_".join)
     def test_zero_or_negative_flag_usage_error(self, files, argv):
         inputs = {"certify": ["--matrix", files["eye"]], "vn": ["--matrix", files["eye"]],
-                  "thm": ["--t1", files["t"], "--x", files["x_small"]]}[argv[0]]
+                  "thm": ["--t1", files["t"], "--x", files["x_small"]],
+                  "sweep": ["--samples", "1"]}[argv[0]]
         assert main([*argv, *inputs, "--r", "0.5"]) == 64
+
+    def test_thm_zero_diagonal_leaves_the_band_before_any_inverse(self, files, tmp_path):
+        # T1 = 0 is singular, but the band check comes first: exit 64, not 2
+        zero = str(tmp_path / "zero.json")
+        save_matrix(np.zeros((1, 1)), zero)
+        proc = run_cli("thm", "--which", "block1", "--t1", zero, "--x", files["x_small"], *THM_GRID)
+        assert proc.returncode == 64
+        assert "leave the convergence band" in proc.stderr
+        assert "numerically singular" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_certify_ill_conditioned_inside_the_band_is_inconclusive(self, tmp_path):
+        # the spectrum {0.7, 0.71} passes every band check, so T^{-1} is taken: exit 2
+        path = str(tmp_path / "t.json")
+        save_matrix(np.array([[0.7, 1e8], [0.0, 0.71]]), path)
+        proc = run_cli("certify", "--matrix", path, "--r", "0.5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("inconclusive: matrix numerically singular")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("cmd, flag", [
         pytest.param(cmd, flag, id=f"{cmd}-{flag[0]}")

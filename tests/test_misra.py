@@ -155,6 +155,15 @@ class TestThresholdViaPencil:
         with pytest.raises(DomainError):
             threshold_via_pencil(0.4, 0.5)
 
+    def test_three_pencils_per_call(self, pencil_calls):
+        # J1's for the bracket, swept at every eps of MISRA_GRID, and one in
+        # each of the two bracket certificates
+        threshold_via_pencil(0.7, 0.5)
+        assert [c for c in pencil_calls if c[0] == "build"] == [("build", (2, 2))] * 3
+        scan = [c for c in pencil_calls if c[0] == "sweep"][:len(MISRA_GRID.eps_values)]
+        assert scan == [("sweep", (2, 2), eps) for eps in MISRA_GRID.eps_values]
+        assert pencil_calls.count("eigenvalues") == 3 and pencil_calls.count("inverse") == 3
+
     @pytest.mark.parametrize("w, r", [(0.7, 0.5), (0.9, 0.3), (0.4 + 0.2j, 0.3)])
     def test_matches_bisection_oracle(self, w, r):
         assert abs(threshold_via_pencil(w, r) - bisect_threshold(w, r)) <= 2e-5
@@ -211,7 +220,7 @@ class TestThresholdViaPencil:
             def __init__(self, *args):
                 pass
 
-            def gamma_for_alphas(self, m):
+            def gamma_for_alphas(self, eps, m):
                 if isinstance(scan, Exception):
                     raise scan
                 return np.broadcast_to(scan.astype(complex), (m, 2, 2))
@@ -234,3 +243,16 @@ class TestSweep:
 
     def test_deterministic(self):
         assert sweep_rows(0.3, 2, seed=5) == sweep_rows(0.3, 2, seed=5)
+
+    @pytest.mark.parametrize("samples, seed, message", [
+        (2.5, 0, "samples must be an integer"),
+        (True, 0, "samples must be an integer"),
+        (0, 0, "need at least one sample"),
+        (1, 2.5, "seed must be an integer"),
+        (1, True, "seed must be an integer"),
+        (1, -1, "seed must be non-negative"),
+    ])
+    def test_bad_samples_or_seed(self, samples, seed, message):
+        # rejected before the first threshold is computed
+        with pytest.raises(DomainError, match=message):
+            sweep_rows(0.5, samples, seed=seed)

@@ -62,9 +62,9 @@ class TestGammaScalar:
     def test_reports_truncation_indices(self):
         # the level count of the resolvent sum is fixed by d, m and the norms
         # of W and W^m, so it stays flat as eps shrinks towards the circles
+        mp_ = MatrixPencil(np.array([[0.999]]), AP5)
         for eps in (0.5, 0.01, 1e-4, 1e-6):
-            mp_ = MatrixPencil(np.array([[0.999]]), eps, AP5)
-            mp_.gamma_for_alphas(64)
+            mp_.gamma_for_alphas(eps, 64)
             assert max(mp_.gamma_indices()) <= 2
 
     def test_outside_band_rejected(self):
@@ -124,58 +124,89 @@ class TestGammaMatrix:
     def test_diagonal_matches_scalar(self):
         alpha = np.exp(0.7j)
         zs = np.array([0.6, 0.9 * np.exp(2j)])
-        g = MatrixPencil(alpha * np.diag(zs), 0.1, AP5).gamma_for_alphas(1)[0]
+        g = MatrixPencil(alpha * np.diag(zs), AP5).gamma_for_alphas(0.1, 1)[0]
         for i, z in enumerate(zs):
             assert abs(g[i, i] - gamma_scalar_batch(alpha * z, 0.1, AP5)[0]) < 5e-9
         assert abs(g[0, 1]) == 0.0
 
     def test_scalar_multiple_of_identity(self):
-        g = MatrixPencil(0.5 * np.eye(3), 0.3, AP5).gamma_for_alphas(1)[0]
+        g = MatrixPencil(0.5 * np.eye(3), AP5).gamma_for_alphas(0.3, 1)[0]
         assert operator_norm(g - gamma_scalar_batch(0.5, 0.3, AP5)[0] * np.eye(3)) < 1e-9
 
     def test_normal_spectral_mapping(self):
         t = random_normal_annulus(4, AP5, seed=5)
         alpha = np.exp(1.1j)
-        g = MatrixPencil(alpha * t, 0.1, AP5).gamma_for_alphas(1)[0]
+        g = MatrixPencil(alpha * t, AP5).gamma_for_alphas(0.1, 1)[0]
         lam_t = np.linalg.eigvals(t)
         mapped = np.array([gamma_scalar_batch(alpha * z, 0.1, AP5)[0] for z in lam_t])
         assert eig_match_max(np.linalg.eigvals(g), mapped) < 1e-8
 
     def test_reports_indices(self):
         # before any sweep there are no level counts to report
-        fresh = MatrixPencil(0.7 * np.eye(2), 0.25, AP5)
+        fresh = MatrixPencil(0.7 * np.eye(2), AP5)
         assert fresh.gamma_indices() is None and fresh.deriv_indices() is None
         # a large nilpotent part needs more levels on both sides (d^L ||W|| <= 1)
         levels = []
         for t in (0.7 * np.eye(2), jordan_block(0.7, 50.0)):
-            mp_ = MatrixPencil(t, 0.25, AP5)
-            mp_.gamma_for_alphas(64)
+            mp_ = MatrixPencil(t, AP5)
+            mp_.gamma_for_alphas(0.25, 64)
             levels.append(mp_.gamma_indices())
         assert levels[0] == (1, 1)
         assert min(levels[1]) >= 3
 
     def test_singular_rejected(self):
+        # the band check runs before T^{-1} is taken, so a zero eigenvalue is a
+        # DomainError, not a SingularityError
         with pytest.raises(DomainError):
-            MatrixPencil(np.diag([0.7, 0.0]), 0.5, AP5)
+            MatrixPencil(np.diag([0.7, 0.0]), AP5).gamma_for_alphas(0.5, 1)
 
     def test_spectrum_outside_band_rejected(self):
-        with pytest.raises(DomainError):
-            MatrixPencil(np.diag([3.0]), 0.5, AP5)
+        mp_ = MatrixPencil(np.diag([3.0]), AP5)
+        for sweep in (mp_.gamma_for_alphas, mp_.derivative_for_alphas):
+            with pytest.raises(DomainError):
+                sweep(0.5, 1)
+
+
+class TestOnePencilPerMatrix:
+    """A pencil takes T's eigenvalues when built and T^{-1} at its first sweep
+    that passes the band check; every later sweep, at any eps, reuses both."""
+
+    def test_eigenvalues_and_inverse_taken_once(self, pencil_calls):
+        t = jordan_block(0.7, 0.2)
+        mp_ = MatrixPencil(t, AP5)
+        sweeps = [mp_.gamma_for_alphas(eps, 8) for eps in (0.5, 0.1, 0.01)]
+        assert pencil_calls == [("build", (2, 2)), "eigenvalues", ("sweep", (2, 2), 0.5),
+                                "inverse", ("sweep", (2, 2), 0.1), ("sweep", (2, 2), 0.01)]
+        for eps, gam in zip((0.5, 0.1, 0.01), sweeps):
+            assert np.array_equal(gam, MatrixPencil(t, AP5).gamma_for_alphas(eps, 8))
+
+    def test_no_inverse_before_a_band_check_passes(self, pencil_calls):
+        # at eps = 0.5 the band of r = 0.5 is [0.25, 2]; 0.2 leaves it, so the
+        # sweep is a DomainError and T^{-1} is not taken; eps = 0.7 admits it
+        mp_ = MatrixPencil(np.array([[0.2]]), AP5)
+        with pytest.raises(DomainError, match="leave the convergence band"):
+            mp_.gamma_for_alphas(0.5, 8)
+        assert "inverse" not in pencil_calls
+        mp_.gamma_for_alphas(0.7, 8)
+        mp_.gamma_for_alphas(0.8, 8)
+        assert pencil_calls.count("inverse") == 1
 
 
 class TestEpsGate:
-    # both pencil entry points check eps before any series is summed
+    # both pencil entry points check eps when called to sum, before any series is summed
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, float("nan"), 1.5])
     def test_eps_outside_unit_interval_rejected(self, eps):
         with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
             gamma_scalar_batch(0.7, eps, AP5)
-        with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
-            MatrixPencil(np.array([[0.7]]), eps, AP5)
+        mp_ = MatrixPencil(np.array([[0.7]]), AP5)
+        for sweep in (mp_.gamma_for_alphas, mp_.derivative_for_alphas):
+            with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
+                sweep(eps, 1)
 
 
 class TestGammaDerivative:
     def test_identity_matches_scalar_derivative_sum(self):
-        d = MatrixPencil(np.eye(2), 0.25, AP5).derivative_for_alphas(1)[0]
+        d = MatrixPencil(np.eye(2), AP5).derivative_for_alphas(0.25, 1)[0]
         # term-by-term scalar differentiation at z = 1, c_k from its definition
         b, r = 1.0 - 0.25, AP5.r
         total = sum(
@@ -187,15 +218,15 @@ class TestGammaDerivative:
         t = random_normal_annulus(3, AP5, seed=9)
         alpha = np.exp(0.7j)
         block = assemble(BlockSpec("tx", t, np.eye(3)))
-        g2n = MatrixPencil(alpha * block, 0.1, AP5).gamma_for_alphas(1)[0]
+        g2n = MatrixPencil(alpha * block, AP5).gamma_for_alphas(0.1, 1)[0]
         # z -> Gamma(alpha z) differentiated at T is alpha Gamma'(alpha T)
-        d = alpha * MatrixPencil(alpha * t, 0.1, AP5).derivative_for_alphas(1)[0]
+        d = alpha * MatrixPencil(alpha * t, AP5).derivative_for_alphas(0.1, 1)[0]
         assert operator_norm(g2n[:3, 3:] - d) < 1e-8
 
     def test_finite_difference(self):
         alpha = np.exp(0.4j)
         z0 = 0.75 + 0.05j
-        d = alpha * MatrixPencil(np.array([[alpha * z0]]), 0.2, AP5).derivative_for_alphas(1)[0, 0, 0]
+        d = alpha * MatrixPencil(np.array([[alpha * z0]]), AP5).derivative_for_alphas(0.2, 1)[0, 0, 0]
         h = 1e-6
         fd = (gamma_scalar_batch(alpha * (z0 + h), 0.2, AP5)[0]
               - gamma_scalar_batch(alpha * (z0 - h), 0.2, AP5)[0]) / (2 * h)
@@ -281,13 +312,13 @@ def assert_fold_matches(t, eps, m, r=0.5):
     returns the level counts."""
     ap = AnnulusParams(r)
     alphas = roots_of_unity(m)
-    mp_ = MatrixPencil(t, eps, ap)
-    gam = mp_.gamma_for_alphas(m)
+    mp_ = MatrixPencil(t, ap)
+    gam = mp_.gamma_for_alphas(eps, m)
     levels = mp_.gamma_indices()
     assert rel_diff(gam, reference_pencil(t, eps, r, alphas)) <= 1e-12
-    der = mp_.derivative_for_alphas(m)
-    outer = MatrixPencil(embedded(t), eps, ap)
-    outer.gamma_for_alphas(m)
+    der = mp_.derivative_for_alphas(eps, m)
+    outer = MatrixPencil(embedded(t), ap)
+    outer.gamma_for_alphas(eps, m)
     assert mp_.deriv_indices() == outer.gamma_indices()
     ref_core = reference_pencil(t, eps, r, alphas, weighted=True)
     assert rel_diff(der, np.linalg.inv(t) @ ref_core) <= 1e-12
@@ -319,10 +350,10 @@ class TestAlphaFold:
     def test_single_alpha_off_the_grid(self):
         t = shift_chain(3, 0.15)
         alpha = np.exp(0.3j)
-        rotated = MatrixPencil(alpha * t, 0.1, AP5)
-        g = rotated.gamma_for_alphas(1)[0]
+        rotated = MatrixPencil(alpha * t, AP5)
+        g = rotated.gamma_for_alphas(0.1, 1)[0]
         assert rel_diff(g, reference_pencil(t, 0.1, 0.5, [alpha])[0]) <= 1e-12
-        d = alpha * rotated.derivative_for_alphas(1)[0]
+        d = alpha * rotated.derivative_for_alphas(0.1, 1)[0]
         ref_core = reference_pencil(t, 0.1, 0.5, [alpha], weighted=True)
         assert rel_diff(d, np.linalg.inv(t) @ ref_core[0]) <= 1e-12
 
@@ -331,17 +362,17 @@ class TestAlphaFold:
         # a single alpha is the M = 1 sweep of alpha T; the grid sweep must agree
         t = random_normal_annulus(4, AP5, seed=3)
         m = 16
-        mp_ = MatrixPencil(t, eps, AP5)
-        gam = mp_.gamma_for_alphas(m)
-        der = mp_.derivative_for_alphas(m)
-        single = MatrixPencil(t, eps, AP5)
-        single.gamma_for_alphas(1)
-        single.derivative_for_alphas(1)
+        mp_ = MatrixPencil(t, AP5)
+        gam = mp_.gamma_for_alphas(eps, m)
+        der = mp_.derivative_for_alphas(eps, m)
+        single = MatrixPencil(t, AP5)
+        single.gamma_for_alphas(eps, 1)
+        single.derivative_for_alphas(eps, 1)
         levels, deriv_levels = single.gamma_indices(), single.deriv_indices()
         for k, alpha in enumerate(roots_of_unity(m)):
-            rotated = MatrixPencil(alpha * t, eps, AP5)
-            assert rel_diff(rotated.gamma_for_alphas(1)[0], gam[k]) <= 1e-12
-            assert rel_diff(alpha * rotated.derivative_for_alphas(1)[0], der[k]) <= 1e-12
+            rotated = MatrixPencil(alpha * t, AP5)
+            assert rel_diff(rotated.gamma_for_alphas(eps, 1)[0], gam[k]) <= 1e-12
+            assert rel_diff(alpha * rotated.derivative_for_alphas(eps, 1)[0], der[k]) <= 1e-12
             # the level rule reads only norms, which a rotation keeps
             assert rotated.gamma_indices() == levels
             assert rotated.deriv_indices() == deriv_levels
@@ -352,7 +383,7 @@ class TestAlphaFold:
         t = np.diag([1.0, 0.7])
         ref = [np.diag(gamma_scalar_batch(alpha * np.diag(t), 0.001, AP5))
                for alpha in roots_of_unity(64)]
-        assert rel_diff(MatrixPencil(t, 0.001, AP5).gamma_for_alphas(64), np.array(ref)) <= 1e-12
+        assert rel_diff(MatrixPencil(t, AP5).gamma_for_alphas(0.001, 64), np.array(ref)) <= 1e-12
 
     @pytest.mark.parametrize("w", [0.999, 0.5005 * np.exp(0.3j)])
     def test_jordan_block_matches_extended_precision(self, w):
@@ -360,9 +391,9 @@ class TestAlphaFold:
         # nilpotent part meets slowly decaying powers
         t = jordan_block(w, 0.05)
         m = 8
-        mp_ = MatrixPencil(t, 0.01, AP5)
-        gam = mp_.gamma_for_alphas(m)
-        der = mp_.derivative_for_alphas(m)
+        mp_ = MatrixPencil(t, AP5)
+        gam = mp_.gamma_for_alphas(0.01, m)
+        der = mp_.derivative_for_alphas(0.01, m)
         ref_g, ref_d = zip(*(gamma_jordan_nsum(w, 0.05, 0.01, 0.5, alpha)
                              for alpha in roots_of_unity(m)))
         assert rel_diff(gam, np.array(ref_g)) <= 1e-13
@@ -373,10 +404,10 @@ class TestAlphaFold:
         # the corner of the embedded sweep carries Gamma's rounding guard: at
         # eps = 1e-3 Gamma of a Jordan block near a circle passes it, while the
         # sweep of [[T, I], [0, T]], whose buckets hold the derivative, does not
-        mp_ = MatrixPencil(jordan_block(w, 0.05), 1e-3, AP5)
-        mp_.gamma_for_alphas(8)
+        mp_ = MatrixPencil(jordan_block(w, 0.05), AP5)
+        mp_.gamma_for_alphas(1e-3, 8)
         with pytest.raises(TruncationError, match="sweep rounding up to "):
-            mp_.derivative_for_alphas(8)
+            mp_.derivative_for_alphas(1e-3, 8)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
