@@ -8,9 +8,11 @@ truncation nor the rounding of the pencil may spend that slack: the sum is
 taken in closed form with an a-priori tail below SCALAR_TOL = 1e-16, and a
 sweep whose rounding could reach a tenth of PSD_TOL raises TruncationError.
 That error, like a spectrum on a band edge where the series diverges, makes
-the eps rung inconclusive rather than refuted.  A near-normal T reads a rung
-off the scalar pencil at its eigenvalues instead, when an a-priori bound on
-the difference, rounding included, fits the same tenth of PSD_TOL.
+the eps rung inconclusive rather than refuted.  The rung eps = 0 sums on the
+closed annulus, so there a spectrum on a circle is such an edge, and a
+refutation on it is sound (``pencil._check_band``).  A near-normal T reads a
+rung off the scalar pencil at its eigenvalues instead, when an a-priori bound
+on the difference, rounding included, fits the same tenth of PSD_TOL.
 
 The theorem checks read their point factorizations off one sweep per eps of
 the unit block of ``blocks``, factor the whole alpha grid of a rung as one
@@ -68,7 +70,11 @@ MAX_ALPHAS = 1024
 
 @dataclass(frozen=True)
 class PencilGrid:
-    """Sampled surrogate for the (eps in (0,1), alpha on the circle) continuum."""
+    """Sampled surrogate for the (eps in [0, 1), alpha on the circle) continuum.
+
+    eps = 0 is the limit rung, summed on the closed annulus itself (see
+    ``pencil._check_band``); a spectrum on a circle makes it inconclusive.
+    """
 
     eps_values: tuple = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     alpha_count: int = 64
@@ -77,8 +83,8 @@ class PencilGrid:
         if not hasattr(self.eps_values, "__len__") or len(self.eps_values) == 0:
             raise DomainError(f"eps_values must be a nonempty sequence, got {self.eps_values!r}")
         for e in self.eps_values:
-            if not (isinstance(e, numbers.Real) and 0.0 < e < 1.0):
-                raise DomainError(f"eps values must lie in (0, 1), got {e!r}")
+            if not (isinstance(e, numbers.Real) and 0.0 <= e < 1.0):
+                raise DomainError(f"eps must lie in [0, 1), got {e!r}")
         _check_integer("alpha_count", self.alpha_count)
         if not 8 <= self.alpha_count <= MAX_ALPHAS:
             raise DomainError(f"alpha_count must lie in [8, {MAX_ALPHAS}], got {self.alpha_count}")

@@ -10,7 +10,7 @@ the reproducing kernel of the Hardy space over both boundary circles weighted
 by arclength (the inner circle contributes r * r^{2n} to ||z^n||^2).  That
 normalization is forced: it is the unique one whose reciprocal matches the
 extremal derivative bound sup { |f'(w)| : ||f|| <= 1 } realized by the pencil
-certificates in the small-eps limit.
+certificates at the limit rung eps = 0.
 
 Expanding 1 / (1 + r^{2n+1}) geometrically and summing over n gives, with
 rho = |w|, the closed form
@@ -27,10 +27,10 @@ certificates, giving the library a two-sided oracle on itself.  Since
 Gamma(alpha [[w, h], [0, w]]) = [[g, h g'], [0, g]] with g = Gamma(alpha w)
 and g' its z-derivative, the Hermitian part has smallest eigenvalue
 Re g - h |g'| / 2, so the flip point is the minimum of 2 Re g / |g'| over the
-(eps, alpha) grid (the certificate flips a hair above it, as it lets margins
-dip to -PSD_TOL * scale).  One pencil pass per eps reads that number off, and
-two certificates confirm the bracket around it; a scan or a certificate that
-does not confirm it raises DiagnosticError.
+alphas of ``MISRA_GRID``'s one rung eps = 0 (the certificate flips a hair
+above it, as it lets margins dip to -PSD_TOL * scale).  One pencil sweep
+reads that number off, and two certificates confirm the bracket around it; a
+scan or a certificate that does not confirm it raises DiagnosticError.
 """
 
 from __future__ import annotations
@@ -44,12 +44,14 @@ from .errors import DiagnosticError, DomainError, TruncationError
 from .numerics import _check_integer
 from .pencil import SCALAR_TOL, AnnulusParams, MatrixPencil, scalar_terms
 
-# Threshold hunting needs a much deeper eps ladder than plain certification:
-# the flip point converges to its limit linearly in the smallest eps.
-MISRA_GRID = PencilGrid(
-    eps_values=(0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 5e-4, 2.5e-4),
-    alpha_count=64,
-)
+# Threshold hunting runs on the limit rung eps = 0 alone.  Every eps > 0
+# overstates the flip point, by an amount linear in eps, so any finite ladder
+# is a slower and biased stand-in for this one rung.  A refutation there is
+# sound: an annulus contraction with spectrum inside has Re Gamma_eps(alpha T)
+# >= 0 at every eps > 0, and Gamma_eps(alpha T) -> Gamma_0(alpha T) in norm as
+# eps -> 0, so Re Gamma_0(alpha T) >= 0 is necessary (``pencil._check_band``).
+# A spectrum on a circle makes the rung inconclusive, never refuted.
+MISRA_GRID = PencilGrid(eps_values=(0.0,), alpha_count=64)
 
 # Width of the h bracket that ``threshold_via_pencil`` returns the midpoint of.
 SEARCH_TOL = 2e-5
@@ -140,7 +142,9 @@ def sweep_rows(r: float, samples: int, seed: int = 0) -> list[dict]:
     """Threshold comparison rows at random annulus points (PCG64-seeded).
 
     Radii stay inside [r + 0.07 (1-r), r + 0.9 (1-r)], away from the boundary
-    circles where the finite eps ladder loses accuracy.
+    circles, within about 3e-3 of which the scan of J_1 trips the sweep
+    rounding guard.  For r of about 0.8 and above every point ends in
+    DiagnosticError: Re Gamma(alpha w) near alpha w = -|w| is below rounding.
     """
     _check_integer("samples", samples)
     if samples < 1:

@@ -88,13 +88,21 @@ def eigenvalues_in_annulus(eigs: np.ndarray, ap: AnnulusParams) -> bool:
 def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
     """Both series converge at eps and these moduli, or raise.
 
-    DomainError when eps leaves (0, 1), when there is no modulus or one is not
+    DomainError when eps leaves [0, 1), when there is no modulus or one is not
     finite, or when a modulus leaves the band [(1-eps) r, 1/(1-eps)] by more
     than PSD_TOL, the slack of ``eigenvalues_in_annulus``; TruncationError
     when one lies on or past a band edge, where a series ratio reaches 1.
+
+    eps = 0 is the limit rung: the band is the closed annulus [r, 1], X = T
+    and Y = r T^{-1}, and a spectrum strictly inside sums there, while one on
+    a circle raises TruncationError.  A refutation on that rung is sound: for
+    an annulus contraction with spectrum inside, Re Gamma_eps(alpha T) is
+    positive semidefinite at every eps > 0, and Gamma_eps(alpha T) tends to
+    Gamma_0(alpha T) in norm as eps -> 0 (both series converge uniformly on a
+    neighbourhood of the spectrum), so Re Gamma_0(alpha T) >= 0 is necessary.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    if not 0.0 <= eps < 1.0:
+        raise DomainError(f"eps must lie in [0, 1), got {eps}")
     if mods.size == 0 or not np.isfinite(mods).all():
         raise DomainError("the pencil needs at least one point, and only finite ones")
     lo, hi = (1.0 - eps) * r, 1.0 / (1.0 - eps)

@@ -408,7 +408,7 @@ class TestIntegerSizes:
             PencilGrid((0.5,), True)
 
     def test_string_eps_values(self):
-        with pytest.raises(DomainError, match=r"eps values must lie in \(0, 1\)"):
+        with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
             PencilGrid(eps_values="0.5")
 
     def test_bool_count(self):

@@ -156,6 +156,24 @@ class TestCertifyCommand:
         assert doc["spectrum_ok"] is True
         assert "diverges on the band edge" in doc["diagnostics"][0]
 
+    @pytest.mark.parametrize("matrix, code", [
+        ([[0.999921, 1e-4], [0.0, -0.998972]], 1),
+        ([[1.0]], 2),
+        ([[0.7]], 0),
+    ], ids=["interior_refuted", "circle_inconclusive", "inside_certified"])
+    def test_limit_rung(self, tmp_path, capsys, matrix, code):
+        # eps = 0 refutes an interior input that every eps > 0 rung certifies;
+        # a spectrum on a circle diverges there, which is inconclusive, not refuted
+        path = str(tmp_path / "m.json")
+        save_matrix(np.array(matrix, dtype=complex), path)
+        assert main(["certify", "--matrix", path, "--r", "0.5", "--eps", "0"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        if code == 1:
+            assert doc["min_margin"] == pytest.approx(-1.573e-5, rel=1e-3)
+            assert main(["certify", "--matrix", path, "--r", "0.5"]) == 0
+        elif code == 2:
+            assert "diverges on the band edge" in doc["diagnostics"][0]
+
     def test_missing_file_usage_error(self, files):
         assert main(["certify", "--matrix", "nope.json", "--r", "0.5"]) == 64
 
@@ -324,6 +342,15 @@ class TestOtherCommands:
         assert {"eps", "alpha", "k_norm", "lambda_min", "residual"} <= set(point)
         assert point["lambda_min"] is not None
 
+    def test_thm_block1_on_the_limit_rung(self, files, capsys):
+        x = files["tmp"] / "x_tenth.json"
+        save_matrix(np.array([[0.1]]), x)
+        code = main(["thm", "--which", "block1", "--t1", files["t"], "--x", str(x),
+                     "--r", "0.5", "--eps", "0"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["agree"] is True and {p["eps"] for p in doc["points"]} == {0.0}
+
     def test_thm_margins_where_the_certificate_has_records(self, files, capsys):
         # the certificate of the assembled block evaluates 4 of 6 rungs (see
         # TestThmBlock1.test_margins_join_by_grid_point); those keep their margins
@@ -456,14 +483,14 @@ def _eps_lists(values, min_size):
 # must reject with exit 64, including sizes past the allocation caps.
 _VALID_FLAGS = {
     "--alphas": st.none() | st.integers(8, 64),
-    "--eps": st.none() | _eps_lists(["0.5", "0.1", "1e-3"], 1),
+    "--eps": st.none() | _eps_lists(["0.5", "0.1", "1e-3", "0"], 1),
     "--m": st.none() | st.integers(8, 2048),
     "--r": st.sampled_from(["0.5", "0.3", "0.75", "1e-300"]),
     "--seed": st.none() | st.integers(0, 2**63),
 }
 _HOSTILE_FLAGS = {
     "--alphas": st.integers(-2, 7) | _huge(MAX_ALPHAS),
-    "--eps": _eps_lists(["0", "1", "-0.2", "nan", "inf", "x"], 0),
+    "--eps": _eps_lists(["1", "-0.2", "nan", "inf", "x"], 0),
     "--m": st.integers(-2, 7) | _huge(MAX_SAMPLES),
     "--r": st.sampled_from(["0", "1", "-1", "nan", "inf", "x"]),
     "--seed": st.integers(-2**63, -1) | st.sampled_from(["x", "2.5"]),

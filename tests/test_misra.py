@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from annulus_cert import misra
@@ -156,13 +157,24 @@ class TestThresholdViaPencil:
             threshold_via_pencil(0.4, 0.5)
 
     def test_three_pencils_per_call(self, pencil_calls):
-        # J1's for the bracket, swept at every eps of MISRA_GRID, and one in
-        # each of the two bracket certificates
+        # J1's for the bracket and one in each of the two bracket certificates,
+        # each swept once, on the limit rung of MISRA_GRID
         threshold_via_pencil(0.7, 0.5)
         assert [c for c in pencil_calls if c[0] == "build"] == [("build", (2, 2))] * 3
-        scan = [c for c in pencil_calls if c[0] == "sweep"][:len(MISRA_GRID.eps_values)]
-        assert scan == [("sweep", (2, 2), eps) for eps in MISRA_GRID.eps_values]
+        assert [c for c in pencil_calls if c[0] == "sweep"] == [("sweep", (2, 2), 0.0)] * 3
         assert pencil_calls.count("eigenvalues") == 3 and pencil_calls.count("inverse") == 3
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(r=st.sampled_from([0.3, 0.5]), frac=st.floats(0.0, 1.0), phase=st.floats(0.0, 1.0))
+    def test_limit_rung_flips_at_the_kernel_threshold(self, r, frac, phase):
+        # w over sweep_rows' band: MISRA_GRID certifies 0.999 x and refutes
+        # 1.001 x the kernel threshold, which no eps > 0 rung can refute
+        aw = r + (0.07 + 0.83 * frac) * (1.0 - r)
+        w = aw * np.exp(2j * np.pi * phase)
+        tk = misra_threshold(w, r)
+        ap = AnnulusParams(r)
+        assert certify_ar(jordan_block(w, 0.999 * tk), ap, MISRA_GRID).verdict == "certified"
+        assert certify_ar(jordan_block(w, 1.001 * tk), ap, MISRA_GRID).verdict == "refuted"
 
     @pytest.mark.parametrize("w, r", [(0.7, 0.5), (0.9, 0.3), (0.4 + 0.2j, 0.3)])
     def test_matches_bisection_oracle(self, w, r):

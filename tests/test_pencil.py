@@ -194,14 +194,38 @@ class TestOnePencilPerMatrix:
 
 class TestEpsGate:
     # both pencil entry points check eps when called to sum, before any series is summed
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, float("nan"), 1.5])
+    @pytest.mark.parametrize("eps", [1.0, -0.1, float("nan"), 1.5])
     def test_eps_outside_unit_interval_rejected(self, eps):
-        with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
+        with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
             gamma_scalar_batch(0.7, eps, AP5)
         mp_ = MatrixPencil(np.array([[0.7]]), AP5)
         for sweep in (mp_.gamma_for_alphas, mp_.derivative_for_alphas):
-            with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
+            with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
                 sweep(eps, 1)
+
+
+class TestLimitRung:
+    """eps = 0: the band is the closed annulus, X = T and Y = r T^{-1}."""
+
+    def test_diagonal_sweep_matches_scalar(self):
+        w = np.array([0.9 * np.exp(0.4j), 0.55, -0.7j])
+        gam = MatrixPencil(np.diag(w), AP5).gamma_for_alphas(0.0, 64)
+        ref = [np.diag(gamma_scalar_batch(alpha * w, 0.0, AP5)) for alpha in roots_of_unity(64)]
+        assert rel_diff(gam, np.array(ref)) <= 1e-12
+
+    def test_jordan_sweep_matches_extended_precision(self):
+        # Gamma_0(z) = sum_k 2 z^k / (1 + r^k), and f(J(w, 1)) = [[f(w), f'(w)], [0, f(w)]]
+        w, m = 0.8 * np.exp(0.3j), 8
+        gam = MatrixPencil(jordan_block(w, 1.0), AP5).gamma_for_alphas(0.0, m)
+        ref = [gamma_jordan_nsum(w, 1.0, 0, 0.5, alpha)[0] for alpha in roots_of_unity(m)]
+        assert rel_diff(gam, np.array(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("z", [1.0, 0.5])
+    def test_spectrum_on_a_circle_diverges(self, z):
+        with pytest.raises(TruncationError, match="diverges on the band edge"):
+            gamma_scalar_batch(z, 0.0, AP5)
+        with pytest.raises(TruncationError, match="diverges on the band edge"):
+            MatrixPencil(np.array([[z]]), AP5).gamma_for_alphas(0.0, 8)
 
 
 class TestGammaDerivative:
