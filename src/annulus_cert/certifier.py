@@ -153,11 +153,12 @@ class Certificate:
         }
 
 
-def _rung_records(eps, alphas, lam_min, trunc, scales):
-    """The records of one eps rung, one per alpha, in grid order."""
-    recs = np.empty(alphas.size, RECORD)
-    recs["eps"], recs["alpha"], recs["lambda_min"] = eps, alphas, lam_min
-    recs["trunc_n"], recs["scale"] = trunc, scales
+def _rung_records(dtype, eps, alphas, *columns):
+    """The ``dtype`` records of one eps rung, one per alpha, in grid order: the
+    fields take eps, alphas, then ``columns`` in field order."""
+    recs = np.empty(alphas.size, dtype)
+    for name, column in zip(dtype.names, (eps, alphas, *columns), strict=True):
+        recs[name] = column
     return recs
 
 
@@ -179,7 +180,7 @@ def _eps_records(mp, eps, alphas):
     scales = (1.0 + np.linalg.norm(gam, axis=(1, 2))) * (1.0 + 1e-12)
     cand = lam_min + PSD_TOL * lo <= np.min(lam_min + PSD_TOL * scales)
     scales[cand] = 1.0 + _norm2(gam[cand])
-    return _rung_records(eps, alphas, lam_min, max(mp.gamma_indices()), scales)
+    return _rung_records(RECORD, eps, alphas, lam_min, max(mp.gamma_indices()), scales)
 
 
 def _diagonal_form(tm, eigs, grid):
@@ -237,7 +238,7 @@ def _scalar_records(w, eps, alphas, ap, bound):
     g = g.reshape(alphas.size, w.size)
     lam_min = g.real.min(axis=1)
     scales = 1.0 + np.abs(g).max(axis=1) + bound
-    return _rung_records(eps, alphas, lam_min, scalar_sum_terms(eps, ap.r), scales)
+    return _rung_records(RECORD, eps, alphas, lam_min, scalar_sum_terms(eps, ap.r), scales)
 
 
 def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certificate:
@@ -462,34 +463,32 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
 
 # --- theorem-level block checks --------------------------------------------
 
+# One row per grid point of a theorem report, fields in the key order of its points:
+# the Douglas factorization (``passes`` is ``FactorResult.passing()``), the Halmos
+# reconstruction residual, nan where the point fails, and the certificate margin,
+# nan on a rung the certificate skipped.  A nan is serialized as null.
+THM_RECORD = np.dtype([("eps", "f8"), ("alpha", "c16"), ("k_norm", "f8"), ("lambda_min", "f8"),
+                       ("residual", "f8"), ("range_defect", "f8"), ("passes", "?"),
+                       ("recon_residual", "f8")])
+
+
+def _null(x: float) -> float | None:
+    return None if np.isnan(x) else x
+
+
 @dataclass(frozen=True, eq=False)
 class ThmReport:
-    """Per eps of ``certificate.grid``, ``factors`` holds the rung's
-    ``FactorResult`` stacked over the alphas and ``recon_residuals`` its Halmos
-    reconstruction residuals, nan where a point fails."""
+    """``records`` holds one THM_RECORD row per grid point of ``certificate.grid``,
+    in grid order; the verdicts and maxima are reductions of it."""
 
-    factors: tuple
-    recon_residuals: tuple
-    factor_verdict: bool
+    records: np.ndarray
     certificate: Certificate
+    factor_verdict: bool
     agree: bool
     max_k_norm: float
     max_recon_residual: float | None
 
     def to_dict(self) -> dict:
-        """Each point's ``lambda_min`` is the certificate record at its (eps, alpha),
-        null on a rung the certificate could not evaluate."""
-        margins = {(eps, a): lm for eps, a, lm, _, _ in self.certificate.records.tolist()}
-        grid = self.certificate.grid
-        alphas = grid.alphas().tolist()
-        points = []
-        for eps, fr, recon in zip(grid.eps_values, self.factors, self.recon_residuals):
-            for a, k, res, rd, ok, rc in zip(alphas, fr.k_norm.tolist(), fr.residual.tolist(),
-                                             fr.range_defect.tolist(), fr.passing().tolist(),
-                                             recon.tolist()):
-                points.append(_point_dict(eps, a, k_norm=k, lambda_min=margins.get((eps, a)),
-                                          residual=res, range_defect=rd, passes=ok,
-                                          recon_residual=rc if ok else None))
         return {
             "factor_verdict": self.factor_verdict,
             "certificate_verdict": self.certificate.verdict,
@@ -497,7 +496,9 @@ class ThmReport:
             "max_k_norm": self.max_k_norm,
             "max_recon_residual": self.max_recon_residual,
             "min_margin": self.certificate.min_margin,
-            "points": points,
+            "points": [_point_dict(eps, a, k_norm=k, lambda_min=_null(lm), residual=res,
+                                   range_defect=rd, passes=ok, recon_residual=_null(rc))
+                       for eps, a, k, lm, res, rd, ok, rc in self.records.tolist()],
         }
 
 
@@ -510,15 +511,15 @@ def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmRepor
     take the whole alpha grid as one stack: one ``sqrt_psd`` call on the
     interleaved diagonals [P(alpha_0), Q(alpha_0), P(alpha_1), ...], one
     ``factor_through`` call and one ``halmos_unitary`` call on the passing
-    points, each bit for bit what the points give one at a time.  Once every
-    diagonal root exists, the all-points verdict is compared with the
-    certificate of the assembled block, which carries X inside the sweep
-    instead of multiplying it in.
+    points, each bit for bit what the points give one at a time; they fill the
+    rung's THM_RECORD rows, and its K stack is dropped.  Once every diagonal
+    root exists, the assembled block, which carries X inside the sweep instead
+    of multiplying it in, is certified, and its records give ``lambda_min``.
     """
     n = spec.t1.shape[0]
     alphas = grid.alphas()
     mp = MatrixPencil(unit_block(spec), ap)
-    factors, masks, recons = [], [], []
+    rungs = []
     for eps in grid.eps_values:
         sweep = mp.gamma_for_alphas(eps, grid.alpha_count)
         try:
@@ -538,16 +539,17 @@ def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmRepor
         if ok.any():
             u = halmos_unitary(fr.k[ok])
             recon[ok] = _norm2(compress_through(u, sp[ok], sq[ok]) - r[ok]) / (1.0 + _norm2(r[ok]))
-        factors.append(fr)
-        masks.append(ok)
-        recons.append(recon)
-    passing = np.concatenate(masks)
-    all_pass = bool(passing.all())
-    max_k = max(float(fr.k_norm.max()) for fr in factors)
-    max_recon = float(np.concatenate(recons)[passing].max()) if passing.any() else None
+        rungs.append(_rung_records(THM_RECORD, eps, alphas, fr.k_norm, np.nan, fr.residual,
+                                   fr.range_defect, ok, recon))
+    records = np.concatenate(rungs)
     cert = certify_ar(assemble(spec), ap, grid)
-    agree = all_pass == cert.certified
-    return ThmReport(tuple(factors), tuple(recons), all_pass, cert, agree, max_k, max_recon)
+    # the certificate drops only whole rungs and keeps grid order
+    kept = np.repeat([eps in cert.records["eps"] for eps in grid.eps_values], alphas.size)
+    records["lambda_min"][kept] = cert.records["lambda_min"]
+    passing = records["passes"]
+    recon = records["recon_residual"][passing]
+    return ThmReport(records, cert, bool(passing.all()), bool(passing.all()) == cert.certified,
+                     float(records["k_norm"].max()), float(recon.max()) if recon.size else None)
 
 
 def check_thm_block1(t, x, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> ThmReport:

@@ -32,9 +32,8 @@ from .certifier import (
     VERDICT_REFUTED,
     Certificate,
     PencilGrid,
+    _check_thm,
     certify_ar,
-    check_thm_block1,
-    check_thm_block2,
     vn_sample,
 )
 from .errors import (
@@ -178,13 +177,12 @@ def _cmd_vn(args) -> int:
 def _cmd_thm(args) -> int:
     t1 = load_matrix(args.t1)
     x = load_matrix(args.x)
+    t2 = load_matrix(args.t2) if args.t2 else None
     grid = _grid_from_args(args)
     ap = AnnulusParams(args.r)
-    if args.which == "block1":
-        report = check_thm_block1(t1, x, ap, grid)
-    else:
-        t2 = load_matrix(args.t2) if args.t2 else None
-        report = check_thm_block2(t1, t2, x, ap, grid)
+    # block1 is the kind 'tx', so a --t2 must equal T1 there, as for ``block``
+    spec = BlockSpec("tx" if args.which == "block1" else "hat", t1, x, t2)
+    report = _check_thm(spec, ap, grid)
     _emit({"which": args.which, **report.to_dict()}, args.out)
     return EXIT_OK if report.agree else EXIT_REFUTED
 

@@ -134,7 +134,8 @@ def _exact_scale_records(mp, eps, alphas):
     gam = mp.gamma_for_alphas(eps, alphas.size)
     lam_min = np.linalg.eigvalsh(re_part(gam))[:, 0]
     scales = 1.0 + _norm2(gam)
-    return certifier._rung_records(eps, alphas, lam_min, max(mp.gamma_indices()), scales)
+    return certifier._rung_records(certifier.RECORD, eps, alphas, lam_min, max(mp.gamma_indices()),
+                                   scales)
 
 
 def _matrix_route(t, ap, grid=DEFAULT_GRID):
@@ -591,13 +592,11 @@ class TestHalmosReconstruction:
         grid = PencilGrid((0.5, 0.1), 16)
         for rep in (check_thm_block1(t1, 0.05 * x, AP5, grid),
                     check_thm_block2(t1, t2, 0.05 * x, AP5, grid)):
-            passing = 0
-            for fr, recon in zip(rep.factors, rep.recon_residuals):
-                ok = fr.passing()
-                assert np.array_equal(recon[ok], fr.residual[ok])
-                assert np.isnan(recon[~ok]).all()
-                passing += int(ok.sum())
-            assert passing
+            recs = rep.records
+            ok = recs["passes"]
+            assert np.array_equal(recs["recon_residual"][ok], recs["residual"][ok])
+            assert np.isnan(recs["recon_residual"][~ok]).all()
+            assert ok.any()
 
 
 class TestMixedRung:
@@ -606,13 +605,14 @@ class TestMixedRung:
         t, x = np.array([[0.7]]), np.array([[0.9]])
         grid = PencilGrid((0.5, 0.1), 8)
         rep = check_thm_block1(t, x, AP5, grid)
-        assert [int(fr.passing().sum()) for fr in rep.factors] == [8, 2]
+        rungs = rep.records.reshape(2, 8)
+        assert rungs["passes"].sum(axis=1).tolist() == [8, 2]
         assert not rep.factor_verdict and rep.certificate.verdict == "refuted" and rep.agree
         points = rep.to_dict()["points"]
         assert len(points) == 16
         e = MatrixPencil(unit_block(BlockSpec("tx", t, x)), AP5)
         rows = iter(points)
-        for eps, fr in zip(grid.eps_values, rep.factors):
+        for eps, rung in zip(grid.eps_values, rungs):
             sweep = e.gamma_for_alphas(eps, 8)
             looped = []
             for alpha, g in zip(grid.alphas(), sweep):
@@ -630,13 +630,18 @@ class TestMixedRung:
                         compress_through(u, sp, sq) - r) / (1.0 + operator_norm(r))
                 else:
                     assert p["recon_residual"] is None
-            assert fr.passing().tolist() == looped
+            assert rung["passes"].tolist() == looped
 
     def test_rung_factor_document(self):
         # the eps = 0.1 rung passes 2 of 8 alphas; its stacked FactorResult
         # writes one matrix document and one metric per alpha
         t, x = np.array([[0.7]]), np.array([[0.9]])
-        fr = check_thm_block1(t, x, AP5, PencilGrid((0.5, 0.1), 8)).factors[1]
+        sweep = MatrixPencil(unit_block(BlockSpec("tx", t, x)), AP5).gamma_for_alphas(0.1, 8)
+        sp, sq = sqrt_psd(re_part(sweep[:, :1, :1])), sqrt_psd(re_part(sweep[:, 1:, 1:]))
+        fr = factor_through(sp, sq, x @ sweep[:, :1, 1:] / 2.0)
+        assert fr.passing().sum() == 2
+        rung = check_thm_block1(t, x, AP5, PencilGrid((0.5, 0.1), 8)).records[8:]
+        assert np.array_equal(rung["k_norm"], fr.k_norm)
         doc = json.loads(json.dumps(fr.to_dict()))
         assert len(doc["k"]) == 8
         assert np.array([matrix_from_dict(m) for m in doc["k"]]).tobytes() == fr.k.tobytes()
@@ -684,6 +689,25 @@ class TestThmBlock1:
             assert p["lambda_min"] == margins.get((p["eps"], complex(*p["alpha"])))
         nulls = [p["eps"] for p in points if p["lambda_min"] is None]
         assert len(nulls) == 128 and set(nulls) == {0.02, 0.01}
+
+    def test_record_layout(self):
+        # one THM_RECORD row per grid point in grid order, whatever n is; the
+        # X = 3e4 case above has nan margins on its two skipped rungs only
+        grid = PencilGrid((0.5, 0.1, 0.01), 8)
+        t1, _, x = interior_commuting_triple(4, AP5, seed=3)
+        reps = [check_thm_block1(np.array([[0.7]]), np.array([[0.1]]), AP5, grid),
+                check_thm_block1(t1, 0.05 * x, AP5, grid)]
+        for rep in reps:
+            recs = rep.records
+            assert recs.dtype == certifier.THM_RECORD and recs.shape == (24,)
+            assert np.array_equal(recs["eps"], np.repeat(grid.eps_values, 8))
+            assert np.array_equal(recs["alpha"], np.tile(grid.alphas(), 3))
+            assert not np.isnan(recs["lambda_min"]).any()
+        assert reps[0].records.nbytes == reps[1].records.nbytes
+        recs = check_thm_block1(np.array([[0.7]]), np.array([[3e4]]), AP5).records
+        assert len(recs) == len(DEFAULT_GRID.eps_values) * DEFAULT_GRID.alpha_count
+        skipped = np.isnan(recs["lambda_min"])
+        assert skipped.sum() == 128 and set(recs["eps"][skipped].tolist()) == {0.02, 0.01}
 
     def test_k_norm_within_slack_gets_its_unitary(self):
         # max ||K|| = 1 + 7e-9 passes the norm rule; I - K*K then dips below the
@@ -770,10 +794,8 @@ class TestUnitBlockSweep:
         assert calls["factor_through"] == [(8, 2, 2)] * rungs
         # at most one Halmos call per eps, on that rung's passing points
         assert 0 < len(calls["halmos_unitary"]) <= rungs
-        assert sum(shape[0] for shape in calls["halmos_unitary"]) == sum(
-            int(fr.passing().sum()) for fr in rep.factors)
-        assert [fr.k.shape[0] for fr in rep.factors] == [8] * rungs
-        assert [recon.shape for recon in rep.recon_residuals] == [(8,)] * rungs
+        assert sum(shape[0] for shape in calls["halmos_unitary"]) == rep.records["passes"].sum()
+        assert rep.records["eps"].tolist() == np.repeat(grid.eps_values, 8).tolist()
 
     def test_earliest_failing_point_named(self):
         # T2 is T1 rotated by e^{i pi/4}, so its first indefinite Re Gamma comes

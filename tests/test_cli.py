@@ -378,6 +378,18 @@ class TestOtherCommands:
         assert doc["agree"] is True and doc["factor_verdict"] is True
         assert 1.0 < doc["max_k_norm"] <= 1.0 + 1e-8
 
+    def test_thm_block1_holds_t2_to_the_tx_contract(self, files, tmp_path, capsys):
+        # as `block --kind tx`: T2 must equal T1, and an unreadable --t2 is a usage error
+        argv = ["thm", "--which", "block1", "--t1", files["t"], "--x", files["x_small"], *THM_GRID]
+        assert main([*argv, "--t2", str(tmp_path / "nope.json")]) == 64
+        assert main([*argv, "--t2", files["t2"]]) == 65
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "contract violation: kind 'tx' has one diagonal block: T2 must equal T1")
+        out = tmp_path / "thm.json"
+        assert main([*argv, "--t2", files["t"], "--out", str(out)]) == 0
+        assert out.read_text() == (DATA / "thm_block1.json").read_text()
+
     def test_thm_block2_requires_t2(self, files):
         assert main([
             "thm", "--which", "block2", "--t1", files["t"], "--x", files["x_small"],
@@ -660,6 +672,35 @@ class TestHostileInputs:
         assert proc.returncode == 64
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case, code, text", [
+        ("w_one_part", 64, "error: expected RE,IM, got '0.5'"),
+        ("w_not_numbers", 64, "error: bad complex literal 'a,b'"),
+        ("short_entry", 64, "error: entry 0 is not an [re, im] pair"),
+        ("file_past_cap", 64, "error: dimension 129 exceeds cap 128"),
+        ("thm_operand_past_cap", 65, "contract violation: dimension 65 exceeds cap 64"),
+        ("block_operand_past_cap", 65, "contract violation: dimension 65 exceeds cap 64"),
+    ])
+    def test_rejection_is_one_line(self, tmp_path, capsys, case, code, text):
+        # files hold up to 128 = 2 * MAX_DIM (a saved block); the operands of a block, 64
+        path = str(tmp_path / "m.json")
+        if case == "short_entry":
+            Path(path).write_text('{"n": 1, "data": [[0.7]]}')
+        else:
+            save_matrix(0.7 * np.eye(129 if case == "file_past_cap" else 65), path)
+        argv = {
+            "w_one_part": ["misra", "--r", "0.5", "--w", "0.5"],
+            "w_not_numbers": ["misra", "--r", "0.5", "--w", "a,b"],
+            "short_entry": ["certify", "--matrix", path, "--r", "0.5"],
+            "file_past_cap": ["certify", "--matrix", path, "--r", "0.5"],
+            "thm_operand_past_cap": ["thm", "--which", "block1", "--t1", path, "--x", path,
+                                     *THM_GRID],
+            "block_operand_past_cap": ["block", "--kind", "tx", "--t1", path, "--x", path,
+                                       "--out", str(tmp_path / "o.json")],
+        }[case]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(text)
 
     def test_empty_eps_list_usage_error(self, files):
         assert main(["certify", "--matrix", files["eye"], "--r", "0.5", "--eps", ""]) == 64
