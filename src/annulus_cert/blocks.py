@@ -43,7 +43,7 @@ class BlockSpec:
     """Ingredients of one block operator; ``x`` is Y itself for kind 'general'.
 
     ``t2`` defaults to ``t1`` for kind 'tx', and the other kinds need it.
-    Building a spec enforces the contract of its kind.
+    Building a spec enforces the contract of its kind and the cap MAX_DIM.
     """
 
     kind: str
@@ -57,13 +57,15 @@ class BlockSpec:
         if t2 is None and kind != "tx":
             raise DomainError(f"kind {kind!r} needs a second diagonal block T2")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "t1", as_matrix(t1, cap=MAX_DIM))
-        object.__setattr__(self, "x", as_matrix(x, cap=MAX_DIM))
-        t2m = self.t1 if t2 is None else as_matrix(t2, cap=MAX_DIM)
+        object.__setattr__(self, "t1", as_matrix(t1))
+        object.__setattr__(self, "x", as_matrix(x))
+        t2m = self.t1 if t2 is None else as_matrix(t2)
         object.__setattr__(self, "t2", t2m)
         n = self.t1.shape[0]
         if self.x.shape[0] != n or self.t2.shape[0] != n:
             raise ContractViolationError("all blocks must share one dimension")
+        if n > MAX_DIM:
+            raise ContractViolationError(f"dimension {n} exceeds cap {MAX_DIM}")
         if kind == "tx":
             if not np.array_equal(self.t2, self.t1):
                 raise ContractViolationError("kind 'tx' has one diagonal block: T2 must equal T1")

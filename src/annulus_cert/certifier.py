@@ -479,12 +479,13 @@ def _null(x: float) -> float | None:
 @dataclass(frozen=True, eq=False)
 class ThmReport:
     """``records`` holds one THM_RECORD row per grid point of ``certificate.grid``,
-    in grid order; the verdicts and maxima are reductions of it."""
+    in grid order; the verdicts and maxima are reductions of it.  ``agree`` is
+    None when the certificate is inconclusive: it then decides nothing."""
 
     records: np.ndarray
     certificate: Certificate
     factor_verdict: bool
-    agree: bool
+    agree: bool | None
     max_k_norm: float
     max_recon_residual: float | None
 
@@ -548,7 +549,9 @@ def _check_thm(spec: BlockSpec, ap: AnnulusParams, grid: PencilGrid) -> ThmRepor
     records["lambda_min"][kept] = cert.records["lambda_min"]
     passing = records["passes"]
     recon = records["recon_residual"][passing]
-    return ThmReport(records, cert, bool(passing.all()), bool(passing.all()) == cert.certified,
+    factored = bool(passing.all())
+    agree = None if cert.verdict == VERDICT_INCONCLUSIVE else factored == cert.certified
+    return ThmReport(records, cert, factored, agree,
                      float(records["k_norm"].max()), float(recon.max()) if recon.size else None)
 
 

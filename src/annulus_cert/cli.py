@@ -4,7 +4,7 @@ Exit codes, used consistently by every subcommand:
 
     0   certified / verdicts agree / no violation found / plain success
     1   refuted / verdicts disagree / violation or factorization failure
-    2   inconclusive (truncation or diagnostic failure)
+    2   inconclusive (truncation, diagnostic failure, thm's inconclusive certificate)
     64  usage error: bad flags, unreadable or malformed matrix files,
         out-of-domain inputs
     65  contract violation: structurally valid inputs that break a precondition
@@ -184,7 +184,7 @@ def _cmd_thm(args) -> int:
     spec = BlockSpec("tx" if args.which == "block1" else "hat", t1, x, t2)
     report = _check_thm(spec, ap, grid)
     _emit({"which": args.which, **report.to_dict()}, args.out)
-    return EXIT_OK if report.agree else EXIT_REFUTED
+    return {True: EXIT_OK, False: EXIT_REFUTED, None: EXIT_INCONCLUSIVE}[report.agree]
 
 
 def build_parser() -> _Parser:

@@ -38,6 +38,8 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
     data = doc["data"]
     if type(n) is not int or n < 1:  # JSON true parses to bool, an int subclass
         raise DomainError(f"'n' must be a positive integer, got {n!r}")
+    if n > MAX_FILE_DIM:
+        raise DomainError(f"dimension {n} exceeds cap {MAX_FILE_DIM}")
     if not isinstance(data, list) or len(data) != n * n:
         raise DomainError(
             f"'data' must hold exactly n*n = {n * n} entries, got {len(data) if isinstance(data, list) else type(data)}"
@@ -51,8 +53,6 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (re, im)):
             raise DomainError(f"entry {i} has non-finite or non-numeric parts")
         out[i] = complex(re, im)
-    if n > MAX_FILE_DIM:
-        raise DomainError(f"dimension {n} exceeds cap {MAX_FILE_DIM}")
     return as_matrix(out.reshape(n, n))
 
 

@@ -55,12 +55,9 @@ def _as_stack(a, stack: bool = True) -> np.ndarray:
     return m
 
 
-def as_matrix(a, cap: int | None = None) -> np.ndarray:
+def as_matrix(a) -> np.ndarray:
     """Validate and return a square finite complex matrix (copy not forced)."""
-    m = _as_stack(a, stack=False)
-    if cap is not None and m.shape[0] > cap:
-        raise ContractViolationError(f"dimension {m.shape[0]} exceeds cap {cap}")
-    return m
+    return _as_stack(a, stack=False)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:

@@ -115,25 +115,19 @@ def poles_off_annulus(f: RationalFunction, ap: AnnulusParams) -> bool:
 
 
 def polyval_matrix(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Horner evaluation of ascending coefficients at the matrix T.
+    """Horner evaluation of the (N, d) stack ``c`` of ascending coefficient
+    vectors at the matrix T, giving the (N, n, n) stack of its rows' values.
 
-    ``c`` is one coefficient vector, giving (n, n), or an (N, d) stack, giving
-    the (N, n, n) stack of its rows' values.  A row's accumulator stays at
-    exactly 0 through its top zero padding, so those steps are skipped, and
-    from its leading coefficient on it takes the steps its trimmed vector
-    takes alone.
+    As in ``polyval``, zero padding at the top keeps a row's accumulator at
+    exactly +0 until its leading coefficient, so a padded row gives exactly
+    its trimmed vector's value.
     """
-    c = np.asarray(c)
-    rows = np.atleast_2d(c)
     eye = np.eye(t.shape[0], dtype=complex)
-    acc = np.zeros(rows.shape[:1] + t.shape, dtype=complex)
-    lead = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
-    for k in range(rows.shape[1] - 1, -1, -1):
-        live = lead >= k
-        step = acc[live] @ t
-        step += rows[live, k, None, None] * eye
-        acc[live] = step
-    return acc[0] if c.ndim == 1 else acc
+    acc = np.zeros((c.shape[0], *t.shape), dtype=complex)
+    for a in c.T[::-1]:
+        acc = acc @ t
+        acc += a[:, None, None] * eye
+    return acc
 
 
 def eval_matrix(f: RationalFunction | Sequence[RationalFunction], t) -> np.ndarray:

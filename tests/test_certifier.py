@@ -720,6 +720,36 @@ class TestThmBlock1:
         assert rep.max_recon_residual <= 1e-8
 
 
+class TestAdjointInvariance:
+    """T is an A_r-contraction iff T* is, since A_r is closed under conjugation.
+    The pencil's coefficients are real, so Gamma(conj(alpha) T*) = Gamma(alpha T)*,
+    whose Hermitian part is Re Gamma(alpha T): the margin of T at alpha_j is
+    that of T* at alpha_{-j mod m}."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, PencilGrid((0.0,), 64)],
+                             ids=["default", "limit"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 5), r=st.sampled_from([0.3, 0.5, 0.7]),
+           seed=st.integers(0, 2**31 - 1), h=st.floats(0.0, 0.3))
+    def test_adjoint_keeps_verdict_and_margins(self, grid, n, r, seed, h):
+        # triangular T with moduli in the middle 70% of the band, off-diagonal
+        # mass up to 0.3 (1 - r): both verdicts occur
+        ap, rng = AnnulusParams(r), np.random.default_rng(seed)
+        w = (r + (1.0 - r) * (0.15 + 0.7 * rng.random(n))) * np.exp(2j * np.pi * rng.random(n))
+        f = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        t = np.diag(w) + h * (1.0 - r) * f
+        a, b = certify_ar(t, ap, grid), certify_ar(t.conj().T, ap, grid)
+        assert np.array_equal(a.records["eps"], b.records["eps"])
+        m = grid.alpha_count
+        lam_a = a.records["lambda_min"].reshape(-1, m)
+        lam_b = b.records["lambda_min"].reshape(-1, m)[:, -np.arange(m) % m]
+        scale = np.maximum(a.records["scale"], b.records["scale"]).reshape(-1, m)
+        assert np.all(np.abs(lam_a - lam_b) <= 1e-12 * scale)
+        slack = a.records["lambda_min"] + PSD_TOL * a.records["scale"]
+        if np.abs(slack).min() > 1e-12 * a.records["scale"].max():
+            assert a.verdict == b.verdict
+
+
 class TestEquivalenceProperty:
     def test_fifty_mixed_tx_instances_agree(self):
         # mixed certified/refuted population; the factor verdict and the

@@ -378,6 +378,17 @@ class TestOtherCommands:
         assert doc["agree"] is True and doc["factor_verdict"] is True
         assert 1.0 < doc["max_k_norm"] <= 1.0 + 1e-8
 
+    def test_thm_inconclusive_certificate_exits_2(self, files, capsys):
+        # the sweep rounding guard trips on both rungs of the assembled block
+        x = files["tmp"] / "x_big.json"
+        save_matrix(np.array([[3e4]]), x)
+        code = main(["thm", "--which", "block1", "--t1", files["t"], "--x", str(x),
+                     "--r", "0.5", "--eps", "0.02,0.01", "--alphas", "64"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["certificate_verdict"] == "inconclusive" and doc["factor_verdict"] is False
+        assert doc["agree"] is None
+
     def test_thm_block1_holds_t2_to_the_tx_contract(self, files, tmp_path, capsys):
         # as `block --kind tx`: T2 must equal T1, and an unreadable --t2 is a usage error
         argv = ["thm", "--which", "block1", "--t1", files["t"], "--x", files["x_small"], *THM_GRID]
@@ -678,6 +689,7 @@ class TestHostileInputs:
         ("w_not_numbers", 64, "error: bad complex literal 'a,b'"),
         ("short_entry", 64, "error: entry 0 is not an [re, im] pair"),
         ("file_past_cap", 64, "error: dimension 129 exceeds cap 128"),
+        ("file_past_cap_bad_entry", 64, "error: dimension 129 exceeds cap 128"),
         ("thm_operand_past_cap", 65, "contract violation: dimension 65 exceeds cap 64"),
         ("block_operand_past_cap", 65, "contract violation: dimension 65 exceeds cap 64"),
     ])
@@ -686,6 +698,8 @@ class TestHostileInputs:
         path = str(tmp_path / "m.json")
         if case == "short_entry":
             Path(path).write_text('{"n": 1, "data": [[0.7]]}')
+        elif case == "file_past_cap_bad_entry":
+            Path(path).write_text(json.dumps({"n": 129, "data": [[0.7]] * 129**2}))
         else:
             save_matrix(0.7 * np.eye(129 if case == "file_past_cap" else 65), path)
         argv = {
@@ -693,6 +707,7 @@ class TestHostileInputs:
             "w_not_numbers": ["misra", "--r", "0.5", "--w", "a,b"],
             "short_entry": ["certify", "--matrix", path, "--r", "0.5"],
             "file_past_cap": ["certify", "--matrix", path, "--r", "0.5"],
+            "file_past_cap_bad_entry": ["certify", "--matrix", path, "--r", "0.5"],
             "thm_operand_past_cap": ["thm", "--which", "block1", "--t1", path, "--x", path,
                                      *THM_GRID],
             "block_operand_past_cap": ["block", "--kind", "tx", "--t1", path, "--x", path,

@@ -87,8 +87,8 @@ class TestEvalMatrix:
 
         t = random_normal_annulus(3, AP5, seed=2)
         f = random_poles_off_rational(rng, AP5)
-        qinv = inverse(polyval_matrix(f.q, t))
-        pt = polyval_matrix(f.p, t)
+        qinv = inverse(polyval_matrix(f.q[None], t)[0])
+        pt = polyval_matrix(f.p[None], t)[0]
         assert operator_norm(pt @ qinv - qinv @ pt) < 1e-8 * (1 + operator_norm(pt @ qinv))
 
     def test_singular_q_rejected(self):
