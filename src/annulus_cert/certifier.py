@@ -43,6 +43,7 @@ from .numerics import (
     sqrt_psd,
 )
 from .pencil import (
+    MAX_ALPHAS,
     ROUNDING_BUDGET,
     AnnulusParams,
     MatrixPencil,
@@ -63,10 +64,6 @@ VERDICT_CERTIFIED = "certified"
 VERDICT_REFUTED = "refuted"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# Largest alpha grid: each eps rung folds into alpha_count n x n complex
-# buckets, 256 MiB at the largest file dimension (128).
-MAX_ALPHAS = 1024
-
 
 @dataclass(frozen=True)
 class PencilGrid:
@@ -85,9 +82,7 @@ class PencilGrid:
         for e in self.eps_values:
             if not (isinstance(e, numbers.Real) and 0.0 <= e < 1.0):
                 raise DomainError(f"eps must lie in [0, 1), got {e!r}")
-        _check_integer("alpha_count", self.alpha_count)
-        if not 8 <= self.alpha_count <= MAX_ALPHAS:
-            raise DomainError(f"alpha_count must lie in [8, {MAX_ALPHAS}], got {self.alpha_count}")
+        _check_integer("alpha_count", self.alpha_count, 8, MAX_ALPHAS)
 
     def alphas(self) -> np.ndarray:
         j = np.arange(self.alpha_count)
@@ -403,12 +398,8 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
     a time would give; when a chunk fails, its functions are evaluated again
     one at a time, so the first failing trial raises its own error.
     """
-    _check_integer("count", count)
-    if count < 1:
-        raise DomainError(f"count must be at least 1, got {count}")
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    count = _check_integer("count", count, 1)
+    seed = _check_integer("seed", seed, 0)
     tm = as_matrix(t)
     eigs = eigenvalues(tm)
     if not eigenvalues_in_annulus(eigs, ap):
@@ -458,7 +449,7 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
         for ratio, f in zip(ratios, fs):
             if ratio > worst:
                 worst, witness = ratio, f
-    return VnReport(worst, witness, worst > 1.0 + PSD_TOL, int(count), int(seed))
+    return VnReport(worst, witness, worst > 1.0 + PSD_TOL, count, seed)
 
 
 # --- theorem-level block checks --------------------------------------------

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import MAX_DIM, operator_norm, re_part
+from .numerics import MAX_DIM, _check_integer, operator_norm, re_part
 from .pencil import AnnulusParams
 
 
-def _check_dim(n: int) -> None:
-    if not (1 <= n <= MAX_DIM):
-        raise DomainError(f"dimension must lie in [1, {MAX_DIM}], got {n}")
+def _rng(n: int, seed: int) -> np.random.Generator:
+    """The PCG64 generator of ``seed``, once n and the seed are checked."""
+    _check_integer("dimension", n, 1, MAX_DIM)
+    _check_integer("seed", seed, 0)
+    return np.random.default_rng(seed)
 
 
 def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -43,8 +44,7 @@ def random_normal_annulus(n: int, ap: AnnulusParams, seed: int = 0) -> np.ndarra
     Such matrices are guaranteed annulus contractions by spectral mapping,
     which makes them the positive-control population for the certifier.
     """
-    _check_dim(n)
-    rng = np.random.default_rng(seed)
+    rng = _rng(n, seed)
     lam = _annulus_diag(n, ap, rng)
     u = haar_unitary(n, rng)
     return (u * lam) @ u.conj().T
@@ -52,15 +52,13 @@ def random_normal_annulus(n: int, ap: AnnulusParams, seed: int = 0) -> np.ndarra
 
 def random_contraction(n: int, seed: int = 0) -> np.ndarray:
     """Ginibre sample scaled to operator norm strictly below one."""
-    _check_dim(n)
-    g = ginibre(n, np.random.default_rng(seed))
+    g = ginibre(n, _rng(n, seed))
     return g / (operator_norm(g) + 1e-3)
 
 
 def random_psd(n: int, seed: int = 0) -> np.ndarray:
     """Gram matrix of a Ginibre sample, normalized to unit operator norm."""
-    _check_dim(n)
-    g = ginibre(n, np.random.default_rng(seed))
+    g = ginibre(n, _rng(n, seed))
     h = re_part(g.conj().T @ g)
     return h / operator_norm(h)
 

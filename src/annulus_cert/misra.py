@@ -146,12 +146,8 @@ def sweep_rows(r: float, samples: int, seed: int = 0) -> list[dict]:
     rounding guard.  For r of about 0.8 and above every point ends in
     DiagnosticError: Re Gamma(alpha w) near alpha w = -|w| is below rounding.
     """
-    _check_integer("samples", samples)
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    _check_integer("samples", samples, 1)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     rows = []
     lo, hi = r + 0.07 * (1.0 - r), r + 0.9 * (1.0 - r)

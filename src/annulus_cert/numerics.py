@@ -38,10 +38,18 @@ EQ_TOL = 1e-8
 RANK_TOL = 1e-10
 
 
-def _check_integer(name: str, value) -> None:
-    """DomainError unless ``value`` is an integer; a numpy integer is, a bool is not."""
+def _check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int (numpy's fixed-width integers can wrap), or
+    DomainError unless it is an integer in [lo, hi], or at least lo when ``hi``
+    is None; a numpy integer is an integer, a bool is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if hi is None:
+        if value < lo:
+            raise DomainError(f"{name} must be at least {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return int(value)
 
 
 def _as_stack(a, stack: bool = True) -> np.ndarray:

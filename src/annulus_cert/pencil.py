@@ -38,12 +38,13 @@ the sweep of [[T, I], [0, T]], with its tail bound and rounding guard.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .numerics import PSD_TOL, _upper_block, as_matrix, eigenvalues, inverse
+from .numerics import PSD_TOL, _check_integer, _upper_block, as_matrix, eigenvalues, inverse
 
 # Closed-form sums: remainder bound and term cap (r within ~1e-4 of 1).
 SCALAR_TOL = 1e-16
@@ -67,6 +68,10 @@ _UNIT = float(np.finfo(float).eps) / 2.0
 # holds no (M, n, n) stack besides the buckets.
 _CHUNK = 1 << 16
 
+# Largest alpha grid: each eps rung folds into that many n x n complex
+# buckets, 256 MiB at the largest file dimension (128).
+MAX_ALPHAS = 1024
+
 
 @dataclass(frozen=True)
 class AnnulusParams:
@@ -75,7 +80,7 @@ class AnnulusParams:
     r: float
 
     def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
+        if not (isinstance(self.r, numbers.Real) and 0.0 < self.r < 1.0):
             raise DomainError(f"inner radius must lie in (0, 1), got {self.r}")
 
 
@@ -88,10 +93,11 @@ def eigenvalues_in_annulus(eigs: np.ndarray, ap: AnnulusParams) -> bool:
 def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
     """Both series converge at eps and these moduli, or raise.
 
-    DomainError when eps leaves [0, 1), when there is no modulus or one is not
-    finite, or when a modulus leaves the band [(1-eps) r, 1/(1-eps)] by more
-    than PSD_TOL, the slack of ``eigenvalues_in_annulus``; TruncationError
-    when one lies on or past a band edge, where a series ratio reaches 1.
+    DomainError when eps is not a real number in [0, 1), when there is no
+    modulus or one is not finite, or when a modulus leaves the band
+    [(1-eps) r, 1/(1-eps)] by more than PSD_TOL, the slack of
+    ``eigenvalues_in_annulus``; TruncationError when one lies on or past a
+    band edge, where a series ratio reaches 1.
 
     eps = 0 is the limit rung: the band is the closed annulus [r, 1], X = T
     and Y = r T^{-1}, and a spectrum strictly inside sums there, while one on
@@ -101,7 +107,7 @@ def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
     Gamma_0(alpha T) in norm as eps -> 0 (both series converge uniformly on a
     neighbourhood of the spectrum), so Re Gamma_0(alpha T) >= 0 is necessary.
     """
-    if not 0.0 <= eps < 1.0:
+    if not (isinstance(eps, numbers.Real) and 0.0 <= eps < 1.0):
         raise DomainError(f"eps must lie in [0, 1), got {eps}")
     if mods.size == 0 or not np.isfinite(mods).all():
         raise DomainError("the pencil needs at least one point, and only finite ones")
@@ -308,9 +314,10 @@ class MatrixPencil:
 
     def gamma_for_alphas(self, eps: float, m: int) -> np.ndarray:
         """Gamma(alpha_k T) at eps and alpha_k = exp(2 pi i k / m), k = 0..m-1,
-        in one pass; records the level counts."""
+        in one pass, for 1 <= m <= MAX_ALPHAS; records the level counts."""
+        m = _check_integer("m", m, 1, MAX_ALPHAS)
+        _check_band(np.abs(self.eigs), eps, self.ap.r)
         r, b = self.ap.r, 1.0 - eps
-        _check_band(np.abs(self.eigs), eps, r)
         if self._inv is None:
             self._inv = inverse(self.t)
         d, n = b * b * r, self.t.shape[0]

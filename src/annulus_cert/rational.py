@@ -217,9 +217,7 @@ def sup_on_annulus(f: RationalFunction | Sequence[RationalFunction], ap: Annulus
     boundary search exhaustive for pole-free f, but the value is a sampled
     estimate, not a certified upper bound.
     """
-    _check_integer("samples per circle", m)
-    if not 8 <= m <= MAX_SAMPLES:
-        raise DomainError(f"samples per circle must lie in [8, {MAX_SAMPLES}], got {m}")
+    m = _check_integer("samples per circle", m, 8, MAX_SAMPLES)
     fs = [f] if isinstance(f, RationalFunction) else list(f)
     for g in fs:
         if not poles_off_annulus(g, ap):

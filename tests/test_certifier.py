@@ -432,7 +432,7 @@ class TestIntegerSizes:
 
     @pytest.mark.parametrize("seed, message", [(2.5, "seed must be an integer"),
                                                (True, "seed must be an integer"),
-                                               (-1, "seed must be non-negative")])
+                                               (-1, "seed must be at least 0")])
     def test_bad_seed(self, seed, message):
         with pytest.raises(DomainError, match=message):
             vn_sample(0.7 * np.eye(1), AP5, count=2, seed=seed)
@@ -720,34 +720,125 @@ class TestThmBlock1:
         assert rep.max_recon_residual <= 1e-8
 
 
-class TestAdjointInvariance:
-    """T is an A_r-contraction iff T* is, since A_r is closed under conjugation.
-    The pencil's coefficients are real, so Gamma(conj(alpha) T*) = Gamma(alpha T)*,
-    whose Hermitian part is Re Gamma(alpha T): the margin of T at alpha_j is
-    that of T* at alpha_{-j mod m}."""
+def _triangular(n, r, h, rng):
+    """Triangular T with moduli in the middle 70% of the band of A_r and
+    off-diagonal mass up to h (1 - r): at h up to 0.3 both verdicts occur."""
+    w = (r + (1.0 - r) * (0.15 + 0.7 * rng.random(n))) * np.exp(2j * np.pi * rng.random(n))
+    f = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    return np.diag(w) + h * (1.0 - r) * f
 
-    @pytest.mark.parametrize("grid", [DEFAULT_GRID, PencilGrid((0.0,), 64)],
-                             ids=["default", "limit"])
+
+def _unitary(t, r, m, rng):
+    u = haar_unitary(t.shape[0], rng)
+    return (u @ t) @ u.conj().T, np.arange(m)
+
+
+def _rotation(t, r, m, rng):
+    k = int(rng.integers(1, m))
+    return np.exp(2j * np.pi * k / m) * t, (np.arange(m) + k) % m
+
+
+# Maps (T, r, m, rng) -> (T', i) that keep the A_r-contraction property, with
+# i the alpha index map: the margin of T' at alpha_j is T's at alpha_i[j].
+INVARIANCE_MAPS = {
+    "adjoint": lambda t, r, m, rng: (t.conj().T, -np.arange(m) % m),
+    "inverse": lambda t, r, m, rng: (r * np.linalg.inv(t), -np.arange(m) % m),
+    "unitary": _unitary,
+    "rotation": _rotation,
+}
+
+INVARIANCE_GRIDS = pytest.mark.parametrize("grid", [DEFAULT_GRID, PencilGrid((0.0,), 64)],
+                                           ids=["default", "limit"])
+
+
+class TestInvariance:
+    """Exact invariances of the A_r-contraction property, checked without an oracle.
+
+    A_r is closed under conjugation, rotation and z -> r/z, so T is an
+    A_r-contraction iff T*, e^{i theta} T, r T^{-1} or U T U* (U unitary) is,
+    and T + S (direct sum) is one iff T and S are.  On the pencil: its
+    coefficients are real, so Gamma(conj(alpha) T*) = Gamma(alpha T)*, whose
+    Hermitian part is Re Gamma(alpha T); r T^{-1} swaps the two sides of the
+    fold, so Gamma(alpha; r T^{-1}) = Gamma(conj(alpha); T); a rotation by
+    alpha_k moves alpha_j to alpha_{j+k}; and Gamma of a direct sum is the
+    direct sum of the Gammas.
+    """
+
+    @pytest.mark.parametrize("name", INVARIANCE_MAPS)
+    @INVARIANCE_GRIDS
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(n=st.integers(2, 5), r=st.sampled_from([0.3, 0.5, 0.7]),
            seed=st.integers(0, 2**31 - 1), h=st.floats(0.0, 0.3))
-    def test_adjoint_keeps_verdict_and_margins(self, grid, n, r, seed, h):
-        # triangular T with moduli in the middle 70% of the band, off-diagonal
-        # mass up to 0.3 (1 - r): both verdicts occur
-        ap, rng = AnnulusParams(r), np.random.default_rng(seed)
-        w = (r + (1.0 - r) * (0.15 + 0.7 * rng.random(n))) * np.exp(2j * np.pi * rng.random(n))
-        f = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
-        t = np.diag(w) + h * (1.0 - r) * f
-        a, b = certify_ar(t, ap, grid), certify_ar(t.conj().T, ap, grid)
+    def test_map_keeps_verdict_and_margins(self, name, grid, n, r, seed, h):
+        ap, rng, m = AnnulusParams(r), np.random.default_rng(seed), grid.alpha_count
+        t = _triangular(n, r, h, rng)
+        t2, index = INVARIANCE_MAPS[name](t, r, m, rng)
+        a, b = certify_ar(t, ap, grid), certify_ar(t2, ap, grid)
         assert np.array_equal(a.records["eps"], b.records["eps"])
-        m = grid.alpha_count
-        lam_a = a.records["lambda_min"].reshape(-1, m)
-        lam_b = b.records["lambda_min"].reshape(-1, m)[:, -np.arange(m) % m]
-        scale = np.maximum(a.records["scale"], b.records["scale"]).reshape(-1, m)
+        lam_a = a.records["lambda_min"].reshape(-1, m)[:, index]
+        lam_b = b.records["lambda_min"].reshape(-1, m)
+        scale = np.maximum(a.records["scale"].reshape(-1, m)[:, index],
+                           b.records["scale"].reshape(-1, m))
         assert np.all(np.abs(lam_a - lam_b) <= 1e-12 * scale)
         slack = a.records["lambda_min"] + PSD_TOL * a.records["scale"]
         if np.abs(slack).min() > 1e-12 * a.records["scale"].max():
             assert a.verdict == b.verdict
+
+    @pytest.mark.parametrize("kind", ["normal", "triangular"])
+    @INVARIANCE_GRIDS
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 3), r=st.sampled_from([0.3, 0.5, 0.7]),
+           seed=st.integers(0, 2**31 - 1), h=st.floats(0.05, 1.0))
+    def test_direct_sum(self, kind, grid, n, r, seed, h):
+        # T (a normal T takes the scalar route) plus a 2 x 2 Jordan block S,
+        # whose sum leaves the scalar route; at h up to 1 each part is
+        # refuted in some examples and certified in others
+        ap, rng = AnnulusParams(r), np.random.default_rng(seed)
+        t = _triangular(n, r, 0.0 if kind == "normal" else h, rng)
+        if kind == "normal":
+            u = haar_unitary(n, rng)
+            t = (u @ t) @ u.conj().T
+        s = _triangular(1, r, 0.0, rng)[0, 0] * np.eye(2) + h * (1.0 - r) * np.eye(2, k=1)
+        ts = np.block([[t, np.zeros((n, 2))], [np.zeros((2, n)), s]])
+        a, b, c = (certify_ar(x, ap, grid) for x in (t, s, ts))
+        if kind == "normal":
+            assert [eps for eps, _ in a.scalar_rungs] == list(grid.eps_values)
+            assert c.scalar_rungs == ()
+        assert np.array_equal(a.records["eps"], c.records["eps"])
+        assert np.array_equal(b.records["eps"], c.records["eps"])
+        lam = np.minimum(a.records["lambda_min"], b.records["lambda_min"])
+        scale = np.maximum.reduce([x.records["scale"] for x in (a, b, c)])
+        assert np.all(np.abs(c.records["lambda_min"] - lam) <= 1e-12 * scale)
+        # outside the band where the slack PSD_TOL * scale of one part decides
+        # differently from the sum's, the sum is refuted iff a part is
+        low, top = lam.min(), scale.max()
+        if not -PSD_TOL * top - 1e-11 * top <= low <= -PSD_TOL + 1e-11 * top:
+            refuted = [x.verdict == certifier.VERDICT_REFUTED for x in (a, b, c)]
+            assert refuted[2] == (refuted[0] or refuted[1])
+
+    @INVARIANCE_GRIDS
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 3), r=st.sampled_from([0.3, 0.5]),
+           seed=st.integers(0, 2**31 - 1), x_scale=st.floats(0.05, 1.0))
+    def test_thm_under_unitary_similarity(self, grid, n, r, seed, x_scale):
+        # (U T U*, U X U*) assembles to (U + U) B (U + U)* for the block B of (T, X).
+        # k_norm = ||P^{-1/2} R P^{-1/2}|| with P = Re Gamma(alpha T) moves by
+        # about k times the pencil's rounding over lambda_min(P), so it is
+        # compared to 1e-12 times that condition number, read off T's
+        # certificate (measured: at most 3.5e-14 of it, but 3.9e-10 relative)
+        ap = AnnulusParams(r)
+        t, _, x = interior_commuting_triple(n, ap, seed, x_scale=x_scale)
+        u = haar_unitary(n, np.random.default_rng(seed + 1))
+        a = check_thm_block1(t, x, ap, grid)
+        b = check_thm_block1(u @ t @ u.conj().T, u @ x @ u.conj().T, ap, grid)
+        p = certify_ar(t, ap, grid).records
+        ra, rb = a.records, b.records
+        tol = 1e-12 * ra["k_norm"] * p["scale"] / p["lambda_min"]
+        assert np.all(np.abs(ra["k_norm"] - rb["k_norm"]) <= tol)
+        scale = np.maximum(a.certificate.records["scale"], b.certificate.records["scale"])
+        assert np.all(np.abs(ra["lambda_min"] - rb["lambda_min"]) <= 1e-12 * scale)
+        clear = np.abs(ra["k_norm"] - (1.0 + PSD_TOL)) > tol
+        assert np.array_equal(ra["passes"][clear], rb["passes"][clear])
 
 
 class TestEquivalenceProperty:

@@ -692,6 +692,7 @@ class TestHostileInputs:
         ("file_past_cap_bad_entry", 64, "error: dimension 129 exceeds cap 128"),
         ("thm_operand_past_cap", 65, "contract violation: dimension 65 exceeds cap 64"),
         ("block_operand_past_cap", 65, "contract violation: dimension 65 exceeds cap 64"),
+        ("sweep_no_samples", 64, "error: samples must be at least 1, got 0"),
     ])
     def test_rejection_is_one_line(self, tmp_path, capsys, case, code, text):
         # files hold up to 128 = 2 * MAX_DIM (a saved block); the operands of a block, 64
@@ -712,6 +713,7 @@ class TestHostileInputs:
                                      *THM_GRID],
             "block_operand_past_cap": ["block", "--kind", "tx", "--t1", path, "--x", path,
                                        "--out", str(tmp_path / "o.json")],
+            "sweep_no_samples": ["sweep", "--r", "0.5", "--samples", "0"],
         }[case]
         assert main(argv) == code
         err = capsys.readouterr().err

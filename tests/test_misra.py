@@ -259,10 +259,10 @@ class TestSweep:
     @pytest.mark.parametrize("samples, seed, message", [
         (2.5, 0, "samples must be an integer"),
         (True, 0, "samples must be an integer"),
-        (0, 0, "need at least one sample"),
+        (0, 0, "samples must be at least 1"),
         (1, 2.5, "seed must be an integer"),
         (1, True, "seed must be an integer"),
-        (1, -1, "seed must be non-negative"),
+        (1, -1, "seed must be at least 0"),
     ])
     def test_bad_samples_or_seed(self, samples, seed, message):
         # rejected before the first threshold is computed

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from annulus_cert.certifier import PencilGrid, vn_sample
 from annulus_cert.errors import ContractViolationError, DomainError, SingularityError
+from annulus_cert.misra import sweep_rows
 from annulus_cert.numerics import (
     EQ_TOL,
+    MAX_DIM,
     RANK_TOL,
     as_matrix,
     eigenvalues,
@@ -14,7 +17,9 @@ from annulus_cert.numerics import (
     psd_pinv,
     sqrt_psd,
 )
-from annulus_cert.generators import ginibre, random_psd
+from annulus_cert.generators import ginibre, random_contraction, random_normal_annulus, random_psd
+from annulus_cert.pencil import MAX_ALPHAS, AnnulusParams, MatrixPencil
+from annulus_cert.rational import MAX_SAMPLES, RationalFunction, sup_on_annulus
 
 from conftest import eig_match_max
 
@@ -192,3 +197,49 @@ class TestBlockSpectrum:
             block = np.block([[a, b], [np.zeros((4, 4)), c]])
             union = np.concatenate([eigenvalues(a), eigenvalues(c)])
             assert eig_match_max(eigenvalues(block), union) < 1e-8
+
+
+AP5 = AnnulusParams(0.5)
+T1 = 0.7 * np.eye(1)
+
+# Every integer argument of the library: a call taking the value, and its range
+# [lo, hi], or [lo, oo) when hi is None.
+INTEGER_ARGUMENTS = {
+    "PencilGrid.alpha_count": (lambda v: PencilGrid((0.5,), v), 8, MAX_ALPHAS),
+    "vn_sample.count": (lambda v: vn_sample(T1, AP5, count=v, m=8), 1, None),
+    "vn_sample.seed": (lambda v: vn_sample(T1, AP5, count=1, seed=v, m=8), 0, None),
+    "sweep_rows.samples": (lambda v: sweep_rows(0.5, v), 1, None),
+    "sweep_rows.seed": (lambda v: sweep_rows(0.5, 1, seed=v), 0, None),
+    "sup_on_annulus.m": (lambda v: sup_on_annulus(RationalFunction([0.0, 1.0], [1.0]), AP5, v),
+                         8, MAX_SAMPLES),
+    "random_normal_annulus.n": (lambda v: random_normal_annulus(v, AP5), 1, MAX_DIM),
+    "random_normal_annulus.seed": (lambda v: random_normal_annulus(1, AP5, seed=v), 0, None),
+    "random_contraction.n": (lambda v: random_contraction(v), 1, MAX_DIM),
+    "random_contraction.seed": (lambda v: random_contraction(1, seed=v), 0, None),
+    "random_psd.n": (lambda v: random_psd(v), 1, MAX_DIM),
+    "random_psd.seed": (lambda v: random_psd(1, seed=v), 0, None),
+    "MatrixPencil.gamma_for_alphas.m": (lambda v: MatrixPencil(T1, AP5).gamma_for_alphas(0.1, v),
+                                        1, MAX_ALPHAS),
+}
+
+
+class TestIntegerArguments:
+    """One rule for every integer argument (``numerics._check_integer``): a bool
+    or a float is no integer, a value out of range is refused, each with
+    DomainError, and a numpy integer counts as an integer."""
+
+    @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+    def test_one_range_rule(self, name):
+        call, lo, hi = INTEGER_ARGUMENTS[name]
+        for value in (True, float(lo)):
+            with pytest.raises(DomainError, match="must be an integer, got"):
+                call(value)
+        if hi is None:
+            with pytest.raises(DomainError, match=f"must be at least {lo}, got {lo - 1}$"):
+                call(lo - 1)
+        else:
+            for value in (lo - 1, hi + 1):
+                with pytest.raises(DomainError, match=rf"must lie in \[{lo}, {hi}\], got {value}$"):
+                    call(value)
+        call(np.int64(lo))
+        call(np.uint8(lo))

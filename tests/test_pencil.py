@@ -193,8 +193,9 @@ class TestOnePencilPerMatrix:
 
 
 class TestEpsGate:
-    # both pencil entry points check eps when called to sum, before any series is summed
-    @pytest.mark.parametrize("eps", [1.0, -0.1, float("nan"), 1.5])
+    # both pencil entry points check eps when called to sum, before any series is summed;
+    # a non-real eps is refused by the same rule, before any arithmetic on it
+    @pytest.mark.parametrize("eps", [1.0, -0.1, float("nan"), 1.5, "0.1", 0.1j, None])
     def test_eps_outside_unit_interval_rejected(self, eps):
         with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
             gamma_scalar_batch(0.7, eps, AP5)
@@ -202,6 +203,11 @@ class TestEpsGate:
         for sweep in (mp_.gamma_for_alphas, mp_.derivative_for_alphas):
             with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
                 sweep(eps, 1)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, float("nan"), "0.5", 0.5j, None])
+    def test_radius_outside_unit_interval_rejected(self, r):
+        with pytest.raises(DomainError, match=r"inner radius must lie in \(0, 1\)"):
+            AnnulusParams(r)
 
 
 class TestLimitRung:
