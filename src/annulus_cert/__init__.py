@@ -26,6 +26,7 @@ from .numerics import (
 )
 from .pencil import (
     AnnulusParams,
+    PencilGrid,
     gamma_scalar_batch,
 )
 from .rational import (
@@ -47,7 +48,6 @@ from .factorization import (
 from .certifier import (
     Certificate,
     DEFAULT_GRID,
-    PencilGrid,
     VnReport,
     certify_ar,
     check_thm_block1,

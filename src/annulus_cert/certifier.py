@@ -23,7 +23,6 @@ compare the result with the assembled block's certificate.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,10 @@ from .numerics import (
     sqrt_psd,
 )
 from .pencil import (
-    MAX_ALPHAS,
     ROUNDING_BUDGET,
     AnnulusParams,
     MatrixPencil,
+    PencilGrid,
     eigenvalues_in_annulus,
     gamma_scalar_batch,
     scalar_pencil_bound,
@@ -63,34 +62,6 @@ from .rational import (
 VERDICT_CERTIFIED = "certified"
 VERDICT_REFUTED = "refuted"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class PencilGrid:
-    """Sampled surrogate for the (eps in [0, 1), alpha on the circle) continuum.
-
-    eps = 0 is the limit rung, summed on the closed annulus itself (see
-    ``pencil._check_band``); a spectrum on a circle makes it inconclusive.
-    """
-
-    eps_values: tuple = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
-    alpha_count: int = 64
-
-    def __post_init__(self):
-        if not hasattr(self.eps_values, "__len__") or len(self.eps_values) == 0:
-            raise DomainError(f"eps_values must be a nonempty sequence, got {self.eps_values!r}")
-        for e in self.eps_values:
-            if not (isinstance(e, numbers.Real) and 0.0 <= e < 1.0):
-                raise DomainError(f"eps must lie in [0, 1), got {e!r}")
-        _check_integer("alpha_count", self.alpha_count, 8, MAX_ALPHAS)
-
-    def alphas(self) -> np.ndarray:
-        j = np.arange(self.alpha_count)
-        return np.exp(2j * np.pi * j / self.alpha_count)
-
-    def to_dict(self) -> dict:
-        return {"eps_values": list(self.eps_values), "alpha_count": int(self.alpha_count)}
-
 
 DEFAULT_GRID = PencilGrid()
 

@@ -31,7 +31,6 @@ from .certifier import (
     VERDICT_INCONCLUSIVE,
     VERDICT_REFUTED,
     Certificate,
-    PencilGrid,
     _check_thm,
     certify_ar,
     vn_sample,
@@ -48,7 +47,7 @@ from .factorization import douglas_factor
 from .io import load_matrix, save_matrix
 from .misra import misra_threshold, sweep_rows
 from .numerics import inverse
-from .pencil import AnnulusParams
+from .pencil import AnnulusParams, PencilGrid
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -66,12 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_eps_list(text: str) -> tuple[float, ...]:
     try:
-        vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise DomainError(f"bad eps list {text!r}: {exc}") from exc
-    if not vals:
-        raise DomainError("empty eps list")
-    return vals
 
 
 def _parse_complex(text: str) -> complex:

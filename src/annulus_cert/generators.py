@@ -22,6 +22,7 @@ def _rng(n: int, seed: int) -> np.random.Generator:
 
 
 def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    n = _check_integer("dimension", n, 1, MAX_DIM)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 

@@ -39,10 +39,10 @@ import math
 
 import numpy as np
 
-from .certifier import VERDICT_INCONCLUSIVE, PencilGrid, certify_ar
+from .certifier import VERDICT_INCONCLUSIVE, certify_ar
 from .errors import DiagnosticError, DomainError, TruncationError
 from .numerics import _check_integer
-from .pencil import SCALAR_TOL, AnnulusParams, MatrixPencil, scalar_terms
+from .pencil import SCALAR_TOL, AnnulusParams, MatrixPencil, PencilGrid, scalar_terms
 
 # Threshold hunting runs on the limit rung eps = 0 alone.  Every eps > 0
 # overstates the flip point, by an amount linear in eps, so any finite ladder

@@ -80,8 +80,43 @@ class AnnulusParams:
     r: float
 
     def __post_init__(self):
-        if not (isinstance(self.r, numbers.Real) and 0.0 < self.r < 1.0):
-            raise DomainError(f"inner radius must lie in (0, 1), got {self.r}")
+        if isinstance(self.r, bool) or not (isinstance(self.r, numbers.Real) and 0.0 < self.r < 1.0):
+            raise DomainError(f"inner radius must lie in (0, 1), got {self.r!r}")
+        object.__setattr__(self, "r", float(self.r))
+
+
+def _check_eps(eps) -> float:
+    """``eps`` as a Python float, or DomainError unless it is a real number in
+    [0, 1); a bool is not one, and a numpy float runs as its float64 value."""
+    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0.0 <= eps < 1.0):
+        raise DomainError(f"eps must lie in [0, 1), got {eps!r}")
+    return float(eps)
+
+
+@dataclass(frozen=True)
+class PencilGrid:
+    """Sampled surrogate for the (eps in [0, 1), alpha on the circle) continuum.
+
+    eps = 0 is the limit rung, summed on the closed annulus itself (see
+    ``_check_band``); a spectrum on a circle makes it inconclusive.
+    """
+
+    eps_values: tuple = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
+    alpha_count: int = 64
+
+    def __post_init__(self):
+        if not hasattr(self.eps_values, "__len__") or len(self.eps_values) == 0:
+            raise DomainError(f"eps_values must be a nonempty sequence, got {self.eps_values!r}")
+        object.__setattr__(self, "eps_values", tuple(_check_eps(e) for e in self.eps_values))
+        _check_integer("alpha_count", self.alpha_count, 8, MAX_ALPHAS)
+
+    def alphas(self) -> np.ndarray:
+        """alpha_k = exp(2 pi i k / m), k = 0..m-1, in ``MatrixPencil.gamma_for_alphas``'s order."""
+        j = np.arange(self.alpha_count)
+        return np.exp(2j * np.pi * j / self.alpha_count)
+
+    def to_dict(self) -> dict:
+        return {"eps_values": list(self.eps_values), "alpha_count": int(self.alpha_count)}
 
 
 def eigenvalues_in_annulus(eigs: np.ndarray, ap: AnnulusParams) -> bool:
@@ -90,8 +125,8 @@ def eigenvalues_in_annulus(eigs: np.ndarray, ap: AnnulusParams) -> bool:
     return bool(np.all((mods >= ap.r - PSD_TOL) & (mods <= 1.0 + PSD_TOL)))
 
 
-def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
-    """Both series converge at eps and these moduli, or raise.
+def _check_band(mods: np.ndarray, eps: float, r: float) -> float:
+    """eps as a Python float once both series converge at it and these moduli, or raise.
 
     DomainError when eps is not a real number in [0, 1), when there is no
     modulus or one is not finite, or when a modulus leaves the band
@@ -107,8 +142,7 @@ def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
     Gamma_0(alpha T) in norm as eps -> 0 (both series converge uniformly on a
     neighbourhood of the spectrum), so Re Gamma_0(alpha T) >= 0 is necessary.
     """
-    if not (isinstance(eps, numbers.Real) and 0.0 <= eps < 1.0):
-        raise DomainError(f"eps must lie in [0, 1), got {eps}")
+    eps = _check_eps(eps)
     if mods.size == 0 or not np.isfinite(mods).all():
         raise DomainError("the pencil needs at least one point, and only finite ones")
     lo, hi = (1.0 - eps) * r, 1.0 / (1.0 - eps)
@@ -121,6 +155,7 @@ def _check_band(mods: np.ndarray, eps: float, r: float) -> None:
     rho = (1.0 - eps) * max(mx, r / mn)
     if rho >= 1.0:
         raise TruncationError(f"series ratio {rho:.6g} >= 1: the sum diverges on the band edge")
+    return eps
 
 
 def scalar_terms(q: float, bound: float) -> int:
@@ -157,7 +192,7 @@ def gamma_scalar_batch(z, eps: float, ap: AnnulusParams) -> np.ndarray:
     """
     u = np.atleast_1d(np.asarray(z, dtype=complex))
     r = ap.r
-    _check_band(np.abs(u), eps, r)
+    eps = _check_band(np.abs(u), eps, r)
     b = 1.0 - eps
     d = b * b * r
     acc = np.zeros_like(u)
@@ -316,7 +351,7 @@ class MatrixPencil:
         """Gamma(alpha_k T) at eps and alpha_k = exp(2 pi i k / m), k = 0..m-1,
         in one pass, for 1 <= m <= MAX_ALPHAS; records the level counts."""
         m = _check_integer("m", m, 1, MAX_ALPHAS)
-        _check_band(np.abs(self.eigs), eps, self.ap.r)
+        eps = _check_band(np.abs(self.eigs), eps, self.ap.r)
         r, b = self.ap.r, 1.0 - eps
         if self._inv is None:
             self._inv = inverse(self.t)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +128,13 @@ class TestCertifyAr:
         assert len(doc["records"]) == 16
         rec = doc["records"][0]
         assert set(rec) == {"eps", "alpha", "lambda_min", "trunc_n"}
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), np.float32(0.1)], ids=["fraction", "float32"])
+    def test_certificate_json_with_non_float_eps(self, eps):
+        for t in (0.7 * np.eye(1), jordan_block(0.7, 0.1)):
+            doc = json.loads(json.dumps(certify_ar(t, AP5, PencilGrid((eps,), 8)).to_dict()))
+            assert doc["grid"]["eps_values"] == [float(eps)]
+            assert {rec["eps"] for rec in doc["records"]} == {float(eps)}
 
 
 def _exact_scale_records(mp, eps, alphas):
@@ -768,10 +776,14 @@ class TestInvariance:
     @INVARIANCE_GRIDS
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(n=st.integers(2, 5), r=st.sampled_from([0.3, 0.5, 0.7]),
-           seed=st.integers(0, 2**31 - 1), h=st.floats(0.0, 0.3))
-    def test_map_keeps_verdict_and_margins(self, name, grid, n, r, seed, h):
+           seed=st.integers(0, 2**31 - 1), h=st.floats(0.0, 0.3), chain=st.booleans())
+    def test_map_keeps_verdict_and_margins(self, name, grid, n, r, seed, h, chain):
         ap, rng, m = AnnulusParams(r), np.random.default_rng(seed), grid.alpha_count
-        t = _triangular(n, r, h, rng)
+        if chain:  # the Jordan chain w I + h (1 - r) S of length 3 to 5
+            n = max(n, 3)
+            t = _triangular(1, r, 0.0, rng)[0, 0] * np.eye(n) + h * (1.0 - r) * np.eye(n, k=1)
+        else:
+            t = _triangular(n, r, h, rng)
         t2, index = INVARIANCE_MAPS[name](t, r, m, rng)
         a, b = certify_ar(t, ap, grid), certify_ar(t2, ap, grid)
         assert np.array_equal(a.records["eps"], b.records["eps"])

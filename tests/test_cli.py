@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from annulus_cert.blocks import BlockSpec, assemble
 from annulus_cert.certifier import (
     DEFAULT_GRID,
-    MAX_ALPHAS,
     PencilGrid,
     certify_ar,
     check_thm_block1,
@@ -26,7 +25,7 @@ from annulus_cert.errors import DomainError
 from annulus_cert.factorization import douglas_factor
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
-from annulus_cert.pencil import AnnulusParams
+from annulus_cert.pencil import MAX_ALPHAS, AnnulusParams
 from annulus_cert.rational import MAX_SAMPLES
 
 AP5 = AnnulusParams(0.5)

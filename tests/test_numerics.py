@@ -17,7 +17,13 @@ from annulus_cert.numerics import (
     psd_pinv,
     sqrt_psd,
 )
-from annulus_cert.generators import ginibre, random_contraction, random_normal_annulus, random_psd
+from annulus_cert.generators import (
+    ginibre,
+    haar_unitary,
+    random_contraction,
+    random_normal_annulus,
+    random_psd,
+)
 from annulus_cert.pencil import MAX_ALPHAS, AnnulusParams, MatrixPencil
 from annulus_cert.rational import MAX_SAMPLES, RationalFunction, sup_on_annulus
 
@@ -218,6 +224,8 @@ INTEGER_ARGUMENTS = {
     "random_contraction.seed": (lambda v: random_contraction(1, seed=v), 0, None),
     "random_psd.n": (lambda v: random_psd(v), 1, MAX_DIM),
     "random_psd.seed": (lambda v: random_psd(1, seed=v), 0, None),
+    "ginibre.n": (lambda v: ginibre(v, np.random.default_rng(0)), 1, MAX_DIM),
+    "haar_unitary.n": (lambda v: haar_unitary(v, np.random.default_rng(0)), 1, MAX_DIM),
     "MatrixPencil.gamma_for_alphas.m": (lambda v: MatrixPencil(T1, AP5).gamma_for_alphas(0.1, v),
                                         1, MAX_ALPHAS),
 }

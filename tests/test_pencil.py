@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from annulus_cert.blocks import BlockSpec, assemble
+from annulus_cert.certifier import certify_ar
 from annulus_cert.errors import DomainError, TruncationError
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block
@@ -11,6 +14,7 @@ from annulus_cert.numerics import operator_norm, re_part
 from annulus_cert.pencil import (
     AnnulusParams,
     MatrixPencil,
+    PencilGrid,
     gamma_scalar_batch,
     scalar_terms,
 )
@@ -192,13 +196,20 @@ class TestOnePencilPerMatrix:
         assert pencil_calls.count("inverse") == 1
 
 
+BOTH_ROUTES = pytest.mark.parametrize("t", [np.diag([0.7, 0.6j]), np.array([[0.7, 0.1], [0.0, 0.6j]])],
+                                      ids=["normal", "triangular"])
+
+
 class TestEpsGate:
-    # both pencil entry points check eps when called to sum, before any series is summed;
-    # a non-real eps is refused by the same rule, before any arithmetic on it
-    @pytest.mark.parametrize("eps", [1.0, -0.1, float("nan"), 1.5, "0.1", 0.1j, None])
+    # a grid checks eps when built, both pencil entry points when called to sum,
+    # before any series is summed; a non-real eps or a bool is refused by the
+    # same rule, before any arithmetic on it
+    @pytest.mark.parametrize("eps", [1.0, -0.1, float("nan"), 1.5, "0.1", 0.1j, None, False])
     def test_eps_outside_unit_interval_rejected(self, eps):
         with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
             gamma_scalar_batch(0.7, eps, AP5)
+        with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
+            PencilGrid((eps,), 8)
         mp_ = MatrixPencil(np.array([[0.7]]), AP5)
         for sweep in (mp_.gamma_for_alphas, mp_.derivative_for_alphas):
             with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
@@ -208,6 +219,33 @@ class TestEpsGate:
     def test_radius_outside_unit_interval_rejected(self, r):
         with pytest.raises(DomainError, match=r"inner radius must lie in \(0, 1\)"):
             AnnulusParams(r)
+
+    def test_grid_keeps_python_floats(self):
+        grid = PencilGrid((0, np.float32(0.1), Fraction(1, 4)), 8)
+        assert [type(e) for e in grid.eps_values] == [float, float, float]
+        assert grid.eps_values == (0.0, float(np.float32(0.1)), 0.25)
+
+    # numpy keeps float32 through 1.0 - eps, so a float32 eps or r would run
+    # part of the pencil in single precision; both run as their float64 value,
+    # on the scalar route (normal T) and the matrix route
+    @BOTH_ROUTES
+    def test_float32_eps_runs_as_its_float64_value(self, t):
+        eps = np.float32(0.1)
+        z = 0.7 * np.exp(2j * np.pi * np.arange(16) / 16)
+        assert np.array_equal(gamma_scalar_batch(z, eps, AP5), gamma_scalar_batch(z, float(eps), AP5))
+        assert np.array_equal(MatrixPencil(t, AP5).gamma_for_alphas(eps, 16),
+                              MatrixPencil(t, AP5).gamma_for_alphas(float(eps), 16))
+        a, b = (certify_ar(t, AP5, PencilGrid((e, 0.5), 16)) for e in (eps, float(eps)))
+        assert a.min_margin == b.min_margin and np.array_equal(a.records, b.records)
+        assert a.to_dict() == b.to_dict()
+
+    @BOTH_ROUTES
+    def test_float32_radius_runs_as_its_float64_value(self, t):
+        r = np.float32(0.45)
+        ap, ref = AnnulusParams(r), AnnulusParams(float(r))
+        a, b = certify_ar(t, ap), certify_ar(t, ref)
+        assert a.min_margin == b.min_margin and np.array_equal(a.records, b.records)
+        assert type(ap.r) is float and ap == ref
 
 
 class TestLimitRung:
