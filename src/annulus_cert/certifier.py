@@ -47,9 +47,8 @@ from .pencil import (
     MatrixPencil,
     PencilGrid,
     eigenvalues_in_annulus,
-    gamma_scalar_batch,
+    scalar_fold,
     scalar_pencil_bound,
-    scalar_sum_terms,
 )
 from .rational import (
     RationalFunction,
@@ -78,8 +77,7 @@ def _point_dict(eps: float, alpha: complex, **fields) -> dict:
 # cannot make the point the worst or refute.  On the scalar route it is the
 # upper bound 1 + max_i |Gamma(alpha w_i)| plus the rung's bound.  It is not
 # serialized.  ``trunc_n`` is the larger per-side level count of the resolvent
-# sum on the matrix route and the term count of ``gamma_scalar_batch`` on the
-# scalar route.
+# sum, of the matrix sweep or of ``scalar_fold``.
 RECORD = np.dtype([("eps", "f8"), ("alpha", "c16"), ("lambda_min", "f8"), ("trunc_n", "i8"),
                    ("scale", "f8")])
 
@@ -197,14 +195,13 @@ def _diagonal_form(tm, eigs, grid):
 
 
 def _scalar_records(w, eps, alphas, ap, bound):
-    """The records of one rung from Gamma at the scalars alpha w_i: margin
-    min_i Re Gamma and scale 1 + max_i |Gamma| + bound, an upper bound of
-    1 + ||Gamma(alpha T)||; ``trunc_n`` is the scalar term count."""
-    g = gamma_scalar_batch((alphas[:, None] * w).ravel(), eps, ap)
-    g = g.reshape(alphas.size, w.size)
+    """The records of one rung from Gamma at the scalars alpha w_i (``scalar_fold``):
+    margin min_i Re Gamma and scale 1 + max_i |Gamma| + bound, an upper bound
+    of 1 + ||Gamma(alpha T)||."""
+    g, levels = scalar_fold(w, eps, ap, alphas.size)
     lam_min = g.real.min(axis=1)
     scales = 1.0 + np.abs(g).max(axis=1) + bound
-    return _rung_records(RECORD, eps, alphas, lam_min, scalar_sum_terms(eps, ap.r), scales)
+    return _rung_records(RECORD, eps, alphas, lam_min, levels, scales)
 
 
 def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certificate:
@@ -222,7 +219,8 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certifi
     lies within ||Gamma(alpha (D + F)) - Gamma(alpha D)|| of
     min_i Re Gamma(alpha w_i).  A rung whose ``scalar_pencil_bound`` on that
     distance, rounding included, fits ROUNDING_BUDGET reads its records off
-    one ``gamma_scalar_batch`` call; every other rung runs the matrix sweep.
+    one ``scalar_fold`` of the eigenvalue vector; every other rung runs the
+    matrix sweep.
     """
     mp = MatrixPencil(t, ap)
     if not eigenvalues_in_annulus(mp.eigs, ap):
@@ -232,7 +230,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certifi
     form = _diagonal_form(mp.t, mp.eigs, grid)
     rungs, diagnostics, scalar_rungs = [], [], []
     for eps in grid.eps_values:
-        bound = np.inf if form is None else scalar_pencil_bound(form[0], form[1], eps, ap)
+        bound = np.inf if form is None else scalar_pencil_bound(*form, eps, ap, alphas.size)
         if bound <= ROUNDING_BUDGET:
             rungs.append(_scalar_records(form[0], eps, alphas, ap, bound))
             scalar_rungs.append((eps, bound))

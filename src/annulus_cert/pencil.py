@@ -16,8 +16,9 @@ where a_j = 2 / (1 + d^j) and d = (1-eps)^2 r, so both sides are power series
 with moduli below 1 inside the band.  Expanding a_j = 2 sum_k (-1)^k d^{jk}
 turns each side into an alternating sum of resolvents whose terms shrink like
 d^k whatever eps is, summed in closed form after a term count fixed in advance
-(``scalar_terms``): scalars in ``gamma_scalar_batch``, matrices in one
-``MatrixPencil`` per T, for every eps, with X = (1-eps) T and Y = (1-eps) r T^{-1}.
+(``scalar_terms``): scalars one at a time in ``gamma_scalar_batch``, matrices
+in one ``MatrixPencil`` per T, for every eps, with X = (1-eps) T and
+Y = (1-eps) r T^{-1}.
 
 At the M-th roots of unity alpha_k, alpha_k^j depends only on j mod M, so
 each side W (X or Y) needs only the buckets B_b = sum_{j = b mod M} a_j W^j,
@@ -26,9 +27,12 @@ V = W^M and R_k = (I - d^{kM} V)^{-1} each bucket closes exactly:
 
     B_b = W^b [a_b I + 2 sum_k (-1)^k d^{k(b+M)} V R_k]        (b = 1..M).
 
+``scalar_fold`` runs the same fold elementwise on a vector of scalars, the
+diagonal of a diagonal W, and sums over alpha by a product with the stored
+alphas instead of the FFT, since that product's rounding has a proof.
 ``scalar_pencil_bound`` bounds a priori how far Gamma of a perturbed diagonal
-matrix lies from ``gamma_scalar_batch`` at its diagonal, rounding included,
-which lets near-normal T skip the matrix sweep.
+matrix lies from that fold of its diagonal, rounding included, which lets
+near-normal T skip the matrix sweep.
 
 The derivative pencil needs no second closed form: f([[T, I], [0, T]]) =
 [[f(T), f'(T)], [0, f(T)]], so Gamma'(alpha T) is the top-right block of
@@ -93,6 +97,12 @@ def _check_eps(eps) -> float:
     return float(eps)
 
 
+def _unit_roots(m: int) -> np.ndarray:
+    """The stored alphas exp(2 pi i k / m), k = 0..m-1."""
+    j = np.arange(m)
+    return np.exp(2j * np.pi * j / m)
+
+
 @dataclass(frozen=True)
 class PencilGrid:
     """Sampled surrogate for the (eps in [0, 1), alpha on the circle) continuum.
@@ -112,8 +122,7 @@ class PencilGrid:
 
     def alphas(self) -> np.ndarray:
         """alpha_k = exp(2 pi i k / m), k = 0..m-1, in ``MatrixPencil.gamma_for_alphas``'s order."""
-        j = np.arange(self.alpha_count)
-        return np.exp(2j * np.pi * j / self.alpha_count)
+        return _unit_roots(self.alpha_count)
 
     def to_dict(self) -> dict:
         return {"eps_values": list(self.eps_values), "alpha_count": int(self.alpha_count)}
@@ -169,14 +178,6 @@ def scalar_terms(q: float, bound: float) -> int:
     return k
 
 
-def scalar_sum_terms(eps: float, r: float) -> int:
-    """Term count K of ``gamma_scalar_batch`` at eps and r: with d = (1-eps)^2 r,
-    d^K <= SCALAR_TOL (1-d) / 8 puts its remainder bound below SCALAR_TOL."""
-    b = 1.0 - eps
-    d = b * b * r
-    return scalar_terms(d, SCALAR_TOL * (1.0 - d) / 8.0)
-
-
 def gamma_scalar_batch(z, eps: float, ap: AnnulusParams) -> np.ndarray:
     """Vectorized Gamma over an array of scalars u, summed in closed form at u
     exactly as given (a rotation alpha z is the caller's product).
@@ -186,7 +187,8 @@ def gamma_scalar_batch(z, eps: float, ap: AnnulusParams) -> np.ndarray:
         Gamma(u) = 1 + 2 sum_{k>=0} (-1)^k [x d^k / (1 - x d^k) + y d^k / (1 - y d^k)],
 
     with x = (1-eps) u, y = (1-eps) r / u and remainder at most
-    4 d^K / ((1-d)(1-d^K)) after K terms while |x|, |y| < 1.  Denominators are
+    4 d^K / ((1-d)(1-d^K)) after K terms while |x|, |y| < 1, below SCALAR_TOL
+    once d^K <= SCALAR_TOL (1-d) / 8.  Denominators are
     formed as (1 - d^k u) + eps d^k u and (u - r d^k) + eps r d^k, so no
     1 - (1-eps) cancels near the circles.
     """
@@ -196,27 +198,99 @@ def gamma_scalar_batch(z, eps: float, ap: AnnulusParams) -> np.ndarray:
     b = 1.0 - eps
     d = b * b * r
     acc = np.zeros_like(u)
-    for k in range(scalar_sum_terms(eps, r) - 1, -1, -1):
+    for k in range(scalar_terms(d, SCALAR_TOL * (1.0 - d) / 8.0) - 1, -1, -1):
         du, rd = d**k * u, r * d**k
         acc = b * du / ((1.0 - du) + eps * du) + b * rd / ((u - rd) + eps * rd) - acc
     return 1.0 + 2.0 * acc
 
 
-def scalar_pencil_bound(w, e: float, eps: float, ap: AnnulusParams) -> float:
-    """Bound, uniform over unimodular alpha, on ||Gamma(alpha (D + F)) - G||
+def _fold_levels(d: float, m: int, wn: float, vn: float) -> int:
+    """Level count L of a fold over m alphas at d = (1-eps)^2 r, fixed before
+    any solve, for a side W and V = W^m with ||W|| <= wn and ||V|| <= vn, both
+    at least 1 (``MatrixPencil``); TruncationError past SCALAR_MAX_TERMS."""
+    q = d ** (m + 1)
+    return max(
+        scalar_terms(d, 1.0 / wn),
+        scalar_terms(d**m, 0.5 / vn),
+        scalar_terms(q, SCALAR_TOL * (1.0 - q) / (16.0 * m * m * wn * vn)),
+    )
+
+
+def _fold_coefs(d: float, m: int, levels: int, sign: int):
+    """The arrays that fold a side into m buckets over ``levels`` levels:
+    c_k = d^{km}, coef[k, b-1] = 2 (-1)^k d^{k(b+m)}, diag[b-1] = a_b and
+    slot[b-1] = (sign b) mod m, for k < levels and b = 1..m."""
+    k = np.arange(levels)
+    j = np.arange(1, m + 1)
+    coef = 2.0 * (-1.0) ** k[:, None] * d ** (k[:, None] * (j + m))
+    diag = 2.0 / (1.0 + d ** j.astype(float))
+    return d ** (m * k), coef, diag, (sign * j) % m
+
+
+def _fold_scalars(x: np.ndarray, d: float, levels: int, sign: int, buckets: np.ndarray) -> None:
+    """``MatrixPencil._fold`` elementwise: add the side of the scalars x, all
+    of modulus below 1, into the (m, n) ``buckets`` over ``levels`` levels."""
+    m = buckets.shape[0]
+    c, coef, diag, slot = _fold_coefs(d, m, levels, sign)
+    pw = np.cumprod(np.broadcast_to(x, (m, x.size)), axis=0)  # x^1, ..., x^m
+    vr = pw[-1] / (1.0 - c[:, None] * pw[-1])  # V R_k
+    buckets[slot] += pw * (coef.T @ vr + diag[:, None])
+
+
+def scalar_fold(w, eps: float, ap: AnnulusParams, m: int) -> tuple[np.ndarray, int]:
+    """Gamma(alpha_k w_i) at the m grid alphas (``PencilGrid.alphas``) and the
+    scalars w_i, as an (m, n) array, and the level count of both sides.
+
+    The sides x = (1-eps) w and y = (1-eps) r / w fold into m buckets with
+    ``MatrixPencil``'s closed form and level rule, at norms 1 since every
+    |x_i| and |y_i| is below 1, and the sum over alpha is the product with
+    the m x m matrix alpha_{kb mod m} of the stored alphas, whose rounding
+    ``scalar_pencil_bound`` covers.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    m = _check_integer("m", m, 1, MAX_ALPHAS)
+    r = ap.r
+    eps = _check_band(np.abs(w), eps, r)
+    b = 1.0 - eps
+    d = b * b * r
+    buckets = np.zeros((m, w.size), dtype=complex)
+    buckets[0] += 1.0  # the j = 0 term, a_0 = 1
+    levels = _fold_levels(d, m, 1.0, 1.0)
+    _fold_scalars(b * w, d, levels, 1, buckets)
+    _fold_scalars(b * r / w, d, levels, -1, buckets)
+    j = np.arange(m)
+    return _unit_roots(m)[np.outer(j, j) % m] @ buckets, levels
+
+
+def scalar_pencil_bound(w, e: float, eps: float, ap: AnnulusParams, m: int) -> float:
+    """Bound, uniform over the m grid alphas, on ||Gamma(alpha (D + F)) - G||
     for D = diag(w), any F with ||F|| <= e, and G the diagonal of
-    ``gamma_scalar_batch`` at the rounded products alpha w_i; inf when the
-    series ratios leave no room for e.
+    ``scalar_fold(w, eps, ap, m)`` at alpha; inf when the series ratios leave
+    no room for e or a level count would pass SCALAR_MAX_TERMS.
 
     The weight Gamma(alpha Z) = I + sum_j a_j X^j + sum_j a_j Y^j has
     X = (1-eps) alpha Z, Y = (1-eps) r (alpha Z)^{-1} and 0 < a_j <= 2
-    (module docstring).  Write b = 1 - eps, d = b^2 r and u for the unit
-    roundoff.  The rounded product alpha w_i is alpha w_i' with
-    |w_i' - w_i| <= 3u |w_i| (complex multiplication), so D + F = D' + F'
-    with D' = diag(w') and ||F'|| <= e' = e + 4u max|w_i|, and every |w_i'|
-    lies in [m, M] with M = (1 + 4u) max|w_i| and m = (1 - 4u) min|w_i|.
-    Let rho = b M and sigma = b r / m, and take X_0, Y_0 at D', X_1, Y_1 at
-    D' + F'.
+    (module docstring).  Write u for the unit roundoff, g(k) = k u / (1 - k u),
+    b and d for the computed 1 - eps and b^2 r, L for the level count of
+    ``_fold_levels`` at norms 1, and alpha_k = exp(2 pi i k / m) for the root
+    that the stored alpha stands for.
+
+    Elementary functions (pow, cos, sin) are taken within four ulps, 8 u,
+    which covers vectorized builds as well as libm.
+
+    Absorbed rounding.  The stored alpha is within 34 u of alpha_k (its phase
+    2 pi k / m carries at most four roundings, and cos and sin 8 u) and b
+    within u of 1 - eps, so (1-eps) alpha = b alpha_k (1 + delta) and
+    (1-eps) / alpha = b / (alpha_k (1 + delta')) with |delta|, |delta'| <= 36 u.
+    ``scalar_fold`` forms x_i = b w_i, one rounding per part, and
+    y_i = b r / w_i with numpy's complex division (Smith's method, within
+    10 u), so x_i = b wx_i and y_i = b r / wy_i with wx_i and wy_i within
+    12 u |w_i| of w_i.  Hence X = b alpha_k (Dx + Fx) and
+    Y = b r (alpha_k (Dy + Fy))^{-1} with Dx = diag(wx), Dy = diag(wy) and
+    ||Fx||, ||Fy|| <= e' = e + 48 u (max|w_i| + e), and every |wx_i| and
+    |wy_i| lies in [mn, M], M = (1 + 12 u) max|w_i|, mn = (1 - 12 u) min|w_i|.
+    Let rho = b M and sigma = b r / mn, and take X_0, Y_0 at Dx, Dy and
+    X_1, Y_1 at Dx + Fx, Dy + Fy.
 
     Perturbation.  X_1^j - X_0^j = sum_{k<j} X_1^k (X_1 - X_0) X_0^{j-1-k}
     gives, for ||X_0|| <= p < 1 and ||X_1|| <= p' < 1,
@@ -224,51 +298,72 @@ def scalar_pencil_bound(w, e: float, eps: float, ap: AnnulusParams) -> float:
         ||sum_j a_j (X_1^j - X_0^j)|| <= 2 ||X_1 - X_0|| / ((1 - p)(1 - p')).
 
     On the X side ||X_1 - X_0|| <= b e', p = rho and p' = rho + b e'.  On the
-    Y side (D' + F')^{-1} - D'^{-1} = -(D' + F')^{-1} F' D'^{-1} with
-    ||(D' + F')^{-1}|| <= 1 / (m - e'), so ||Y_1 - Y_0|| <= t = b r e' / (m (m - e')),
+    Y side (Dy + Fy)^{-1} - Dy^{-1} = -(Dy + Fy)^{-1} Fy Dy^{-1} with
+    ||(Dy + Fy)^{-1}|| <= 1 / (mn - e'), so ||Y_1 - Y_0|| <= t = b r e' / (mn (mn - e')),
     p = sigma and p' = sigma + t.  Hence
 
-        ||Gamma(alpha (D' + F')) - Gamma(alpha D')||
-            <= 2 b e' / ((1 - rho - b e')(1 - rho)) + 2 t / ((1 - sigma - t)(1 - sigma)).
+        ||Gamma(alpha (D + F)) - Gamma_0|| <= 2 b e' / ((1 - rho - b e')(1 - rho))
+                                              + 2 t / ((1 - sigma - t)(1 - sigma))
 
-    Rounding.  ``gamma_scalar_batch`` sums K = ``scalar_sum_terms`` pairs
-    x_k / (1 - x_k) + y_k / (1 - y_k) with |x_k| <= rho d^k and
-    |y_k| <= sigma d^k.  A numerator carries 4u (the power d^k counted at one
-    ulp, two products), the complex division 10u, and a denominator, formed
-    without cancelling 1 - (1-eps), at most 8u (1 + M) absolute against a
-    modulus of at least 1 - rho (x side) or m (1 - sigma) (y side).  So an x
-    term is off by at most g(kx) times its modulus, with
-    kx = 14 + 8 (1 + M) / (1 - rho) and g(k) = k u / (1 - k u), which covers
-    the terms of higher order in u; a y term by g(ky), with
-    ky = 14 + 8 (1 + M) / (m (1 - sigma)).  The term moduli sum to at most
-    Sx = rho / ((1 - rho)(1 - d)) and Sy = sigma / ((1 - sigma)(1 - d)), and
-    so does every partial sum, so the 2K additions of the recurrence add at
-    most g(2K) (Sx + Sy).  Doubling the sum and adding 1 gives
+    for the diagonal Gamma_0 = I + sum_j a_j X_0^j + sum_j a_j Y_0^j.
 
-        |G_ii - Gamma(alpha w_i')| <= 2 (g(kx) Sx + g(ky) Sy + g(2K) (Sx + Sy))
-                                      + g(1) (1 + 2 Sx + 2 Sy) + SCALAR_TOL,
+    Rounding.  ``scalar_fold`` differs from Gamma_0 through d, the folds of
+    the two sides, their truncation and the alpha sum.
 
-    the last term the truncation remainder.  The bound is the sum of the two
-    displays; it is inf where some k u reaches 1/2.
+    - d is within g(4) d of (1-eps)^2 r, and |a_j(d') - a_j(d)| <= 2 |d'^j - d^j|,
+      so summing with it moves Gamma_0 by at most 17 u z / (1 - z)^2, where
+      z = (1 + 9 u) d max(rho, sigma).
+    - The X side puts into bucket b (b = 1..m) the terms x^b a_b and
+      x^b coef_kb V R_k (k < L, V = x^m, R_k = 1 / (1 - d^{km} V),
+      coef_kb = 2 (-1)^k d^{k(b+m)}).  Expanding R_k geometrically shows that
+      their moduli sum to at most 2 Sx, Sx = rho / ((1 - rho)(1 - d)).  Each
+      term is off by at most g(kx) times its modulus.  A complex product is
+      within sqrt(2) g(2) <= g(3), so x^b counts 3 (b - 1) and d^{km} V
+      counts 3 m + 6.  Then 1 - d^{km} V, of modulus at least 1 - P with
+      P = rho^m, is off by at most g(3 m + 6) P plus one rounding, which is
+      g((3 m + 6) / (1 - P) + 2) relative and counts twice as a divisor.  The
+      division counts 10, coef_kb 8, a_b 6, the level sum L, adding a_b 1,
+      the product with x^b 3 and the two bucket additions 2: in all
+      kx = 6 m + (6 m + 12) / (1 - P) + L + 22.
+      The unit in bucket 0 is off by g(2), and the Y side is the X side with
+      sigma for rho (Sy, ky).
+    - The level rule leaves at most SCALAR_TOL per side (``MatrixPencil``);
+      values below the normal range add at most 2^-1074 per operation, far
+      below one more SCALAR_TOL.
+    - Gamma_0 at alpha_k is sum_b alpha_k^b B_b over the exact buckets B_b.
+      It is formed with the stored alphas alpha_{kb mod m}, each within 34 u
+      of alpha_k^b, and in whatever order BLAS sums the real and imaginary
+      parts, a complex dot product errs by at most sqrt(2) g(2 m) sum_b
+      |alpha_{kb}| |B_b|.  So the alpha sum adds at most
+      (34 u + sqrt(2) g(2 m) (1 + 34 u)) S with
+      S = 1 + g(2) + 2 Sx (1 + g(kx)) + 2 Sy (1 + g(ky)).
+
+    The bound is the sum of these terms; it is inf where some k u reaches 1/2.
     """
     mods = np.abs(np.asarray(w))
     big, small = float(mods.max()), float(mods.min())
     b, r = 1.0 - eps, ap.r
     d = b * b * r
-    e = e + 4.0 * _UNIT * big
-    mx, mn = (1.0 + 4.0 * _UNIT) * big, (1.0 - 4.0 * _UNIT) * small
+    try:
+        levels = _fold_levels(d, m, 1.0, 1.0)
+    except TruncationError:
+        return math.inf
+    e = e + 48.0 * _UNIT * (big + e)
+    mx, mn = (1.0 + 12.0 * _UNIT) * big, (1.0 - 12.0 * _UNIT) * small
     rho, sigma = b * mx, b * r / mn if mn > 0.0 else math.inf
     t = b * r * e / (mn * (mn - e)) if mn > e else math.inf
     if not (rho + b * e < 1.0 and sigma + t < 1.0):
         return math.inf
     perturb = (2.0 * b * e / ((1.0 - rho - b * e) * (1.0 - rho))
                + 2.0 * t / ((1.0 - sigma - t) * (1.0 - sigma)))
-    sx, sy = rho / ((1.0 - rho) * (1.0 - d)), sigma / ((1.0 - sigma) * (1.0 - d))
-    kx = 14.0 + 8.0 * (1.0 + mx) / (1.0 - rho)
-    ky = 14.0 + 8.0 * (1.0 + mx) / (mn * (1.0 - sigma))
     g = lambda k: k * _UNIT / (1.0 - k * _UNIT) if k * _UNIT < 0.5 else math.inf
-    rounding = (2.0 * (g(kx) * sx + g(ky) * sy + g(2.0 * scalar_sum_terms(eps, r)) * (sx + sy))
-                + g(1.0) * (1.0 + 2.0 * (sx + sy)) + SCALAR_TOL)
+    sx, sy = rho / ((1.0 - rho) * (1.0 - d)), sigma / ((1.0 - sigma) * (1.0 - d))
+    kx, ky = (6.0 * m + (6.0 * m + 12.0) / (1.0 - p**m) + levels + 22.0 for p in (rho, sigma))
+    z = (1.0 + 9.0 * _UNIT) * d * max(rho, sigma)
+    total = 1.0 + g(2.0) + 2.0 * sx * (1.0 + g(kx)) + 2.0 * sy * (1.0 + g(ky))
+    rounding = (17.0 * _UNIT * z / (1.0 - z) ** 2 + g(2.0) + 2.0 * (g(kx) * sx + g(ky) * sy)
+                + (34.0 * _UNIT + math.sqrt(2.0) * g(2.0 * m) * (1.0 + 34.0 * _UNIT)) * total
+                + 3.0 * SCALAR_TOL)
     return perturb + rounding
 
 
@@ -298,7 +393,7 @@ class MatrixPencil:
         16 m^2 ||W|| ||V|| q^L / (1 - q),     q = d^{m+1},
 
     since sum_b ||W^b|| d^{kb} <= m ||W|| d^k.  This holds for non-normal W
-    too, and ``scalar_terms`` puts it below SCALAR_TOL.  On the default grid
+    too, and ``_fold_levels`` puts it below SCALAR_TOL.  On the default grid
     at r = 0.5, L is 1 to 3 for normal T up to n = 64, whatever eps is.  The
     powers W^b are built _CHUNK entries at a time, so a sweep holds the m
     buckets plus O(_CHUNK) entries.
@@ -318,22 +413,12 @@ class MatrixPencil:
         (sign j) mod m; returns its level count."""
         m, n = buckets.shape[0], w.shape[0]
         v = np.linalg.matrix_power(w, m)
-        q = d ** (m + 1)
         # Frobenius norms, at least 1: upper bounds of ||W|| and ||V||
         wn, vn = max(float(np.linalg.norm(w)), 1.0), max(float(np.linalg.norm(v)), 1.0)
-        levels = max(
-            scalar_terms(d, 1.0 / wn),
-            scalar_terms(d**m, 0.5 / vn),
-            scalar_terms(q, SCALAR_TOL * (1.0 - q) / (16.0 * m * m * wn * vn)),
-        )
-        k = np.arange(levels)
-        c = d ** (m * k)
+        levels = _fold_levels(d, m, wn, vn)
+        c, coef, diag, slot = _fold_coefs(d, m, levels, sign)
         vr = np.linalg.solve(np.eye(n) - c[:, None, None] * v, np.broadcast_to(v, (levels, n, n)))
         vr = vr.reshape(levels, n * n)  # V R_k
-        j = np.arange(1, m + 1)
-        coef = 2.0 * (-1.0) ** k[:, None] * d ** (k[:, None] * (j + m))
-        diag = 2.0 / (1.0 + d ** j.astype(float))
-        slot = (sign * j) % m
         step = max(1, _CHUNK // (n * n))
         for lo in range(0, m, step):
             hi = min(lo + step, m)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from mpmath import mp, mpc, mpf
 
 from annulus_cert import certifier, pencil
 from annulus_cert.generators import haar_unitary
@@ -21,6 +22,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+def gamma_mp(alpha, w, eps, r):
+    """Gamma(alpha w) in 40-digit arithmetic at the exact product of the two
+    floats, from the resolvent expansion of the ``pencil`` module docstring
+    with its remainder below 1e-38 (|x|, |y| < 1, d <= 0.99)."""
+    mp.dps = 40
+    b, r, u = 1 - mpf(eps), mpf(r), mpc(alpha) * mpc(w)
+    d = b * b * r
+    x, y = b * u, b * r / u
+    terms = int(mp.ceil(mp.log(mpf(10) ** -40 * (1 - d)) / mp.log(d)))
+    return 1 + 2 * mp.fsum((-1) ** k * (x * d**k / (1 - x * d**k) + y * d**k / (1 - y * d**k))
+                           for k in range(terms))
 
 
 def eig_match_max(a, b) -> float:

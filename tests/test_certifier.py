@@ -25,10 +25,10 @@ from annulus_cert.pencil import (
     ROUNDING_BUDGET,
     AnnulusParams,
     MatrixPencil,
+    _fold_levels,
     gamma_scalar_batch,
     scalar_pencil_bound,
     eigenvalues_in_annulus,
-    scalar_sum_terms,
 )
 from annulus_cert.rational import RationalFunction, eval_matrix, sup_on_annulus
 
@@ -307,7 +307,8 @@ class TestScalarRoute:
             assert (rec["eps"], rec["alpha"]) == (mat["eps"], mat["alpha"])
             if eps in bounds:
                 assert abs(rec["lambda_min"] - mat["lambda_min"]) <= bounds[eps]
-                assert rec["trunc_n"] == scalar_sum_terms(eps, r)
+                # the fold's level count at norms 1, as on the matrix route
+                assert rec["trunc_n"] == _fold_levels((1.0 - eps) * (1.0 - eps) * r, 64, 1.0, 1.0)
                 # an upper bound of the exact scale, up to the SVD's own rounding
                 assert rec["scale"] >= next(ex[eps])["scale"] * (1.0 - 1e-12)
             else:
@@ -340,10 +341,28 @@ class TestScalarRoute:
         t, grid = np.diag([1.0, 0.7]), PencilGrid((0.01, 0.001), 64)
         cert, ref = certify_ar(t, AP5, grid), _matrix_route(t, AP5, grid)
         assert [eps for eps, _ in cert.scalar_rungs] == [0.01]
-        assert scalar_pencil_bound(np.array([1.0, 0.7]), 0.0, 0.001, AP5) > ROUNDING_BUDGET
+        assert scalar_pencil_bound(np.array([1.0, 0.7]), 0.0, 0.001, AP5, 64) > ROUNDING_BUDGET
         assert cert.verdict == ref.verdict == "certified"
         assert np.array_equal(cert.records[64:], ref.records[64:])
         assert cert.to_dict()["scalar_rungs"] == [{"eps": 0.01, "bound": cert.scalar_rungs[0][1]}]
+
+    def test_near_unit_radius_sweeps_instead_of_raising(self):
+        # the scalar bound is finite here but far past the budget, so the
+        # sweep decides the rung, 597,572 levels deep
+        t, ap, grid = np.diag([0.999995, 0.999996]), AnnulusParams(0.99999), PencilGrid((0.0,), 8)
+        assert ROUNDING_BUDGET < scalar_pencil_bound(np.diag(t), 0.0, 0.0, ap, 8) < np.inf
+        cert = certify_ar(t, ap, grid)
+        assert cert.scalar_rungs == () and cert.diagnostics == ()
+        assert cert.verdict == "certified"
+
+    def test_level_count_past_the_cap_is_inconclusive(self):
+        # both routes need more levels than SCALAR_MAX_TERMS: the bound is inf
+        # and the sweep records the rung's diagnostic instead of raising
+        t, ap, grid = np.diag([0.9999995, 0.9999996]), AnnulusParams(0.999999), PencilGrid((0.0,), 8)
+        assert scalar_pencil_bound(np.diag(t), 0.0, 0.0, ap, 8) == np.inf
+        cert = certify_ar(t, ap, grid)
+        assert cert.verdict == "inconclusive" and cert.scalar_rungs == ()
+        assert len(cert.diagnostics) == 1 and "exceeding the cap" in cert.diagnostics[0]
 
     def test_scalar_truncated_and_matrix_rungs_in_grid_order(self):
         # eps = 0.01 fits the budget, 1e-9 puts the unit eigenvalue on the
@@ -370,7 +389,7 @@ class TestScalarRoute:
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         e = 10.0**size
         f *= e / _norm2(f)
-        bound = scalar_pencil_bound(w, e, eps, ap)
+        bound = scalar_pencil_bound(w, e, eps, ap, 8)
         if not np.isfinite(bound):
             return
         alphas = PencilGrid((eps,), 8).alphas()

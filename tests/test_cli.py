@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from annulus_cert.blocks import BlockSpec, assemble
 from annulus_cert.certifier import (
@@ -27,6 +28,8 @@ from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
 from annulus_cert.pencil import MAX_ALPHAS, AnnulusParams
 from annulus_cert.rational import MAX_SAMPLES
+
+from conftest import gamma_mp
 
 AP5 = AnnulusParams(0.5)
 DATA = Path(__file__).parent / "data"
@@ -453,6 +456,23 @@ class TestCertifyGolden:
                      "--alphas", "16"]) == code
         assert capsys.readouterr().out == (DATA / f"certify_{name}.json").read_text()
 
+    def test_scalar_route_margins_within_bound_of_mpmath(self):
+        # every lambda_min of the normal8 document, all three rungs on the
+        # scalar route, against 40-digit lambda_min Re Gamma(alpha T) from an
+        # eigendecomposition of the same T in mpmath
+        doc = json.loads((DATA / "certify_normal8.json").read_text())
+        bounds = {rung["eps"]: rung["bound"] for rung in doc["scalar_rungs"]}
+        assert sorted(bounds) == [0.01, 0.1, 0.5]
+        t = CERTIFY_INPUTS["normal8"]()
+        mp.dps = 40
+        lams, vecs = mp.eig(mp.matrix(t.tolist()))
+        inv = vecs**-1
+        for rec in doc["records"]:
+            gam = vecs * mp.diag([gamma_mp(complex(*rec["alpha"]), lam, rec["eps"], 0.5)
+                                  for lam in lams]) * inv
+            exact = min(mp.eighe((gam + gam.transpose_conj()) / 2, eigvals_only=True))
+            assert abs(exact - rec["lambda_min"]) <= bounds[rec["eps"]]
+
 
 def _cli_process(*argv):
     """Command line and environment that run the CLI of this checkout in a fresh interpreter."""
@@ -595,6 +615,15 @@ class TestHostileInputs:
                 code = main([cmd, "--matrix", path, "--r", "0.5", *flags])
         assert code in {0, 1, 2, 64, 65}
         assert "Traceback" not in err.getvalue()
+
+    def test_level_count_past_the_cap_prints_an_inconclusive_certificate(self, tmp_path):
+        path = tmp_path / "t.json"
+        save_matrix(np.diag([0.9999995, 0.9999996]), path)
+        proc = run_cli("certify", "--matrix", str(path), "--r", "0.999999", "--eps", "0", "--alphas", "8")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "inconclusive" and len(doc["diagnostics"]) == 1
 
     def test_vn_intermediate_overflow_exits_65(self, tmp_path):
         # finite entries of 1e300 overflow inside f(T): the open case of

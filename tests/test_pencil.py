@@ -16,10 +16,12 @@ from annulus_cert.pencil import (
     MatrixPencil,
     PencilGrid,
     gamma_scalar_batch,
+    scalar_fold,
+    scalar_pencil_bound,
     scalar_terms,
 )
 
-from conftest import eig_match_max
+from conftest import eig_match_max, gamma_mp
 
 AP5 = AnnulusParams(0.5)
 
@@ -122,6 +124,47 @@ class TestGammaScalar:
                 assert abs(total - partial) <= 4 * d ** (k + 1) / ((1 - d) * (1 - d ** (k + 1)))
         n_terms = scalar_terms(0.25, 0.5e-16)
         assert 0.25**n_terms <= 0.5e-16 < 0.25 ** (n_terms - 1)
+
+
+class TestScalarFold:
+    """``scalar_fold`` against 40-digit sums and against ``gamma_scalar_batch``."""
+
+    @pytest.mark.parametrize("m", [8, 64, 1024])
+    @pytest.mark.parametrize("eps", [0.5, 0.01, 0.0])
+    def test_within_bound_of_mpmath(self, eps, m):
+        # moduli within 1e-3 of each circle and in the interior; the bound at
+        # e = 0 is all rounding, and it holds at every alpha, so 16 suffice
+        mods = np.array([0.5 + 1e-3, 0.5 + 1e-5, 0.7, 0.85, 1.0 - 1e-5, 1.0 - 1e-3])
+        w = mods * np.exp(2j * np.pi * np.array([0.1, 0.6, 0.3, 0.8, 0.45, 0.95]))
+        gam, _ = scalar_fold(w, eps, AP5, m)
+        assert gam.shape == (m, w.size)
+        alphas = PencilGrid((eps,), m).alphas()
+        err = max(float(abs(gamma_mp(alphas[k], wi, eps, 0.5) - mpc(g)))
+                  for k in range(0, m, m // 8 if m < 64 else m // 16) for wi, g in zip(w, gam[k]))
+        assert err <= scalar_pencil_bound(w, 0.0, eps, AP5, m)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 8), r=st.sampled_from([0.3, 0.5, 0.7]), seed=st.integers(0, 2**31 - 1),
+           eps=st.sampled_from([0.5, 0.1, 0.01, 0.0]), m=st.sampled_from([8, 13, 64]))
+    def test_matches_gamma_scalar_batch(self, n, r, seed, eps, m):
+        # at the grid's products alpha_k w_i; besides the fold's own bound the
+        # tolerance allows gamma_scalar_batch's rounding, which grows like
+        # |Gamma| / (1 - rho) and stays below 3.1e-14 (1 + |Gamma|) here
+        ap = AnnulusParams(r)
+        rng = np.random.default_rng(seed)
+        lo, hi = r + 0.01 * (1.0 - r), 1.0 - 0.01 * (1.0 - r)
+        w = (lo + (hi - lo) * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        gam, _ = scalar_fold(w, eps, ap, m)
+        ref = gamma_scalar_batch((PencilGrid((eps,), m).alphas()[:, None] * w).ravel(), eps, ap)
+        ref = ref.reshape(m, n)
+        tol = scalar_pencil_bound(w, 0.0, eps, ap, m) + 1e-13 * (1.0 + np.abs(ref))
+        assert np.all(np.abs(gam - ref) <= tol)
+
+    def test_band_edge_and_grid_size_raise(self):
+        with pytest.raises(TruncationError):
+            scalar_fold(np.array([1.0, 0.7]), 0.0, AP5, 8)
+        with pytest.raises(DomainError, match=r"m must lie in \[1, 1024\]"):
+            scalar_fold(np.array([0.7]), 0.1, AP5, 2048)
 
 
 class TestGammaMatrix:
