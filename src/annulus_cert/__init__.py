@@ -7,7 +7,6 @@ from .errors import (
     ContractViolationError,
     DiagnosticError,
     DomainError,
-    NumericalFailureError,
     SingularityError,
     TruncationError,
 )

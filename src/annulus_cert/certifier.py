@@ -147,11 +147,12 @@ def _eps_records(mp, eps, alphas):
     return _rung_records(RECORD, eps, alphas, lam_min, max(mp.gamma_indices()), scales)
 
 
-def _diagonal_form(tm, eigs, grid):
+def _diagonal_form(mp, grid):
     """(w, e) with T = U (diag(w) + F) U* for some unitary U and ||F|| <= e,
-    or None when no rung of ``grid`` could take the scalar route.
+    for the matrix T of the pencil ``mp``, or None when no rung of ``grid``
+    could take the scalar route.
 
-    Q is the QR factor of the eigenvectors of T and A = Q* T Q, with w its
+    Q is the QR factor of the pencil's eigenvectors and A = Q* T Q, with w its
     diagonal and F its off-diagonal part.  Q is unitary only to rounding: with
     eta = ||Q* Q - I||_F and E = T Q - Q A, the unitary polar factor U of Q
     has ||Q - U|| <= eta and U* T U = A + U* ((Q - U) A + E - T (Q - U)), so
@@ -165,23 +166,20 @@ def _diagonal_form(tm, eigs, grid):
 
     A rung's bound is at least 2 (1 - eps) e, and e is at least ||F||_F,
     whose square is about the Henrici departure ||T||_F^2 - sum |lambda_i|^2
-    of the eigenvalues ``eigs`` already computed.  A departure clearly past
-    what the largest eps admits returns None before any factorization, and
-    so does an entry past 2, which puts ||T|| far from the spectral radius
-    of at most 1 + PSD_TOL and could overflow the squares; non-normal input
-    pays only these checks.  They decide which route runs, never a verdict.
+    of the pencil's eigenvalues.  A departure clearly past what the largest
+    eps admits returns None before the QR factorization, and so does an
+    entry past 2, which puts ||T|| far from the spectral radius of at most
+    1 + PSD_TOL and could overflow the squares; so non-normal input pays for
+    these checks and no QR.  They decide which route runs, never a verdict.
     """
-    n = tm.shape[0]
+    tm, eigs, n = mp.t, mp.eigs, mp.t.shape[0]
     if not np.abs(tm).max() <= 2.0:
         return None
     fro2 = np.vdot(tm, tm).real
     e_cap = ROUNDING_BUDGET / (2.0 * (1.0 - max(grid.eps_values)))
     if not fro2 - np.vdot(eigs, eigs).real <= 4.0 * e_cap**2 + 8.0 * n * np.finfo(float).eps * fro2:
         return None
-    try:
-        q = np.linalg.qr(np.linalg.eig(tm)[1])[0]
-    except np.linalg.LinAlgError:  # pragma: no cover - QR stall is rare
-        return None
+    q = np.linalg.qr(mp.vecs)[0]
     a = q.conj().T @ tm @ q
     w = np.diagonal(a).copy()
     f = float(np.linalg.norm(a - np.diag(w)))
@@ -227,7 +225,7 @@ def certify_ar(t, ap: AnnulusParams, grid: PencilGrid = DEFAULT_GRID) -> Certifi
         return Certificate(VERDICT_REFUTED, False, None, None, np.empty(0, RECORD), grid,
                            ("spectrum outside the closed annulus",))
     alphas = grid.alphas()
-    form = _diagonal_form(mp.t, mp.eigs, grid)
+    form = _diagonal_form(mp, grid)
     rungs, diagnostics, scalar_rungs = [], [], []
     for eps in grid.eps_values:
         bound = np.inf if form is None else scalar_pencil_bound(*form, eps, ap, alphas.size)
@@ -286,8 +284,10 @@ class VnReport:
 
 
 def _fat_band(ap: AnnulusParams) -> tuple[float, float]:
+    """The annulus fattened by ten percent of (1 - r), its inner edge kept at
+    least r / 2 so that it stays positive and scales with r below r = 1/6."""
     pad = 0.1 * (1.0 - ap.r)
-    return ap.r - pad, 1.0 + pad
+    return max(ap.r - pad, 0.5 * ap.r), 1.0 + pad
 
 
 def _poles_off_fat(f: RationalFunction, ap: AnnulusParams) -> bool:
@@ -350,10 +350,11 @@ def vn_sample(t, ap: AnnulusParams, count: int = 100, seed: int = 0,
     """Worst ratio ||f(T)|| / sup |f| over sampled rational test functions.
 
     Functions have numerator and denominator degree at most four with poles
-    rejected inside the annulus fattened by ten percent of (1 - r).  Each trial
-    draws either a plain random rational or a Blaschke-type product aimed at a
-    random eigenvalue of T; a trial whose ratio stays below one retries once
-    after recentering the function at an eigenvalue.  A worst ratio above
+    rejected inside the annulus fattened by ten percent of (1 - r), whose inner
+    edge stays at least r / 2 (``_fat_band``).  Each trial draws either a
+    plain random rational or a Blaschke-type product aimed at a random
+    eigenvalue of T; a trial whose ratio stays below one retries once after
+    recentering the function at an eigenvalue.  A worst ratio above
     1 + PSD_TOL disproves contractivity; ratios near one prove nothing.
 
     Trials run in blocks of _VN_BLOCK.  No draw depends on a sup, so a block

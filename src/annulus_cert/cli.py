@@ -4,7 +4,8 @@ Exit codes, used consistently by every subcommand:
 
     0   certified / verdicts agree / no violation found / plain success
     1   refuted / verdicts disagree / violation or factorization failure
-    2   inconclusive (truncation, diagnostic failure, thm's inconclusive certificate)
+    2   inconclusive (truncation, diagnostic failure, numerical singularity,
+        LAPACK non-convergence, thm's inconclusive certificate)
     64  usage error: bad flags, unreadable or malformed matrix files,
         out-of-domain inputs
     65  contract violation: structurally valid inputs that break a precondition
@@ -23,6 +24,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .blocks import BlockSpec, assemble
 from .certifier import (
@@ -36,7 +39,6 @@ from .certifier import (
     vn_sample,
 )
 from .errors import (
-    AnnulusCertError,
     ContractViolationError,
     DiagnosticError,
     DomainError,
@@ -262,12 +264,9 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (TruncationError, DiagnosticError, SingularityError) as exc:
+    except (TruncationError, DiagnosticError, SingularityError, np.linalg.LinAlgError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except AnnulusCertError as exc:  # pragma: no cover - residual mapping
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

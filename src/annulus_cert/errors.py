@@ -21,9 +21,5 @@ class TruncationError(AnnulusCertError):
     """A series diverges, needs more terms than the cap, or rounds beyond the slack."""
 
 
-class NumericalFailureError(AnnulusCertError):
-    """Underlying numerical kernel failed to converge."""
-
-
 class DiagnosticError(AnnulusCertError):
     """A consistency check inside a higher-level search failed."""

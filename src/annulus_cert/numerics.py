@@ -3,7 +3,8 @@
 All operations are pure functions of immutable inputs.  Matrices are square
 ``numpy.ndarray`` blocks of ``complex128``; ``as_matrix`` is the single entry
 point that normalizes and validates operands.  Eigen/SVD work is delegated to
-``numpy.linalg``; the contracts here fix tolerances and failure modes.
+``numpy.linalg``; the contracts here fix tolerances and failure modes, and a
+LAPACK failure leaves as numpy's ``LinAlgError``.
 
 ``hermitian_check``, ``sqrt_psd``, ``inverse`` and ``psd_pinv`` take a stack
 (..., n, n) of matrices and apply every check to each matrix; a 2-D argument
@@ -17,12 +18,7 @@ import numbers
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    DomainError,
-    NumericalFailureError,
-    SingularityError,
-)
+from .errors import ContractViolationError, DomainError, SingularityError
 
 # Desk-scale guard for matrices entering through files or generators.
 # Assembled 2x2 block operators may reach twice this.
@@ -104,11 +100,7 @@ def operator_norm(a) -> float:
 
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues with algebraic multiplicity, in solver order."""
-    m = as_matrix(a)
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - QR stall is rare
-        raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
+    return np.linalg.eigvals(as_matrix(a))
 
 
 def hermitian_check(h) -> np.ndarray:
@@ -127,11 +119,7 @@ def hermitian_check(h) -> np.ndarray:
 
 def hermitian_min_eig(h) -> float:
     """Smallest eigenvalue of the Hermitian part (H + H*)/2."""
-    m = hermitian_check(as_matrix(h))
-    try:
-        return float(np.linalg.eigvalsh(m)[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError(f"Hermitian eigensolve failed: {exc}") from exc
+    return float(np.linalg.eigvalsh(hermitian_check(as_matrix(h)))[0])
 
 
 def sqrt_psd(h) -> np.ndarray:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .numerics import PSD_TOL, _check_integer, _upper_block, as_matrix, eigenvalues, inverse
+from .numerics import MAX_DIM, PSD_TOL, _check_integer, _upper_block, as_matrix, inverse
 
 # Closed-form sums: remainder bound and term cap (r within ~1e-4 of 1).
 SCALAR_TOL = 1e-16
@@ -75,6 +75,12 @@ _CHUNK = 1 << 16
 # Largest alpha grid: each eps rung folds into that many n x n complex
 # buckets, 256 MiB at the largest file dimension (128).
 MAX_ALPHAS = 1024
+
+# Entries the level arrays of a fold may hold per side, the buckets' own
+# size at the largest grid and dimension: a fold of L levels over m alphas
+# holds (L, m) coefficients and L resolvents of n^2 entries (of n entries in
+# ``scalar_fold``, for n scalars).
+_LEVEL_BUDGET = MAX_ALPHAS * (2 * MAX_DIM) ** 2
 
 
 @dataclass(frozen=True)
@@ -128,10 +134,17 @@ class PencilGrid:
         return {"eps_values": list(self.eps_values), "alpha_count": int(self.alpha_count)}
 
 
+def _inner_slack(lo: float) -> float:
+    """The slack below an inner edge lo > 0: PSD_TOL, but at most lo / 2, so
+    modulus 0 stays outside however small r is."""
+    return min(PSD_TOL, 0.5 * lo)
+
+
 def eigenvalues_in_annulus(eigs: np.ndarray, ap: AnnulusParams) -> bool:
-    """True iff every modulus of ``eigs`` lies in [r - PSD_TOL, 1 + PSD_TOL]."""
+    """True iff every modulus of ``eigs`` lies in [r - s, 1 + PSD_TOL], with s
+    the ``_inner_slack`` of r."""
     mods = np.abs(eigs)
-    return bool(np.all((mods >= ap.r - PSD_TOL) & (mods <= 1.0 + PSD_TOL)))
+    return bool(np.all((mods >= ap.r - _inner_slack(ap.r)) & (mods <= 1.0 + PSD_TOL)))
 
 
 def _check_band(mods: np.ndarray, eps: float, r: float) -> float:
@@ -139,9 +152,10 @@ def _check_band(mods: np.ndarray, eps: float, r: float) -> float:
 
     DomainError when eps is not a real number in [0, 1), when there is no
     modulus or one is not finite, or when a modulus leaves the band
-    [(1-eps) r, 1/(1-eps)] by more than PSD_TOL, the slack of
-    ``eigenvalues_in_annulus``; TruncationError when one lies on or past a
-    band edge, where a series ratio reaches 1.
+    [(1-eps) r, 1/(1-eps)] by more than the slack of
+    ``eigenvalues_in_annulus`` (PSD_TOL, at most half the inner edge);
+    TruncationError when one lies on or past a band edge, where a series
+    ratio reaches 1.
 
     eps = 0 is the limit rung: the band is the closed annulus [r, 1], X = T
     and Y = r T^{-1}, and a spectrum strictly inside sums there, while one on
@@ -156,7 +170,8 @@ def _check_band(mods: np.ndarray, eps: float, r: float) -> float:
         raise DomainError("the pencil needs at least one point, and only finite ones")
     lo, hi = (1.0 - eps) * r, 1.0 / (1.0 - eps)
     mn, mx = float(mods.min()), float(mods.max())
-    if mn < lo - PSD_TOL or mx > hi + PSD_TOL:
+    floor = lo - _inner_slack(lo)  # 0 only where lo underflows
+    if not (0.0 < floor <= mn and mx <= hi + PSD_TOL):
         raise DomainError(
             f"moduli [{mn:.6g}, {mx:.6g}] leave the convergence band "
             f"[{lo:.6g}, {hi:.6g}] at eps = {eps}"
@@ -204,16 +219,22 @@ def gamma_scalar_batch(z, eps: float, ap: AnnulusParams) -> np.ndarray:
     return 1.0 + 2.0 * acc
 
 
-def _fold_levels(d: float, m: int, wn: float, vn: float) -> int:
+def _fold_levels(d: float, m: int, wn: float, vn: float, size: int) -> int:
     """Level count L of a fold over m alphas at d = (1-eps)^2 r, fixed before
     any solve, for a side W and V = W^m with ||W|| <= wn and ||V|| <= vn, both
-    at least 1 (``MatrixPencil``); TruncationError past SCALAR_MAX_TERMS."""
+    at least 1 (``MatrixPencil``), whose resolvents have ``size`` entries;
+    TruncationError past SCALAR_MAX_TERMS, or when L max(m, size) passes
+    _LEVEL_BUDGET, before any level array exists."""
     q = d ** (m + 1)
-    return max(
+    levels = max(
         scalar_terms(d, 1.0 / wn),
         scalar_terms(d**m, 0.5 / vn),
         scalar_terms(q, SCALAR_TOL * (1.0 - q) / (16.0 * m * m * wn * vn)),
     )
+    if levels * max(m, size) > _LEVEL_BUDGET:
+        raise TruncationError(f"the fold needs {levels} levels of {max(m, size)} entries, "
+                              f"past the budget of {_LEVEL_BUDGET} entries")
+    return levels
 
 
 def _fold_coefs(d: float, m: int, levels: int, sign: int):
@@ -255,7 +276,7 @@ def scalar_fold(w, eps: float, ap: AnnulusParams, m: int) -> tuple[np.ndarray, i
     d = b * b * r
     buckets = np.zeros((m, w.size), dtype=complex)
     buckets[0] += 1.0  # the j = 0 term, a_0 = 1
-    levels = _fold_levels(d, m, 1.0, 1.0)
+    levels = _fold_levels(d, m, 1.0, 1.0, w.size)
     _fold_scalars(b * w, d, levels, 1, buckets)
     _fold_scalars(b * r / w, d, levels, -1, buckets)
     j = np.arange(m)
@@ -266,7 +287,7 @@ def scalar_pencil_bound(w, e: float, eps: float, ap: AnnulusParams, m: int) -> f
     """Bound, uniform over the m grid alphas, on ||Gamma(alpha (D + F)) - G||
     for D = diag(w), any F with ||F|| <= e, and G the diagonal of
     ``scalar_fold(w, eps, ap, m)`` at alpha; inf when the series ratios leave
-    no room for e or a level count would pass SCALAR_MAX_TERMS.
+    no room for e or ``scalar_fold``'s level count would raise.
 
     The weight Gamma(alpha Z) = I + sum_j a_j X^j + sum_j a_j Y^j has
     X = (1-eps) alpha Z, Y = (1-eps) r (alpha Z)^{-1} and 0 < a_j <= 2
@@ -299,7 +320,7 @@ def scalar_pencil_bound(w, e: float, eps: float, ap: AnnulusParams, m: int) -> f
 
     On the X side ||X_1 - X_0|| <= b e', p = rho and p' = rho + b e'.  On the
     Y side (Dy + Fy)^{-1} - Dy^{-1} = -(Dy + Fy)^{-1} Fy Dy^{-1} with
-    ||(Dy + Fy)^{-1}|| <= 1 / (mn - e'), so ||Y_1 - Y_0|| <= t = b r e' / (mn (mn - e')),
+    ||(Dy + Fy)^{-1}|| <= 1 / (mn - e'), so ||Y_1 - Y_0|| <= t = sigma e' / (mn - e'),
     p = sigma and p' = sigma + t.  Hence
 
         ||Gamma(alpha (D + F)) - Gamma_0|| <= 2 b e' / ((1 - rho - b e')(1 - rho))
@@ -345,13 +366,13 @@ def scalar_pencil_bound(w, e: float, eps: float, ap: AnnulusParams, m: int) -> f
     b, r = 1.0 - eps, ap.r
     d = b * b * r
     try:
-        levels = _fold_levels(d, m, 1.0, 1.0)
+        levels = _fold_levels(d, m, 1.0, 1.0, mods.size)
     except TruncationError:
         return math.inf
     e = e + 48.0 * _UNIT * (big + e)
     mx, mn = (1.0 + 12.0 * _UNIT) * big, (1.0 - 12.0 * _UNIT) * small
     rho, sigma = b * mx, b * r / mn if mn > 0.0 else math.inf
-    t = b * r * e / (mn * (mn - e)) if mn > e else math.inf
+    t = sigma * (e / (mn - e)) if mn > e else math.inf  # mn (mn - e) may underflow
     if not (rho + b * e < 1.0 and sigma + t < 1.0):
         return math.inf
     perturb = (2.0 * b * e / ((1.0 - rho - b * e) * (1.0 - rho))
@@ -380,9 +401,11 @@ def _powers(w: np.ndarray, count: int) -> np.ndarray:
 
 
 class MatrixPencil:
-    """Pencil evaluation for one matrix T, whose eigenvalues ``eigs`` are taken
-    once.  Each sweep takes its eps and first runs ``_check_band`` on them; the
-    first sweep that passes it takes T^{-1}, which later sweeps reuse.
+    """Pencil evaluation for one matrix T, whose eigenvalues ``eigs`` and
+    eigenvectors ``vecs`` (as columns) come from one ``np.linalg.eig``; the
+    eigenvectors give ``certifier``'s scalar route its basis.  Each sweep
+    takes its eps and first runs ``_check_band`` on the eigenvalues; the first
+    sweep that passes it takes T^{-1}, which later sweeps reuse.
 
     A sweep over m alphas adds each side W (X or Y) into the m buckets in
     closed form (module docstring).  The level count L of the resolvent sum
@@ -395,13 +418,14 @@ class MatrixPencil:
     since sum_b ||W^b|| d^{kb} <= m ||W|| d^k.  This holds for non-normal W
     too, and ``_fold_levels`` puts it below SCALAR_TOL.  On the default grid
     at r = 0.5, L is 1 to 3 for normal T up to n = 64, whatever eps is.  The
-    powers W^b are built _CHUNK entries at a time, so a sweep holds the m
-    buckets plus O(_CHUNK) entries.
+    powers W^b are built _CHUNK entries at a time, and the L resolvents and
+    their coefficients stay within _LEVEL_BUDGET entries, so a sweep holds
+    the m buckets plus a bounded remainder.
     """
 
     def __init__(self, t: np.ndarray, ap: AnnulusParams):
         self.t, self.ap = as_matrix(t), ap
-        self.eigs = eigenvalues(self.t)
+        self.eigs, self.vecs = np.linalg.eig(self.t)
         self._inv: np.ndarray | None = None
         # per-side level counts of the last sweep and the last derivative sweep
         self._levels: tuple[int, int] | None = None
@@ -415,7 +439,7 @@ class MatrixPencil:
         v = np.linalg.matrix_power(w, m)
         # Frobenius norms, at least 1: upper bounds of ||W|| and ||V||
         wn, vn = max(float(np.linalg.norm(w)), 1.0), max(float(np.linalg.norm(v)), 1.0)
-        levels = _fold_levels(d, m, wn, vn)
+        levels = _fold_levels(d, m, wn, vn, n * n)
         c, coef, diag, slot = _fold_coefs(d, m, levels, sign)
         vr = np.linalg.solve(np.eye(n) - c[:, None, None] * v, np.broadcast_to(v, (levels, n, n)))
         vr = vr.reshape(levels, n * n)  # V R_k

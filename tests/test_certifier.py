@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from annulus_cert.certifier import (
     vn_sample,
 )
 from annulus_cert.blocks import BlockSpec, assemble, unit_block
-from annulus_cert.errors import ContractViolationError, DomainError, SingularityError
+from annulus_cert.errors import ContractViolationError, DomainError, SingularityError, TruncationError
 from annulus_cert.factorization import compress_through, factor_through, halmos_unitary
 from annulus_cert.generators import haar_unitary, random_normal_annulus
 from annulus_cert.io import matrix_from_dict
@@ -178,24 +179,36 @@ _RADII = st.sampled_from([0.3, 0.5, 0.7])
 
 
 class TestOnePencilPerCall:
-    """``certify_ar`` builds one pencil per call: T's eigenvalues are taken
-    once, and T^{-1} only when a rung runs the matrix sweep."""
+    """``certify_ar`` builds one pencil per call: T's eigendecomposition is
+    taken once, and T^{-1} only when a rung runs the matrix sweep."""
+
+    def test_scalar_route_one_eigendecomposition(self, monkeypatch):
+        # the pencil's eig feeds both the spectrum check and the scalar
+        # route's basis; no other eigensolver of any kind runs
+        calls = []
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, _fn=fn, _name=name: calls.append((_name, np.shape(a))) or _fn(a))
+        cert = certify_ar(random_normal_annulus(16, AP5, seed=5), AP5)
+        assert cert.certified and len(cert.scalar_rungs) == len(DEFAULT_GRID.eps_values)
+        assert calls == [("eig", (16, 16))]
 
     def test_matrix_route(self, pencil_calls):
         grid = PencilGrid((0.5, 0.1, 0.01), 8)
         cert = certify_ar(_chain(3, 0.1), AP5, grid)
         assert cert.certified and cert.scalar_rungs == ()
-        assert pencil_calls == [("build", (3, 3)), "eigenvalues", ("sweep", (3, 3), 0.5),
+        assert pencil_calls == [("build", (3, 3)), "eig", ("sweep", (3, 3), 0.5),
                                 "inverse", ("sweep", (3, 3), 0.1), ("sweep", (3, 3), 0.01)]
 
     def test_scalar_route_takes_no_inverse(self, pencil_calls):
         cert = certify_ar(random_normal_annulus(4, AP5, seed=3), AP5)
         assert len(cert.scalar_rungs) == len(DEFAULT_GRID.eps_values)
-        assert pencil_calls == [("build", (4, 4)), "eigenvalues"]
+        assert pencil_calls == [("build", (4, 4)), "eig"]
 
     def test_spectrum_outside_sweeps_nothing(self, pencil_calls):
         assert certify_ar(np.diag([0.7, 0.2]), AP5).verdict == "refuted"
-        assert pencil_calls == [("build", (2, 2)), "eigenvalues"]
+        assert pencil_calls == [("build", (2, 2)), "eig"]
 
 
 class TestScaleBracket:
@@ -308,7 +321,7 @@ class TestScalarRoute:
             if eps in bounds:
                 assert abs(rec["lambda_min"] - mat["lambda_min"]) <= bounds[eps]
                 # the fold's level count at norms 1, as on the matrix route
-                assert rec["trunc_n"] == _fold_levels((1.0 - eps) * (1.0 - eps) * r, 64, 1.0, 1.0)
+                assert rec["trunc_n"] == _fold_levels((1.0 - eps) * (1.0 - eps) * r, 64, 1.0, 1.0, n)
                 # an upper bound of the exact scale, up to the SVD's own rounding
                 assert rec["scale"] >= next(ex[eps])["scale"] * (1.0 - 1e-12)
             else:
@@ -327,11 +340,11 @@ class TestScalarRoute:
         t = self._non_normal()[case]
         ref = json.dumps(_matrix_route(t, AP5).to_dict())
 
-        def no_eig(*args):
+        def no_qr(*args):
             raise AssertionError("the Henrici pre-reject should have fired")
 
-        # the pre-reject needs only the eigenvalues of the spectrum check
-        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        # the pre-reject needs only the pencil's eigenvalues, not the basis
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
         cert = certify_ar(t, AP5)
         assert cert.scalar_rungs == ()
         assert json.dumps(cert.to_dict()) == ref
@@ -354,6 +367,23 @@ class TestScalarRoute:
         cert = certify_ar(t, ap, grid)
         assert cert.scalar_rungs == () and cert.diagnostics == ()
         assert cert.verdict == "certified"
+
+    def test_level_arrays_past_the_budget_are_inconclusive(self):
+        # 611,343 levels at 1024 alphas: each (L, m) float array would take
+        # 4.7 GiB; the scalar bound is inf and the sweep refuses before any
+        # level array exists, so the rung is one diagnostic
+        t, ap, grid = np.array([[0.99999995]]), AnnulusParams(0.9999999), PencilGrid((0.0,), 1024)
+        with pytest.raises(TruncationError, match="past the budget"):  # before anything allocates
+            _fold_levels(ap.r, 1024, 1.0, 1.0, 1)
+        tracemalloc.start()
+        try:
+            cert = certify_ar(t, ap, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict == "inconclusive" and cert.scalar_rungs == ()
+        assert len(cert.diagnostics) == 1 and "past the budget" in cert.diagnostics[0]
+        assert peak < 64 * 2**20
 
     def test_level_count_past_the_cap_is_inconclusive(self):
         # both routes need more levels than SCALAR_MAX_TERMS: the bound is inf
@@ -500,6 +530,23 @@ class TestVnSample:
     def test_precondition(self):
         with pytest.raises(DomainError):
             vn_sample(np.diag([0.1]), AP5)
+
+    @pytest.mark.parametrize("r", [0.01, 1e-3, 1e-6, 1e-8])
+    def test_small_radius_keeps_poles_off_the_annulus(self, r):
+        # below r = 1/11 the fattened inner edge r - 0.1 (1 - r) was negative,
+        # so "inner" poles landed inside the annulus and the trial raised
+        ap = AnnulusParams(r)
+        lo, hi = certifier._fat_band(ap)
+        assert 0.5 * r == lo < r < 1.0 < hi
+        for seed in range(3):
+            assert not vn_sample(np.array([[0.5]]), ap, seed=seed).violation
+        report = vn_sample(random_normal_annulus(4, ap, seed=1), ap, count=40, seed=1)
+        assert report.worst_ratio <= 1.0 + 1e-6
+
+    def test_small_radius_finds_the_jordan_violation(self):
+        ap = AnnulusParams(0.01)
+        report = vn_sample(jordan_block(0.5, 1.5 * misra_threshold(0.5, 0.01)), ap, count=100, seed=0)
+        assert report.violation
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_must_be_positive(self, count):

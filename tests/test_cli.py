@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,11 @@ from annulus_cert.certifier import (
 )
 from annulus_cert.cli import main
 from annulus_cert.io import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
-from annulus_cert.errors import DomainError
+from annulus_cert.errors import DomainError, TruncationError
 from annulus_cert.factorization import douglas_factor
 from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block, misra_threshold
-from annulus_cert.pencil import MAX_ALPHAS, AnnulusParams
+from annulus_cert.pencil import MAX_ALPHAS, AnnulusParams, _fold_levels
 from annulus_cert.rational import MAX_SAMPLES
 
 from conftest import gamma_mp
@@ -624,6 +625,51 @@ class TestHostileInputs:
         assert "Traceback" not in proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["verdict"] == "inconclusive" and len(doc["diagnostics"]) == 1
+
+    def test_level_arrays_past_the_budget_print_an_inconclusive_certificate(self, tmp_path, capsys):
+        with pytest.raises(TruncationError):  # 4.7 GiB per level array, were it allocated
+            _fold_levels(0.9999999, 1024, 1.0, 1.0, 1)
+        path = tmp_path / "t.json"
+        save_matrix(np.array([[0.99999995]]), path)
+        assert main(["certify", "--matrix", str(path), "--r", "0.9999999", "--eps", "0",
+                     "--alphas", "1024"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "inconclusive" and len(doc["diagnostics"]) == 1
+
+    @pytest.mark.parametrize("entry, r, cmd, code", [
+        pytest.param(entry, "1e-9", cmd, code, id=f"{entry}-{cmd}")
+        for entry in (0.0, 5e-324) for cmd, code in (("certify", 1), ("thm", 64), ("vn", 64))
+    ] + [pytest.param(1e-299, "1e-300", "certify", 0, id="1e-299-certify")])
+    def test_radius_below_twice_the_slack(self, tmp_path, capsys, entry, r, cmd, code):
+        # r - PSD_TOL < 0 let modulus 0 into the annulus (r / mn divided by
+        # zero), and mn (mn - e) underflowed in the scalar bound at 1e-299
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("t", "x")}
+        save_matrix(np.array([[entry]]), paths["t"])
+        save_matrix(np.array([[0.1]]), paths["x"])
+        argv = {"certify": ["certify", "--matrix", paths["t"]], "vn": ["vn", "--matrix", paths["t"]],
+                "thm": ["thm", "--which", "block1", "--t1", paths["t"], "--x", paths["x"]]}[cmd]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--r", r]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, solver", [("certify", "eig"), ("certify", "eigvalsh"),
+                                             ("vn", "eigvals"), ("factor", "eigh"),
+                                             ("thm", "eigh")])
+    def test_lapack_failure_is_inconclusive(self, files, monkeypatch, capsys, cmd, solver):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        argv = {"certify": ["certify", "--matrix", files["bad"], "--r", "0.5"],
+                "vn": ["vn", "--matrix", files["t"], "--r", "0.5", "--count", "2"],
+                "factor": ["factor", "--p", files["eye"], "--q", files["eye"], "--rmat", files["eye"]],
+                "thm": ["thm", "--which", "block1", "--t1", files["t"], "--x", files["x_small"],
+                        *THM_GRID]}[cmd]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: Eigenvalues did not converge")
+        assert "Traceback" not in err
 
     def test_vn_intermediate_overflow_exits_65(self, tmp_path):
         # finite entries of 1e300 overflow inside f(T): the open case of

@@ -162,7 +162,8 @@ class TestThresholdViaPencil:
         threshold_via_pencil(0.7, 0.5)
         assert [c for c in pencil_calls if c[0] == "build"] == [("build", (2, 2))] * 3
         assert [c for c in pencil_calls if c[0] == "sweep"] == [("sweep", (2, 2), 0.0)] * 3
-        assert pencil_calls.count("eigenvalues") == 3 and pencil_calls.count("inverse") == 3
+        assert pencil_calls.count("eig") == 3 and pencil_calls.count("inverse") == 3
+        assert "eigvals" not in pencil_calls
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(r=st.sampled_from([0.3, 0.5]), frac=st.floats(0.0, 1.0), phase=st.floats(0.0, 1.0))

@@ -12,9 +12,12 @@ from annulus_cert.generators import random_normal_annulus
 from annulus_cert.misra import jordan_block
 from annulus_cert.numerics import operator_norm, re_part
 from annulus_cert.pencil import (
+    ROUNDING_BUDGET,
     AnnulusParams,
     MatrixPencil,
     PencilGrid,
+    _fold_levels,
+    eigenvalues_in_annulus,
     gamma_scalar_batch,
     scalar_fold,
     scalar_pencil_bound,
@@ -166,6 +169,42 @@ class TestScalarFold:
         with pytest.raises(DomainError, match=r"m must lie in \[1, 1024\]"):
             scalar_fold(np.array([0.7]), 0.1, AP5, 2048)
 
+    def test_level_arrays_past_the_budget_raise(self):
+        # 611,343 levels at 1024 alphas: the (L, m) arrays would take 4.7 GiB,
+        # so the level rule is checked on its own before anything could allocate
+        w, ap = np.array([0.99999995]), AnnulusParams(0.9999999)
+        with pytest.raises(TruncationError, match="611343 levels of 1024 entries, past the budget"):
+            _fold_levels(ap.r, 1024, 1.0, 1.0, 1)
+        with pytest.raises(TruncationError, match="past the budget"):
+            scalar_fold(w, 0.0, ap, 1024)
+        assert scalar_pencil_bound(w, 0.0, 0.0, ap, 1024) == np.inf
+        with pytest.raises(TruncationError, match="past the budget"):
+            MatrixPencil(np.diag(w), ap).gamma_for_alphas(0.0, 1024)
+
+    @pytest.mark.parametrize("w", [0.0, 5e-324, 2e-10])
+    def test_inner_slack_at_most_half_the_edge(self, w):
+        # PSD_TOL = 1e-8 exceeds r = 1e-9, so the slack is r / 2 there:
+        # modulus 0 (and 5e-324) leaves the band instead of dividing by zero
+        for sweep in (lambda e: scalar_fold(np.array([w]), e, AnnulusParams(1e-9), 8),
+                      lambda e: MatrixPencil(np.array([[w]]), AnnulusParams(1e-9)).gamma_for_alphas(e, 8)):
+            for eps in (0.5, 0.0):
+                with pytest.raises(DomainError, match="leave the convergence band"):
+                    sweep(eps)
+        assert not eigenvalues_in_annulus(np.array([w]), AnnulusParams(1e-9))
+        assert eigenvalues_in_annulus(np.array([6e-10]), AnnulusParams(1e-9))
+
+    def test_underflowing_inner_edge_rejects(self):
+        # (1 - eps) r rounds to 0 at r = 5e-324, eps = 0.6: no modulus is inside
+        with pytest.raises(DomainError, match="leave the convergence band"):
+            scalar_fold(np.array([0.0]), 0.6, AnnulusParams(5e-324), 8)
+
+    def test_tiny_radius_bound_does_not_underflow(self):
+        # mn (mn - e) underflows to 0 at mn = 1e-299; the bound is finite
+        ap = AnnulusParams(1e-300)
+        bound = scalar_pencil_bound(np.array([1e-299]), 0.0, 0.01, ap, 64)
+        assert 0.0 < bound <= ROUNDING_BUDGET
+        assert eigenvalues_in_annulus(np.array([1e-299, 6e-301]), ap)
+
 
 class TestGammaMatrix:
     def test_diagonal_matches_scalar(self):
@@ -215,14 +254,15 @@ class TestGammaMatrix:
 
 
 class TestOnePencilPerMatrix:
-    """A pencil takes T's eigenvalues when built and T^{-1} at its first sweep
-    that passes the band check; every later sweep, at any eps, reuses both."""
+    """A pencil takes T's eigenvalues and eigenvectors from one eig when built
+    and T^{-1} at its first sweep that passes the band check; every later
+    sweep, at any eps, reuses them."""
 
     def test_eigenvalues_and_inverse_taken_once(self, pencil_calls):
         t = jordan_block(0.7, 0.2)
         mp_ = MatrixPencil(t, AP5)
         sweeps = [mp_.gamma_for_alphas(eps, 8) for eps in (0.5, 0.1, 0.01)]
-        assert pencil_calls == [("build", (2, 2)), "eigenvalues", ("sweep", (2, 2), 0.5),
+        assert pencil_calls == [("build", (2, 2)), "eig", ("sweep", (2, 2), 0.5),
                                 "inverse", ("sweep", (2, 2), 0.1), ("sweep", (2, 2), 0.01)]
         for eps, gam in zip((0.5, 0.1, 0.01), sweeps):
             assert np.array_equal(gam, MatrixPencil(t, AP5).gamma_for_alphas(eps, 8))
